@@ -88,20 +88,21 @@ let scale_t =
     & info [ "scale" ] ~docv:"SCALE"
         ~doc:"Experiment scale: quick, default, or paper (4e6 s x 10 reps).")
 
-(* The scheduler/discipline/size-distribution name tables live in
-   Statsched_simcheck.Scenario, shared with the verification subsystem so
-   its counterexamples replay through this exact CLI. *)
+(* The scheduler names come from Cluster.Scheduler; the discipline and
+   size-distribution name tables live in Statsched_simcheck.Scenario.
+   Both are shared with the verification subsystem so its
+   counterexamples replay through this exact CLI. *)
 
 let scheduler_t =
   Arg.(
     value
-    & opt (enum (List.map (fun n -> (n, n)) Scenario.scheduler_names)) "orr"
+    & opt (enum (List.map (fun n -> (n, n)) Cluster.Scheduler.names)) "orr"
     & info [ "p"; "policy" ] ~docv:"POLICY"
         ~doc:
-          "Scheduler: wran, oran, wrr, orr, least-load, two-choices, \
-           adaptive-orr, sita, jsq-d, jsq-d-uniform or jiq.  jsq-d probes \
-           speed-weighted; jsq-d-uniform is the pre-weighting sampler kept \
-           for replaying old runs.")
+          (Printf.sprintf
+             "Scheduler: %s.  jsq-d probes speed-weighted; jsq-d-uniform is \
+              the pre-weighting sampler kept for replaying old runs."
+             (String.concat ", " Cluster.Scheduler.names)))
 
 let computers_t =
   Arg.(

@@ -49,7 +49,7 @@ let policy_t =
              "Initial scheduling policy: %s.  Sampling dispatchers accept a \
               ':d' probe-count suffix (e.g. jsq-d:4).  Hot-swap at runtime \
               with PUT /policy."
-             (String.concat ", " Cluster.Daemon.policy_names)))
+             (String.concat ", " Cluster.Scheduler.names)))
 
 let port_t =
   Arg.(
@@ -116,7 +116,7 @@ let metrics_out_t =
 
 let run speeds rho policy port time_scale backlog_limit seed horizon
     journal_file journal_capacity metrics_out =
-  match Cluster.Daemon.scheduler_of_name policy with
+  match Cluster.Scheduler.of_name policy with
   | Error msg -> `Error (false, msg)
   | Ok scheduler ->
     let workload = Cluster.Workload.paper_default ~rho ~speeds in
@@ -190,7 +190,7 @@ let cmd =
          finalizes the run and writes the journal before exit.";
       `S Manpage.s_examples;
       `Pre
-        "  schedsimd -s 5x1.0,4x1.5,1x12 -p jsq-d --time-scale 1000 \\\n\
+        "  schedsimd -s 5x1.0,4x1.5,1x12 -p jsq-d --time-scale 1000 \\\\\n\
         \      --port 8080 --journal run.journal\n\
          \  curl -d 2.5 http://127.0.0.1:8080/jobs\n\
          \  curl -X PUT -d jiq http://127.0.0.1:8080/policy\n\

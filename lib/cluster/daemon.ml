@@ -1,4 +1,3 @@
-module Core = Statsched_core
 module Clock = Statsched_obs.Clock
 module Http = Statsched_obs.Http
 type t = {
@@ -17,44 +16,6 @@ type t = {
   mutable end_time : float;
 }
 
-(* The daemon accepts the policy vocabulary of the [schedsim] CLI and
-   simcheck scenarios, plus an optional [:d] probe-count suffix for the
-   sampling dispatchers (e.g. ["jsq-d:4"]). *)
-let policy_names =
-  [ "wran"; "oran"; "wrr"; "orr"; "least-load"; "two-choices"; "jsq-d";
-    "jsq-d-uniform"; "jiq" ]
-
-let scheduler_of_name name =
-  let base, d =
-    match String.index_opt name ':' with
-    | None -> (name, Ok 2)
-    | Some i ->
-      let suffix = String.sub name (i + 1) (String.length name - i - 1) in
-      ( String.sub name 0 i,
-        match int_of_string_opt suffix with
-        | Some d when d >= 1 -> Ok d
-        | Some _ | None ->
-          Error (Printf.sprintf "bad probe count %S (want a positive int)" suffix)
-      )
-  in
-  match d with
-  | Error _ as e -> e
-  | Ok d -> (
-    match base with
-    | "wran" -> Ok (Scheduler.static Core.Policy.wran)
-    | "oran" -> Ok (Scheduler.static Core.Policy.oran)
-    | "wrr" -> Ok (Scheduler.static Core.Policy.wrr)
-    | "orr" -> Ok (Scheduler.static Core.Policy.orr)
-    | "least-load" -> Ok Scheduler.least_load_paper
-    | "two-choices" -> Ok (Scheduler.two_choices ~d ())
-    | "jsq-d" -> Ok (Scheduler.jsq ~d ())
-    | "jsq-d-uniform" -> Ok (Scheduler.jsq ~d ~weighted:false ())
-    | "jiq" -> Ok Scheduler.jiq
-    | s ->
-      Error
-        (Printf.sprintf "unknown policy %S (known: %s)" s
-           (String.concat ", " policy_names)))
-
 let create ?journal ?(time_scale = 1.0) ?(backlog_limit = 1000) ?clock cfg =
   if not (time_scale > 0.0) then invalid_arg "Daemon.create: time_scale <= 0";
   if backlog_limit < 1 then invalid_arg "Daemon.create: backlog_limit < 1";
@@ -68,6 +29,8 @@ let create ?journal ?(time_scale = 1.0) ?(backlog_limit = 1000) ?clock cfg =
       ~on_engine:(Telemetry.set_engine telemetry)
       ~on_dispatch:(Telemetry.on_dispatch telemetry)
       ~on_completion:(Telemetry.on_completion telemetry)
+      ~on_drop:(Telemetry.on_drop telemetry)
+      ~on_rate_change:(Telemetry.on_rate_change telemetry)
       ~arrivals:`External cfg
   in
   let clock =
@@ -151,7 +114,7 @@ let submit_locked t body =
 let set_policy_locked t body =
   if t.draining then Http.text ~status:503 "draining, policy frozen\n"
   else
-    match scheduler_of_name (String.trim body) with
+    match Scheduler.of_name (String.trim body) with
     | Error msg -> Http.text ~status:400 (msg ^ "\n")
     | Ok kind -> (
       advance_locked t;

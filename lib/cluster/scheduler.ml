@@ -111,3 +111,34 @@ let name = function
       | Statsched_core.Policy.Random -> "ORAN"
     in
     Printf.sprintf "Adaptive%s(T=%g%s)" d period (if windowed then ",window" else "")
+
+let names =
+  [ "wran"; "oran"; "wrr"; "orr"; "least-load"; "two-choices"; "adaptive-orr";
+    "sita"; "jsq-d"; "jsq-d-uniform"; "jiq" ]
+
+let of_name ?(d = 2) name =
+  let parse d = function
+    | "wran" -> Ok (static Statsched_core.Policy.wran)
+    | "oran" -> Ok (static Statsched_core.Policy.oran)
+    | "wrr" -> Ok (static Statsched_core.Policy.wrr)
+    | "orr" -> Ok (static Statsched_core.Policy.orr)
+    | "least-load" -> Ok least_load_paper
+    | "two-choices" -> Ok (two_choices ~d ())
+    | "adaptive-orr" -> Ok (adaptive_orr ())
+    | "sita" -> Ok (sita_paper ())
+    | "jsq-d" -> Ok (jsq ~d ())
+    (* The pre-weighting uniform probe sampler, kept addressable so
+       recorded runs from before speed-weighted probing still replay. *)
+    | "jsq-d-uniform" -> Ok (jsq ~d ~weighted:false ())
+    | "jiq" -> Ok jiq
+    | s ->
+      Error (Printf.sprintf "unknown policy %S (known: %s)" s (String.concat ", " names))
+  in
+  match String.index_opt name ':' with
+  | None -> parse d name
+  | Some i -> (
+    let suffix = String.sub name (i + 1) (String.length name - i - 1) in
+    match int_of_string_opt suffix with
+    | Some d when d >= 1 -> parse d (String.sub name 0 i)
+    | Some _ | None ->
+      Error (Printf.sprintf "bad probe count %S (want a positive int)" suffix))

@@ -139,3 +139,18 @@ val two_choices : ?d:int -> unit -> kind
     full Least-Load. *)
 
 val name : kind -> string
+
+val names : string list
+(** The policy vocabulary shared by the [schedsim] CLI, the [schedsimd]
+    daemon and simcheck scenarios, in menu order: wran, oran, wrr, orr,
+    least-load, two-choices, adaptive-orr, sita, jsq-d, jsq-d-uniform,
+    jiq. *)
+
+val of_name : ?d:int -> string -> (kind, string) result
+(** Parse a {!names} entry, optionally with a [:d] probe-count suffix
+    (["jsq-d:4"]).  The probe count — the suffix, else [d] (default 2) —
+    is the sample size of [jsq-d], [jsq-d-uniform] and [two-choices] and
+    is ignored by every other policy.  [Error] carries a human-readable
+    reason (an unknown name lists the vocabulary).
+
+    @raise Invalid_argument if [d < 1] for a sampling policy. *)

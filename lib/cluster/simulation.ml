@@ -81,15 +81,47 @@ let up_indices eff =
 
 (* The scheduler-side callbacks of one policy instance, bundled so a
    live driver can hot-swap the whole set atomically: the decision
-   function, the intended-fraction reporter, the departure hook and the
-   capacity-change hook (the latter fires only under a [Blacklist]
-   fault plan, with the current effective speed vector). *)
+   function, the intended-fraction reporter, the departure hook, the
+   capacity-change hook (fires only under a [Blacklist] fault plan, with
+   the current effective speed vector), the drain hook (a job a crash
+   took off its computer) and the teardown that stops the policy's
+   periodic tasks once it is swapped out. *)
 type sched_fns = {
   sf_select : Q.Job.t -> int;
   sf_intended : unit -> float array option;
   sf_on_departure : Q.Job.t -> unit;
   sf_on_capacity : float array -> unit;
+  sf_on_drained : Q.Job.t -> unit;
+  sf_teardown : unit -> unit;
 }
+
+(* The Least-Load family is one selector reading one information model.
+   Selectors: the tournament tree over every computer (ties broken
+   uniformly at random or toward the lowest index), or a uniform or
+   speed-weighted sample of [d] computers.  Information models: exact
+   synchronous updates, a per-departure update message that arrives
+   after a detection delay plus a network delay, or a periodic poll of
+   every queue, optionally counting the jobs sent since the last poll. *)
+type selector = Full of { random_ties : bool } | Sampled of int | Weighted of int
+
+type information =
+  | Synchronous
+  | Delayed of { detection : Distribution.t; message_delay : Distribution.t }
+  | Polled of { period : float; count_in_flight : bool }
+
+(* A policy that only selects; the others override the hooks they use. *)
+let passive select =
+  {
+    sf_select = select;
+    sf_intended = (fun () -> None);
+    sf_on_departure = ignore;
+    sf_on_capacity = ignore;
+    sf_on_drained = ignore;
+    sf_teardown = ignore;
+  }
+
+(* Replay a capacity vector into a per-computer availability flag. *)
+let mask_down set_available eff = Array.iteri (fun i e -> set_available i (e > 0.0)) eff
 
 (* A paused, resumable simulation: {!run} unrolled into
    create / advance / finalize so a daemon can drive the virtual clock
@@ -173,344 +205,203 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   (* [servers_ref] is filled right after server creation; only events
      executed during the run (and policy swaps, which seed the fresh
      scheduler state from the live queues) dereference it. *)
-  let least_load_state = ref None in
-  let jiq_state = ref None in
   let servers_ref = ref [||] in
-  (* Build one policy's callback bundle.  Called once at creation and
-     again on every {!Driver.set_scheduler}: the RNG streams are shared
-     across builds (the streams simply continue), and a swap seeds the
-     new scheduler state from the servers' live queue lengths so the
-     estimates stay exact for the jobs already in flight.  At creation
-     [!servers_ref] is empty, so the seeding loops are no-ops and the
-     one-shot path is untouched. *)
-  let make_sched kind =
-    least_load_state := None;
-    jiq_state := None;
-    match kind with
-    | Scheduler.Static policy ->
-      let alloc = Core.Policy.allocation_of policy ~rho cfg.speeds in
-      (* [Optimized_at] deliberately mis-estimates the load (Figure 6);
-         saturating a computer is then the phenomenon under study, not a
-         corrupted allocation. *)
-      let saturation =
-        match policy.Core.Policy.allocation with
-        | Core.Policy.Optimized_at _ -> false
-        | Core.Policy.Weighted | Core.Policy.Optimized -> true
-      in
-      check_alloc ~saturation ~label:"static" ~rho ~speeds:cfg.speeds alloc;
-      let base_dispatcher = Core.Policy.dispatcher_of policy ~rng:dispatch_rng alloc in
-      let dispatcher = ref base_dispatcher in
-      let map = ref None in
-      let select _job =
-        let i = Core.Dispatch.select !dispatcher in
-        match !map with None -> i | Some m -> m.(i)
-      in
-      let on_capacity eff =
-        if same_speeds eff cfg.speeds then begin
-          dispatcher := base_dispatcher;
-          map := None
-        end
-        else begin
-          let up = up_indices eff in
-          if Array.length up = 0 then begin
-            dispatcher := base_dispatcher;
-            map := None
-          end
-          else begin
-            let sub = Array.map (fun i -> eff.(i)) up in
-            let alloc' = Core.Policy.allocation_of policy ~rho:(scaled_rho sub) sub in
-            check_alloc ~saturation ~label:"static-refit" ~rho:(scaled_rho sub)
-              ~speeds:sub alloc';
-            dispatcher := Core.Policy.dispatcher_of policy ~rng:dispatch_rng alloc';
-            map := Some up
-          end
-        end
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> Some alloc);
-        sf_on_departure = (fun _job -> ());
+  let each_queue f =
+    Array.iteri (fun i s -> f i (s.Q.Server_intf.in_system ())) !servers_ref
+  in
+  (* The one blacklist remap (statics, SITA-E, adaptive ORR): [build ~rho
+     ~speeds] makes an instance for one speed vector at one load; under a
+     Blacklist plan the remap builds one for the surviving sub-vector and
+     maps its choice [pick inst job] back to a global index.  A [live]
+     instance (adaptive ORR) is rebuilt on every capacity change, never
+     restored, and reports its current fractions, not the nominal ones.
+     [refit] rebuilds for the current vector. *)
+  let remap ?(live = false) ?fractions ~build pick =
+    let base = build ~rho ~speeds:cfg.speeds in
+    let cur = ref base and sub = ref None in
+    let refit () =
+      cur :=
+        match !sub with
+        | None -> build ~rho ~speeds:cfg.speeds
+        | Some (speeds, _) -> build ~rho:(scaled_rho speeds) ~speeds
+    in
+    let on_capacity eff =
+      let up = up_indices eff in
+      sub :=
+        if same_speeds eff cfg.speeds || Array.length up = 0 then None
+        else Some (Array.map (fun i -> eff.(i)) up, up);
+      if live || Option.is_some !sub then refit () else cur := base
+    in
+    let intended f =
+      match !sub with
+      | Some (_, up) when live ->
+        let full = Array.make n 0.0 in
+        Array.iteri (fun k x -> full.(up.(k)) <- x) (f !cur);
+        full
+      | Some _ | None -> f (if live then !cur else base)
+    in
+    let select job =
+      let i = pick !cur job in
+      match !sub with None -> i | Some (_, up) -> up.(i)
+    in
+    ( {
+        (passive select) with
+        sf_intended = (fun () -> Option.map intended fractions);
         sf_on_capacity = on_capacity;
-      }
-    | Scheduler.Static_custom { label = _; make } ->
-      let base_dispatcher = make ~rho ~speeds:cfg.speeds ~rng:dispatch_rng in
-      let dispatcher = ref base_dispatcher in
-      let map = ref None in
-      let select _job =
-        let i = Core.Dispatch.select !dispatcher in
-        match !map with None -> i | Some m -> m.(i)
-      in
-      let on_capacity eff =
-        if same_speeds eff cfg.speeds then begin
-          dispatcher := base_dispatcher;
-          map := None
-        end
-        else begin
-          let up = up_indices eff in
-          if Array.length up = 0 then begin
-            dispatcher := base_dispatcher;
-            map := None
-          end
-          else begin
-            let sub = Array.map (fun i -> eff.(i)) up in
-            dispatcher := make ~rho:(scaled_rho sub) ~speeds:sub ~rng:dispatch_rng;
-            map := Some up
-          end
-        end
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> Some (Core.Dispatch.fractions base_dispatcher));
-        sf_on_departure = (fun _job -> ());
-        sf_on_capacity = on_capacity;
-      }
-    | Scheduler.Sita { params; small_to } ->
-      let base_sita = Core.Sita.build_bounded_pareto params ~speeds:cfg.speeds ~small_to in
-      let sita = ref base_sita in
-      let map = ref None in
-      let select job =
-        let i = Core.Sita.select !sita ~size:job.Q.Job.size in
-        match !map with None -> i | Some m -> m.(i)
-      in
-      let on_capacity eff =
-        if same_speeds eff cfg.speeds then begin
-          sita := base_sita;
-          map := None
-        end
-        else begin
-          let up = up_indices eff in
-          if Array.length up = 0 then begin
-            sita := base_sita;
-            map := None
-          end
-          else begin
-            let sub = Array.map (fun i -> eff.(i)) up in
-            sita := Core.Sita.build_bounded_pareto params ~speeds:sub ~small_to;
-            map := Some up
-          end
-        end
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> None);
-        sf_on_departure = (fun _job -> ());
-        sf_on_capacity = on_capacity;
-      }
-    | Scheduler.Stale_least_load { poll_period; count_in_flight } ->
-      let state = Core.Least_load.create cfg.speeds in
-      least_load_state := Some state;
-      Array.iteri
-        (fun i server ->
-          Core.Least_load.set_load_index state i
-            (server.Q.Server_intf.in_system ()))
-        !servers_ref;
-      Engine.every engine ~period:poll_period (fun _ ->
-          Array.iteri
-            (fun i server ->
-              Core.Least_load.set_load_index state i
-                (server.Q.Server_intf.in_system ()))
-            !servers_ref);
-      let select _job =
-        let i = Core.Least_load.select ?rng:some_ties_rng state in
-        if count_in_flight then Core.Least_load.job_sent state i;
-        i
-      in
-      let on_capacity eff =
-        Array.iteri (fun i e -> Core.Least_load.set_available state i (e > 0.0)) eff
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> None);
-        sf_on_departure = (fun _job -> ());
-        sf_on_capacity = on_capacity;
-      }
-    | Scheduler.Adaptive { period; initial_rho; safety; windowed; dispatching } ->
-      (* Self-tuning ORR/ORAN: λ̂ from the arrival count, the mean job
-         size from completed jobs (what a real scheduler can observe),
-         ρ̂ = λ̂·E[S]/Σs inflated by the safety factor, allocation
-         recomputed every [period] seconds. *)
-      let seen_completions = ref 0 in
-      let size_sum = ref 0.0 in
-      (* Under a blacklist plan this holds the surviving sub-vector and
-         the sub-to-global index map; [None] means all computers nominal. *)
-      let sub_state = ref None in
-      let last_rho_hat = ref initial_rho in
-      let make_dispatcher rho_hat =
-        last_rho_hat := rho_hat;
-        let speeds_vec, scale =
-          match !sub_state with
-          | None -> (cfg.speeds, 1.0)
-          | Some (sub, _) -> (sub, total_speed /. Core.Speeds.total sub)
+      },
+      refit )
+  in
+  let dispatch_remap ?live build =
+    remap ?live ~fractions:Core.Dispatch.fractions ~build (fun dispatcher _job ->
+        Core.Dispatch.select dispatcher)
+  in
+  (* [Static p] as a [Static_custom] build.  [Optimized_at] deliberately
+     mis-estimates the load (Figure 6): saturation is then under study. *)
+  let static_make policy ~rho ~speeds ~rng =
+    let alloc = Core.Policy.allocation_of policy ~rho speeds in
+    let saturation =
+      match policy.Core.Policy.allocation with
+      | Core.Policy.Optimized_at _ -> false
+      | Core.Policy.Weighted | Core.Policy.Optimized -> true
+    in
+    check_alloc ~saturation ~label:"static" ~rho ~speeds alloc;
+    Core.Policy.dispatcher_of policy ~rng alloc
+  in
+  (* Draws: the ties stream per decision, and under [Delayed] the
+     detection and delay streams per departure. *)
+  let least_load selector information =
+    let state = Core.Least_load.create cfg.speeds in
+    let poll () = each_queue (Core.Least_load.set_load_index state) in
+    poll ();
+    let recorded job = Core.Least_load.departure_recorded state job.Q.Job.computer in
+    let counts, on_departure, teardown =
+      match information with
+      | Synchronous -> (true, recorded, ignore)
+      | Delayed { detection; message_delay } ->
+        (* The executing computer notices the departure after a polling
+           delay, then its update message crosses the network. *)
+        let on_departure job =
+          let lag =
+            Distribution.sample detection detect_rng
+            +. Distribution.sample message_delay delay_rng
+          in
+          let computer = job.Q.Job.computer in
+          ignore
+            (Engine.schedule engine ~delay:lag (fun _ ->
+                 Core.Least_load.departure_recorded state computer))
         in
-        let rho_hat = min 0.999 (max 1e-6 (rho_hat *. safety *. scale)) in
-        let alloc = Core.Allocation.optimized ~rho:rho_hat speeds_vec in
-        check_alloc ~label:"adaptive" ~rho:rho_hat ~speeds:speeds_vec alloc;
-        match dispatching with
-        | Core.Policy.Random -> Core.Dispatch.random ~rng:dispatch_rng alloc
-        | Core.Policy.Round_robin -> Core.Dispatch.round_robin alloc
+        (true, on_departure, ignore)
+      | Polled { period; count_in_flight } ->
+        let task = Engine.every engine ~period (fun _ -> poll ()) in
+        (count_in_flight, ignore, fun () -> Engine.stop engine task)
+    in
+    let select _job =
+      let i =
+        match selector with
+        | Full { random_ties = true } -> Core.Least_load.select ?rng:some_ties_rng state
+        | Full { random_ties = false } -> Core.Least_load.select state
+        | Sampled d -> Core.Least_load.select_sampled ~rng:ties_rng state ~d
+        | Weighted d -> Core.Least_load.select_weighted ~rng:ties_rng state ~d
       in
-      let dispatcher = ref (make_dispatcher initial_rho) in
-      (* Window snapshots: counters at the previous recompute instant. *)
-      let last_time = ref 0.0 in
-      let last_arrivals = ref 0 in
-      let last_completions = ref 0 in
-      let last_size_sum = ref 0.0 in
+      if counts then Core.Least_load.job_sent state i;
+      i
+    in
+    {
+      (passive select) with
+      sf_on_departure = on_departure;
+      sf_on_capacity = mask_down (Core.Least_load.set_available state);
+      sf_on_drained = recorded;
+      sf_teardown = teardown;
+    }
+  in
+  (* Built at creation and on every {!Driver.set_scheduler}: the RNG
+     streams continue, and a swap seeds the new state from the live
+     queues (at creation [!servers_ref] is empty, so that is a no-op). *)
+  let make_sched = function
+    | Scheduler.Static p -> fst (dispatch_remap (static_make p ~rng:dispatch_rng))
+    | Scheduler.Static_custom { make; _ } ->
+      fst (dispatch_remap (make ~rng:dispatch_rng))
+    | Scheduler.Sita { params; small_to } ->
+      let build ~rho:_ ~speeds =
+        Core.Sita.build_bounded_pareto params ~speeds ~small_to
+      in
+      fst (remap ~build (fun sita job -> Core.Sita.select sita ~size:job.Q.Job.size))
+    | Scheduler.Adaptive { period; initial_rho; safety; windowed; dispatching } ->
+      (* Self-tuning ORR/ORAN: λ̂ from the arrival count, E[S] from the
+         completed jobs, ρ̂ = λ̂·E[S]/Σs times the safety factor,
+         recomputed every [period] s.  ρ̂ replaces the remap's load and is
+         renormalised onto the speed vector (by exactly 1 when nominal). *)
+      let seen_completions = ref 0 and size_sum = ref 0.0 in
+      let rho_hat = ref initial_rho in
+      let fns, refit =
+        dispatch_remap ~live:true (fun ~rho:_ ~speeds ->
+            let scale = total_speed /. Core.Speeds.total speeds in
+            let rho = min 0.999 (max 1e-6 (!rho_hat *. safety *. scale)) in
+            let alloc = Core.Allocation.optimized ~rho speeds in
+            check_alloc ~label:"adaptive" ~rho ~speeds alloc;
+            match dispatching with
+            | Core.Policy.Random -> Core.Dispatch.random ~rng:dispatch_rng alloc
+            | Core.Policy.Round_robin -> Core.Dispatch.round_robin alloc)
+      in
+      (* (time, arrivals, completions, size sum) at the window start. *)
+      let last = ref (0.0, 0, 0, 0.0) in
       let recompute () =
         let now = Engine.now engine in
-        let arrivals, completions, sizes, elapsed =
-          if windowed then
-            ( !total_arrivals - !last_arrivals,
-              !seen_completions - !last_completions,
-              !size_sum -. !last_size_sum,
-              now -. !last_time )
-          else (!total_arrivals, !seen_completions, !size_sum, now)
-        in
-        last_time := now;
-        last_arrivals := !total_arrivals;
-        last_completions := !seen_completions;
-        last_size_sum := !size_sum;
+        let t0, a0, c0, s0 = !last in
+        let arrivals = !total_arrivals - a0 and completions = !seen_completions - c0 in
+        let sizes = !size_sum -. s0 and elapsed = now -. t0 in
+        if windowed then last := (now, !total_arrivals, !seen_completions, !size_sum);
         if completions > 0 && elapsed > 0.0 && arrivals > 0 then begin
           let lambda_hat = float_of_int arrivals /. elapsed in
           let mean_size_hat = sizes /. float_of_int completions in
-          let rho_hat = lambda_hat *. mean_size_hat /. total_speed in
+          rho_hat := lambda_hat *. mean_size_hat /. total_speed;
           Log.Log.debug (fun m ->
               m "adaptive recompute at t=%.0f: lambda=%.5g E[S]=%.4g rho=%.4f"
-                now lambda_hat mean_size_hat rho_hat);
-          dispatcher := make_dispatcher rho_hat
+                now lambda_hat mean_size_hat !rho_hat);
+          refit ()
         end
       in
-      Engine.every engine ~period (fun _ -> recompute ());
-      let select _job =
-        let i = Core.Dispatch.select !dispatcher in
-        match !sub_state with None -> i | Some (_, m) -> m.(i)
-      in
-      let intended () =
-        let fr = Core.Dispatch.fractions !dispatcher in
-        match !sub_state with
-        | None -> Some fr
-        | Some (_, m) ->
-          let full = Array.make n 0.0 in
-          Array.iteri (fun k f -> full.(m.(k)) <- f) fr;
-          Some full
-      in
-      let on_capacity eff =
-        (if same_speeds eff cfg.speeds then sub_state := None
-         else begin
-           let up = up_indices eff in
-           if Array.length up = 0 then sub_state := None
-           else sub_state := Some (Array.map (fun i -> eff.(i)) up, up)
-         end);
-        dispatcher := make_dispatcher !last_rho_hat
-      in
+      let task = Engine.every engine ~period (fun _ -> recompute ()) in
       {
-        sf_select = select;
-        sf_intended = intended;
+        fns with
         sf_on_departure =
           (fun job ->
             incr seen_completions;
             size_sum := !size_sum +. job.Q.Job.size);
-        sf_on_capacity = on_capacity;
+        sf_teardown = (fun () -> Engine.stop engine task);
       }
+    | Scheduler.Least_load { detection; message_delay; random_ties; probe } ->
+      least_load
+        (match probe with Some d -> Sampled d | None -> Full { random_ties })
+        (Delayed { detection; message_delay })
     | Scheduler.Jsq { d; weighted } ->
-      (* Power-of-d-choices with synchronous exact queue information:
-         the departure updates the scheduler's view immediately, so no
-         lag events are scheduled — the per-job event count stays
-         independent of n.  [d >= n] is the tournament-tree
-         full-information case (and bit-identical to Least-Load on the
-         same trace whatever the probe mode, which simcheck pins). *)
-      let state = Core.Least_load.create cfg.speeds in
-      least_load_state := Some state;
-      Array.iteri
-        (fun i server ->
-          Core.Least_load.set_load_index state i
-            (server.Q.Server_intf.in_system ()))
-        !servers_ref;
-      let select _job =
-        let i =
-          if d >= n then Core.Least_load.select ?rng:some_ties_rng state
-          else if weighted then
-            Core.Least_load.select_weighted ~rng:ties_rng state ~d
-          else Core.Least_load.select_sampled ~rng:ties_rng state ~d
-        in
-        Core.Least_load.job_sent state i;
-        i
-      in
-      let on_departure job =
-        Core.Least_load.departure_recorded state job.Q.Job.computer
-      in
-      let on_capacity eff =
-        Array.iteri (fun i e -> Core.Least_load.set_available state i (e > 0.0)) eff
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> None);
-        sf_on_departure = on_departure;
-        sf_on_capacity = on_capacity;
-      }
+      (* [d >= n] is the tournament-tree full-information case, which
+         simcheck pins bit-identical to instant Least-Load. *)
+      least_load
+        (if d >= n then Full { random_ties = true }
+         else if weighted then Weighted d
+         else Sampled d)
+        Synchronous
+    | Scheduler.Stale_least_load { poll_period; count_in_flight } ->
+      least_load (Full { random_ties = true })
+        (Polled { period = poll_period; count_in_flight })
     | Scheduler.Jiq ->
       let state = Core.Jiq.create cfg.speeds in
-      jiq_state := Some state;
-      Array.iteri
-        (fun i server ->
-          for _ = 1 to server.Q.Server_intf.in_system () do
+      each_queue (fun i k ->
+          for _ = 1 to k do
             Core.Jiq.job_sent state i
-          done)
-        !servers_ref;
+          done);
+      let recorded job = Core.Jiq.departure_recorded state job.Q.Job.computer in
       let select _job =
         let i = Core.Jiq.select ~rng:dispatch_rng state in
         Core.Jiq.job_sent state i;
         i
       in
-      let on_departure job =
-        Core.Jiq.departure_recorded state job.Q.Job.computer
-      in
-      let on_capacity eff =
-        Array.iteri (fun i e -> Core.Jiq.set_available state i (e > 0.0)) eff
-      in
       {
-        sf_select = select;
-        sf_intended = (fun () -> None);
-        sf_on_departure = on_departure;
-        sf_on_capacity = on_capacity;
-      }
-    | Scheduler.Least_load { detection; message_delay; random_ties; probe } ->
-      let state = Core.Least_load.create cfg.speeds in
-      least_load_state := Some state;
-      Array.iteri
-        (fun i server ->
-          Core.Least_load.set_load_index state i
-            (server.Q.Server_intf.in_system ()))
-        !servers_ref;
-      let rng = if random_ties then some_ties_rng else None in
-      let select _job =
-        let i =
-          match probe with
-          | Some d -> Core.Least_load.select_sampled ~rng:ties_rng state ~d
-          | None -> Core.Least_load.select ?rng state
-        in
-        Core.Least_load.job_sent state i;
-        i
-      in
-      let on_departure job =
-        (* The executing computer notices the departure after a polling
-           delay, then its update message crosses the network. *)
-        let lag =
-          Distribution.sample detection detect_rng
-          +. Distribution.sample message_delay delay_rng
-        in
-        let computer = job.Q.Job.computer in
-        ignore
-          (Engine.schedule engine ~delay:lag (fun _ ->
-               Core.Least_load.departure_recorded state computer))
-      in
-      let on_capacity eff =
-        Array.iteri (fun i e -> Core.Least_load.set_available state i (e > 0.0)) eff
-      in
-      {
-        sf_select = select;
-        sf_intended = (fun () -> None);
-        sf_on_departure = on_departure;
-        sf_on_capacity = on_capacity;
+        (passive select) with
+        sf_on_departure = recorded;
+        sf_on_capacity = mask_down (Core.Jiq.set_available state);
+        sf_on_drained = recorded;
       }
   in
   let sched = ref (make_sched cfg.scheduler) in
@@ -566,11 +457,12 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   | None -> ()
   | Some (period, f) ->
     if period <= 0.0 then invalid_arg "Simulation.run: on_tick period <= 0";
-    Engine.every engine ~period (fun e ->
-        let queues =
-          Array.map (fun s -> s.Q.Server_intf.in_system ()) servers
-        in
-        f ~time:(Engine.now e) ~queues));
+    ignore
+      (Engine.every engine ~period (fun e ->
+           let queues =
+             Array.map (fun s -> s.Q.Server_intf.in_system ()) servers
+           in
+           f ~time:(Engine.now e) ~queues)));
   (* Progress reporting rides the same periodic-event mechanism as
      [on_tick]: it adds heartbeat events (so [events_executed] grows) but
      never draws randomness, so metrics and completion order are
@@ -579,15 +471,16 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   | None -> ()
   | Some (period, f) ->
     if period <= 0.0 then invalid_arg "Simulation.run: on_progress period <= 0";
-    Engine.every engine ~period (fun e ->
-        f
-          {
-            sim_time = Engine.now e;
-            arrivals = !total_arrivals;
-            completions = !total_completions;
-            measured = Collector.jobs_measured collector;
-            events = Engine.events_executed e;
-          }));
+    ignore
+      (Engine.every engine ~period (fun e ->
+           f
+             {
+               sim_time = Engine.now e;
+               arrivals = !total_arrivals;
+               completions = !total_completions;
+               measured = Collector.jobs_measured collector;
+               events = Engine.events_executed e;
+             })));
 
   (* Fault engine: per-computer alternating up/down renewal processes.
      Each (process, target) pair runs its own cycle off the dedicated
@@ -618,12 +511,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       in
       let effective () = Array.mapi (fun i s -> s *. rate.(i)) cfg.speeds in
       let handle_drained job =
-        (match !least_load_state with
-        | Some st -> Core.Least_load.departure_recorded st job.Q.Job.computer
-        | None -> ());
-        (match !jiq_state with
-        | Some st -> Core.Jiq.departure_recorded st job.Q.Job.computer
-        | None -> ());
+        (!sched).sf_on_drained job;
         match plan.Fault.on_failure with
         | Fault.Drop ->
           (match san with Some s -> Sanitize.on_drop s | None -> ());
@@ -831,12 +719,14 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       fault_summary;
     }
   in
+  (* The new policy is built before the old one is torn down, so a
+     construction failure leaves the old policy installed and running. *)
   let set_scheduler kind =
-    sched := make_sched kind;
+    let fresh = make_sched kind in
+    (!sched).sf_teardown ();
+    sched := fresh;
     current_kind := kind;
-    match !current_eff with
-    | Some eff -> (!sched).sf_on_capacity eff
-    | None -> ()
+    Option.iter fresh.sf_on_capacity !current_eff
   in
   {
     d_engine = engine;

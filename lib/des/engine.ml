@@ -81,12 +81,22 @@ module Testing = struct
   let corrupt_heap e = Event_queue.Testing.corrupt e.queue
 end
 
+type periodic = { mutable tick : event_handle; mutable stopped : bool }
+
 let every e ~period f =
   if period <= 0.0 then invalid_arg "Engine.every: period <= 0";
+  let task = { tick = Event_queue.no_handle; stopped = false } in
   (* One closure for the lifetime of the periodic task: re-scheduling the
-     same handler value keeps the per-tick path allocation-free. *)
+     same handler value keeps the per-tick path allocation-free.  The
+     [stopped] flag covers a task cancelled from inside its own tick,
+     when the pending handle has already fired. *)
   let rec handler e =
     f e;
-    ignore (schedule e ~delay:period handler)
+    if not task.stopped then task.tick <- schedule e ~delay:period handler
   in
-  ignore (schedule e ~delay:period handler)
+  task.tick <- schedule e ~delay:period handler;
+  task
+
+let stop e task =
+  task.stopped <- true;
+  ignore (cancel e task.tick)

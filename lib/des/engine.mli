@@ -80,10 +80,15 @@ module Testing : sig
       false; see {!Event_queue.Testing.corrupt}. *)
 end
 
-val every : t -> period:float -> (t -> unit) -> unit
+type periodic
+(** A running periodic task, as returned by {!every}. *)
+
+val every : t -> period:float -> (t -> unit) -> periodic
 (** [every e ~period f] fires [f] at [now + period], [now + 2·period], …
-    for as long as the engine runs (each firing schedules the next).
-    There is no cancellation handle — periodic activities in this library
-    live for the whole simulation; bound them with {!run}'s [until].
+    until {!stop}ped (each firing schedules the next).
 
     @raise Invalid_argument if [period <= 0]. *)
+
+val stop : t -> periodic -> unit
+(** Cancel the task's pending tick, so [f] never fires again and the task
+    leaves no pending event.  Idempotent; safe to call from inside [f]. *)

@@ -40,7 +40,7 @@ let scenario_gen =
       | None -> oneofl [ 0.5; 0.3; 0.7; 0.85; 0.95 ]
       | Some _ -> oneofl [ 0.5; 0.3; 0.7 ]
     in
-    let* policy = oneofl Scenario.scheduler_names in
+    let* policy = oneofl Cluster.Scheduler.names in
     let* mean_size = oneofl [ 10.0; 50.0 ] in
     let* discipline =
       oneofl

@@ -4,28 +4,12 @@ module Dist = Statsched_dist
 module E = Statsched_experiments
 
 (* ------------------------------------------------------------------ *)
-(* Schedulers (shared with bin/schedsim)                               *)
+(* Schedulers                                                          *)
 
-let scheduler_names =
-  [ "wran"; "oran"; "wrr"; "orr"; "least-load"; "two-choices"; "adaptive-orr";
-    "sita"; "jsq-d"; "jsq-d-uniform"; "jiq" ]
-
-let scheduler_of_name ?(d = 2) name =
-  match name with
-  | "wran" -> Cluster.Scheduler.static Core.Policy.wran
-  | "oran" -> Cluster.Scheduler.static Core.Policy.oran
-  | "wrr" -> Cluster.Scheduler.static Core.Policy.wrr
-  | "orr" -> Cluster.Scheduler.static Core.Policy.orr
-  | "least-load" -> Cluster.Scheduler.least_load_paper
-  | "two-choices" -> Cluster.Scheduler.two_choices ~d ()
-  | "adaptive-orr" -> Cluster.Scheduler.adaptive_orr ()
-  | "sita" -> Cluster.Scheduler.sita_paper ()
-  | "jsq-d" -> Cluster.Scheduler.jsq ~d ()
-  (* The pre-PR-10 uniform probe sampler, kept addressable so recorded
-     counterexamples from older runs still replay bit-identically. *)
-  | "jsq-d-uniform" -> Cluster.Scheduler.jsq ~d ~weighted:false ()
-  | "jiq" -> Cluster.Scheduler.jiq
-  | s -> invalid_arg ("unknown scheduler " ^ s)
+let scheduler_of_name ?d name =
+  match Cluster.Scheduler.of_name ?d name with
+  | Ok kind -> kind
+  | Error msg -> invalid_arg msg
 
 (* ------------------------------------------------------------------ *)
 (* Disciplines                                                         *)

@@ -7,22 +7,20 @@
     counterexample found in CI can be reproduced at the shell with no
     simcheck machinery at all.
 
-    The string round-trips for schedulers, disciplines and size
-    distributions here are the single source of truth shared with the
-    [schedsim] CLI. *)
+    The string round-trips for disciplines and size distributions here
+    are the single source of truth shared with the [schedsim] CLI;
+    scheduler names go through {!Statsched_cluster.Scheduler.of_name},
+    the parser the CLI and the daemon use too. *)
 
 (** {1 Schedulers} *)
 
-val scheduler_names : string list
-(** CLI names, in menu order: wran, oran, wrr, orr, least-load,
-    two-choices, adaptive-orr, sita, jsq-d, jiq. *)
-
 val scheduler_of_name : ?d:int -> string -> Statsched_cluster.Scheduler.kind
-(** [d] (default 2) is the sample size of [jsq-d] and [two-choices];
-    ignored by every other scheduler.
+(** {!Statsched_cluster.Scheduler.of_name}, raising on failure.  [d]
+    (default 2) is the sample size of [jsq-d] and [two-choices]; ignored
+    by every other scheduler.
 
-    @raise Invalid_argument on a name outside {!scheduler_names} or
-    [d < 1]. *)
+    @raise Invalid_argument on a name outside
+    {!Statsched_cluster.Scheduler.names} or [d < 1]. *)
 
 (** {1 Disciplines} *)
 
@@ -65,7 +63,7 @@ type faults = {
 type t = {
   speeds : float array;
   rho : float;  (** target offered utilisation, in (0,1) *)
-  policy : string;  (** a {!scheduler_names} entry *)
+  policy : string;  (** a {!Statsched_cluster.Scheduler.names} entry *)
   d : int;  (** sample size for jsq-d / two-choices; ignored otherwise *)
   discipline : Statsched_cluster.Simulation.discipline;
   arrival_cv : float;  (** arrival-process CV; 1 = Poisson *)

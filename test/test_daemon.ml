@@ -8,16 +8,16 @@ module Scheduler = Cluster.Scheduler
 module Http = Statsched_obs.Http
 
 let scheduler name =
-  match Daemon.scheduler_of_name name with
+  match Scheduler.of_name name with
   | Ok k -> k
   | Error msg -> Alcotest.fail msg
 
 let config ?(policy = "orr") ?(horizon = 2000.0) ?(warmup = 500.0)
-    ?(seed = 11L) () =
+    ?(seed = 11L) ?faults () =
   let speeds = [| 1.0; 1.5; 2.0; 12.0 |] in
   let rho = 0.6 in
   let workload = Cluster.Workload.paper_default ~rho ~speeds in
-  Simulation.default_config ~horizon ~warmup ~seed ~speeds ~workload
+  Simulation.default_config ~horizon ~warmup ~seed ?faults ~speeds ~workload
     ~scheduler:(scheduler policy) ()
 
 (* ------------------------------------------------------------------ *)
@@ -232,17 +232,102 @@ let daemon_validation () =
   let d = Daemon.create ~clock:(fun () -> 0.0) (config ()) in
   Alcotest.(check bool) "no journal before drain" false
     (Daemon.write_journal d "/nonexistent/never-touched");
-  (match Daemon.scheduler_of_name "jsq-d:4" with
+  (match Scheduler.of_name "jsq-d:4" with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
-  (match Daemon.scheduler_of_name "jsq-d:x" with
+  (match Scheduler.of_name "jsq-d:x" with
   | Ok _ -> Alcotest.fail "bad probe suffix accepted"
   | Error _ -> ());
-  match Daemon.scheduler_of_name "fifo" with
+  match Scheduler.of_name "fifo" with
   | Ok _ -> Alcotest.fail "unknown policy accepted"
   | Error msg ->
     Alcotest.(check bool) "error lists the vocabulary" true
       (String.length msg > 0)
+
+(* Every name of the shared vocabulary hot-swaps over PUT /policy and
+   reads back over GET /policy as the policy that name denotes. *)
+let daemon_policy_vocabulary () =
+  let daemon =
+    Daemon.create ~clock:(fun () -> 0.0) (config ~warmup:0.0 ~horizon:1.0e9 ())
+  in
+  List.iter
+    (fun name ->
+      let r = Daemon.handle_request daemon (req ~body:name "PUT" "/policy") in
+      Alcotest.(check int) ("PUT " ^ name) 200 r.Http.status;
+      Alcotest.(check string) ("GET after PUT " ^ name)
+        (Scheduler.name (scheduler name) ^ "\n")
+        (Daemon.handle_request daemon (req "GET" "/policy")).Http.body)
+    Scheduler.names
+
+(* A swap stops the outgoing policy's periodic refresh: however many
+   times the driver alternates between two periodic policies, the
+   engine holds exactly the events it held after the first swap. *)
+let swap_leaves_no_periodic_events () =
+  let engine = ref None in
+  let d =
+    Driver.create ~on_engine:(fun e -> engine := Some e) ~arrivals:`External
+      (config ())
+  in
+  let pending () =
+    match !engine with
+    | Some e -> Statsched_des.Engine.pending_events e
+    | None -> Alcotest.fail "on_engine not called"
+  in
+  let stale = Scheduler.stale_least_load ~poll_period:10.0 () in
+  let adaptive = Scheduler.adaptive_orr () in
+  Driver.set_scheduler d stale;
+  let after_one = pending () in
+  for k = 1 to 8 do
+    Driver.advance d ~to_:(25.0 *. float_of_int k);
+    Driver.set_scheduler d adaptive;
+    Driver.set_scheduler d stale
+  done;
+  Alcotest.(check int) "pending events after repeated swaps" after_one
+    (pending ());
+  Driver.set_scheduler d adaptive;
+  Alcotest.(check int) "and after ending on the other policy" after_one
+    (pending ())
+
+(* Sum of every sample of one metric family in a Prometheus exposition. *)
+let metric_total exposition family =
+  List.fold_left
+    (fun acc line ->
+      match String.split_on_char ' ' line with
+      | [ name; value ]
+        when name = family
+             || String.length name > String.length family
+                && String.sub name 0 (String.length family + 1) = family ^ "{" ->
+        acc +. float_of_string value
+      | _ -> acc)
+    0.0
+    (String.split_on_char '\n' exposition)
+
+(* The daemon wires the fault hooks into its telemetry: a crash plan that
+   drops in-flight jobs shows up in the exported counters. *)
+let daemon_fault_hooks () =
+  let faults =
+    Cluster.Fault.plan ~on_failure:Cluster.Fault.Drop
+      [ Cluster.Fault.crashes ~mtbf:200.0 ~mttr:20.0 () ]
+  in
+  let now = ref 0.0 in
+  let daemon =
+    Daemon.create ~clock:(fun () -> !now) ~backlog_limit:10_000
+      (config ~warmup:0.0 ~horizon:1.0e9 ~faults ())
+  in
+  for i = 1 to 400 do
+    now := float_of_int i;
+    ignore (Daemon.handle_request daemon (req ~body:"50" "POST" "/jobs"))
+  done;
+  now := 2000.0;
+  ignore (Daemon.handle_request daemon (req "POST" "/drain"));
+  Alcotest.(check bool) "drained" true (Daemon.is_drained daemon);
+  let body = (Daemon.handle_request daemon (req "GET" "/metrics")).Http.body in
+  let positive family =
+    let v = metric_total body family in
+    Alcotest.(check bool) (Printf.sprintf "%s = %g > 0" family v) true (v > 0.0)
+  in
+  positive "statsched_fault_rate_changes_total";
+  positive "statsched_jobs_dropped_total"
 
 (* ------------------------------------------------------------------ *)
 (* The daemon dispatch path stays allocation-free                      *)
@@ -295,5 +380,10 @@ let suite =
       driver_lifecycle_errors;
     test "daemon: every endpoint and error path" daemon_endpoints;
     test "daemon: constructor and policy-name validation" daemon_validation;
+    test "daemon: every policy name round-trips through /policy"
+      daemon_policy_vocabulary;
+    test "driver: policy swaps leave no periodic events behind"
+      swap_leaves_no_periodic_events;
+    test "daemon: fault hooks reach the telemetry" daemon_fault_hooks;
     test "daemon: dispatch path allocation bound" daemon_submit_zero_alloc;
   ]

@@ -278,12 +278,39 @@ let eq_cancel_compacts () =
 let engine_every () =
   let e = Engine.create () in
   let fired = ref [] in
-  Engine.every e ~period:2.0 (fun e -> fired := Engine.now e :: !fired);
+  ignore (Engine.every e ~period:2.0 (fun e -> fired := Engine.now e :: !fired));
   Engine.run ~until:7.0 e;
   Alcotest.(check (list (float 0.0))) "fires at each period" [ 2.0; 4.0; 6.0 ]
     (List.rev !fired);
   Alcotest.check_raises "period <= 0" (Invalid_argument "Engine.every: period <= 0")
-    (fun () -> Engine.every e ~period:0.0 (fun _ -> ()))
+    (fun () -> ignore (Engine.every e ~period:0.0 (fun _ -> ())))
+
+(* Stopping a periodic task cancels its pending tick: no further firing
+   and no event left behind, whether it is stopped between ticks or from
+   inside its own tick. *)
+let engine_every_stop () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let task = Engine.every e ~period:2.0 (fun _ -> incr fired) in
+  Engine.run ~until:5.0 e;
+  Alcotest.(check int) "one pending tick" 1 (Engine.pending_events e);
+  Engine.stop e task;
+  Alcotest.(check int) "stop leaves no pending event" 0 (Engine.pending_events e);
+  Engine.run ~until:20.0 e;
+  Alcotest.(check int) "no tick after stop" 2 !fired;
+  Engine.stop e task;
+  Alcotest.(check int) "stop is idempotent" 0 (Engine.pending_events e);
+  let self_fired = ref 0 in
+  let rec self =
+    lazy
+      (Engine.every e ~period:1.0 (fun e ->
+           incr self_fired;
+           if !self_fired = 3 then Engine.stop e (Lazy.force self)))
+  in
+  ignore (Lazy.force self);
+  Engine.run ~until:30.0 e;
+  Alcotest.(check int) "stopped from inside its own tick" 3 !self_fired;
+  Alcotest.(check int) "nothing rescheduled" 0 (Engine.pending_events e)
 
 let eq_high_water () =
   let q = Event_queue.create () in
@@ -532,6 +559,7 @@ let suite =
     test "engine: custom start time" engine_start_time;
     test "engine: same-time FIFO determinism" engine_fifo_determinism;
     test "engine: periodic events" engine_every;
+    test "engine: stopping a periodic task" engine_every_stop;
     test "event_queue: heap high-water mark" eq_high_water;
     test "engine: heap high-water mark" engine_heap_high_water;
   ]

@@ -127,9 +127,12 @@ let scenario_replay_command () =
 let scenario_scheduler_names () =
   List.iter
     (fun name -> ignore (S.Scenario.scheduler_of_name name))
-    S.Scenario.scheduler_names;
+    Cluster.Scheduler.names;
   Alcotest.check_raises "unknown scheduler rejected"
-    (Invalid_argument "unknown scheduler bogus") (fun () ->
+    (Invalid_argument
+       ("unknown policy \"bogus\" (known: "
+       ^ String.concat ", " Cluster.Scheduler.names
+       ^ ")")) (fun () ->
       ignore (S.Scenario.scheduler_of_name "bogus"))
 
 (* ------------------------------------------------------------------ *)
