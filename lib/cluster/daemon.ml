@@ -5,9 +5,9 @@ type t = {
   telemetry : Telemetry.t;
   clock : unit -> float;
   backlog_limit : int;
-  (* Serialises every request handler (and {!drain}) against the
-     driver: the HTTP accept loop runs on a systhread, SIGTERM-driven
-     drains on the main one. *)
+  (* Serialises the HTTP server thread, which runs every request
+     handler inline from its one select loop, against SIGTERM-driven
+     drains on the main thread. *)
   mutex : Mutex.t;
   mutable draining : bool;
   mutable drained : bool;

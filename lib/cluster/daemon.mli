@@ -23,9 +23,12 @@
     - [POST /drain] — stop admitting, run every in-flight job to
       completion, finalize the run (idempotent).
 
-    Handlers are serialised by an internal mutex, so the pure
-    {!handle_request} is safe to call from the HTTP accept thread and
-    tests alike; {!serve} mounts it on {!Statsched_obs.Http}. *)
+    {!Statsched_obs.Http} already calls its handler one request at a
+    time, from its one server thread, however many connections are
+    open; the internal mutex serialises that thread against {!drain}
+    (the SIGTERM path on the main thread) and against tests calling
+    {!handle_request} directly.  {!serve} mounts it on
+    {!Statsched_obs.Http}. *)
 
 type t
 

@@ -28,16 +28,7 @@ let reason = function
   | 503 -> "Service Unavailable"
   | _ -> "Status"
 
-let write_all fd s =
-  let n = String.length s in
-  let off = ref 0 in
-  while !off < n do
-    match Unix.write_substring fd s !off (n - !off) with
-    | written -> off := !off + written
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
-let send fd { status; content_type; body } =
+let serialise { status; content_type; body } =
   let head =
     Printf.sprintf
       "HTTP/1.1 %d %s\r\n\
@@ -47,10 +38,19 @@ let send fd { status; content_type; body } =
        \r\n"
       status (reason status) content_type (String.length body)
   in
-  write_all fd (head ^ body)
+  head ^ body
 
 let max_head_bytes = 16384
 let max_body_bytes = 1 lsl 20
+
+(* Connections served at once.  select(2) cannot watch a descriptor at
+   or above FD_SETSIZE (1024); past this cap, new connections wait in
+   the kernel's listen backlog until one closes. *)
+let max_connections = 256
+let listen_backlog = 128
+
+(* Longest [select] wait, so the loop notices [stop] promptly. *)
+let poll_interval = 0.2
 
 (* Index of the '\r' opening the "\r\n\r\n" header terminator in
    [data.[0..len)], or -1.  [from] is where the scan resumes: a caller
@@ -72,24 +72,6 @@ let find_headers_end data ~len ~from =
     else incr i
   done;
   !found
-
-(* Wait until [fd] is readable or the deadline passes; [false] on
-   timeout.  One slow (or silent) client must not be able to park the
-   sequential accept loop forever — that would head-of-line-block
-   /metrics, /healthz and every daemon endpoint for all other callers —
-   so every read on a client connection goes through this bounded
-   wait. *)
-let wait_readable fd ~deadline =
-  let rec wait () =
-    let remaining = deadline -. Clock.now () in
-    if remaining <= 0.0 then false
-    else
-      match Unix.select [ fd ] [] [] remaining with
-      | [], _, _ -> false
-      | _ :: _, _, _ -> true
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-  in
-  wait ()
 
 (* Case-insensitive "content-length" lookup over the raw header block
    (request line included; it contains no ':' before its spaces end, so
@@ -140,124 +122,244 @@ let parse_request_line raw =
       Some (meth, path)
     | _ -> None)
 
-(* Read one request — header block plus any Content-Length body — off
-   [fd], with every blocking read bounded by [read_timeout] seconds
-   from the first byte of the connection.  [Error resp] carries the
-   error response to send (400/408/413). *)
-let read_request ~read_timeout fd =
-  let deadline = Clock.now () +. read_timeout in
-  let data = ref (Bytes.create 1024) in
-  let len = ref 0 in
-  let eof = ref false in
-  let fill () =
-    if Bytes.length !data - !len < 512 then begin
-      let grown = Bytes.create (2 * Bytes.length !data) in
-      Bytes.blit !data 0 grown 0 !len;
-      data := grown
-    end;
-    if not (wait_readable fd ~deadline) then `Timeout
+(* ------------------------------------------------------------------ *)
+(* Incremental request parser                                           *)
+
+(* The bytes of one request received so far.  [scanned] is how far the
+   header-terminator scan has got; [head] holds the method, path, body
+   offset and body length once the header block is complete. *)
+type parser = {
+  mutable data : Bytes.t;
+  mutable len : int;
+  mutable scanned : int;
+  mutable head : (string * string * int * int) option;
+}
+
+let parser () = { data = Bytes.create 1024; len = 0; scanned = 0; head = None }
+
+(* [None] while the request needs more bytes; [Some (Error resp)] for
+   one refused with a 400 or 413. *)
+let rec parse p =
+  match p.head with
+  | Some (meth, path, start, body_len) ->
+    if p.len < start + body_len then None
+    else Some (Ok { meth; path; body = Bytes.sub_string p.data start body_len })
+  | None -> (
+    let head_end = find_headers_end p.data ~len:p.len ~from:(p.scanned - 3) in
+    p.scanned <- p.len;
+    (* Without a terminator in [0, len), the block is at least
+       [len - 3] bytes long. *)
+    if (head_end < 0 && p.len - 3 > max_head_bytes) || head_end > max_head_bytes
+    then Some (Error (text ~status:413 "headers too large\n"))
+    else if head_end < 0 then None
     else
-      match Unix.read fd !data !len (Bytes.length !data - !len) with
-      | 0 ->
-        eof := true;
-        `Eof
-      | n ->
-        len := !len + n;
-        `Read
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Read
-  in
-  (* Headers: scan incrementally, resuming where the last scan left
-     off (minus 3 bytes for a terminator split across chunks). *)
-  let head_end = ref (find_headers_end !data ~len:!len ~from:0) in
-  let error = ref None in
-  while !head_end < 0 && !error = None do
-    if !len > max_head_bytes then
-      error := Some (text ~status:413 "headers too large\n")
-    else begin
-      let prev_len = !len in
-      match fill () with
-      | `Timeout -> error := Some (text ~status:408 "request timeout\n")
-      | `Eof -> error := Some (text ~status:400 "bad request\n")
-      | `Read ->
-        head_end := find_headers_end !data ~len:!len ~from:(prev_len - 3)
-    end
-  done;
-  match !error with
-  | Some resp -> Error resp
-  | None ->
-    let head = Bytes.sub_string !data 0 !head_end in
-    (match parse_request_line head with
-    | None -> Error (text ~status:400 "bad request\n")
-    | Some (meth, path) -> (
-      match content_length head with
-      | Error resp -> Error resp
-      | Ok body_len ->
-        if body_len > max_body_bytes then
-          Error (text ~status:413 "body too large\n")
-        else begin
-          let body_start = !head_end + 4 in
-          let body_error = ref None in
-          while !len < body_start + body_len && !body_error = None do
-            match fill () with
-            | `Timeout -> body_error := Some (text ~status:408 "request timeout\n")
-            | `Eof -> body_error := Some (text ~status:400 "truncated body\n")
-            | `Read -> ()
-          done;
-          match !body_error with
-          | Some resp -> Error resp
-          | None ->
-            Ok { meth; path; body = Bytes.sub_string !data body_start body_len }
-        end))
+      let head = Bytes.sub_string p.data 0 head_end in
+      match parse_request_line head with
+      | None -> Some (Error (text ~status:400 "bad request\n"))
+      | Some (meth, path) -> (
+        match content_length head with
+        | Error resp -> Some (Error resp)
+        | Ok body_len when body_len > max_body_bytes ->
+          Some (Error (text ~status:413 "body too large\n"))
+        | Ok body_len ->
+          p.head <- Some (meth, path, head_end + 4, body_len);
+          parse p))
 
-let handle ~read_timeout handler fd =
-  let resp =
-    match read_request ~read_timeout fd with
-    | Error resp -> resp
-    | Ok req -> (
-      match handler req with
-      | resp -> resp
-      | exception _ -> text ~status:500 "internal error\n")
-  in
-  try send fd resp with Unix.Unix_error (_, _, _) -> ()
+(* Append [src.[off..off+n)] to the request and parse what is there. *)
+let feed p src off n =
+  if Bytes.length p.data - p.len < n then begin
+    let grown = Bytes.create (max (2 * Bytes.length p.data) (p.len + n)) in
+    Bytes.blit p.data 0 grown 0 p.len;
+    p.data <- grown
+  end;
+  Bytes.blit src off p.data p.len n;
+  p.len <- p.len + n;
+  parse p
 
-(* The loop polls a stop flag between short [select] waits rather than
-   blocking in [accept]: closing a file descriptor does not wake a
-   thread already blocked in accept(2), so a pure accept loop could
-   never be joined. *)
-let accept_loop (listen_fd, stopping, handler, read_timeout) =
-  let continue = ref true in
-  while !continue && not (Atomic.get stopping) do
-    match Unix.select [ listen_fd ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
+(* ------------------------------------------------------------------ *)
+(* Connections                                                          *)
+
+type pending = { out : string; mutable off : int }
+
+type phase = Reading of parser | Writing of pending
+
+(* [deadline] bounds the phase in progress: reading the request is
+   bounded from accept, writing the response from when it was ready. *)
+type conn = {
+  fd : Unix.file_descr;
+  mutable deadline : float;
+  mutable phase : phase;
+}
+
+let close fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+
+(* Read whatever has arrived on a non-blocking socket, through the
+   loop's [scratch] buffer. *)
+let rec read_available ~scratch fd p =
+  match Unix.read fd scratch 0 (Bytes.length scratch) with
+  | 0 ->
+    let why =
+      if Option.is_none p.head then "bad request\n" else "truncated body\n"
+    in
+    `Done (Error (text ~status:400 why))
+  | n -> (
+    match feed p scratch 0 n with
+    | Some result -> `Done result
+    | None -> read_available ~scratch fd p)
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> `Wait
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_available ~scratch fd p
+  | exception Unix.Unix_error (_, _, _) -> `Gone
+
+(* Write what the socket takes of [w]; [true] while some remains.  A
+   peer that has gone away (EPIPE, ECONNRESET) counts as done. *)
+let rec write_pending fd w =
+  let left = String.length w.out - w.off in
+  left > 0
+  &&
+  match Unix.single_write_substring fd w.out w.off left with
+  | n ->
+    w.off <- w.off + n;
+    write_pending fd w
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_pending fd w
+  | exception Unix.Unix_error (_, _, _) -> false
+
+(* Advance [c] as far as it goes without blocking, calling [handler]
+   inline once its request is complete; [false] once [c] is closed. *)
+let rec progress ~scratch ~read_timeout handler c =
+  match c.phase with
+  | Reading p -> (
+    match read_available ~scratch c.fd p with
+    | `Wait -> true
+    | `Gone ->
+      close c.fd;
+      false
+    | `Done result ->
+      let resp =
+        match result with
+        | Error resp -> resp
+        | Ok req -> (
+          match handler req with
+          | resp -> resp
+          | exception _ -> text ~status:500 "internal error\n")
+      in
+      c.phase <- Writing { out = serialise resp; off = 0 };
+      c.deadline <- Clock.now () +. read_timeout;
+      progress ~scratch ~read_timeout handler c)
+  | Writing w ->
+    write_pending c.fd w
+    || begin
+         close c.fd;
+         false
+       end
+
+(* A connection past its deadline: a client still sending gets a
+   best-effort 408; a response the client is not reading is dropped. *)
+let expire c =
+  (match c.phase with
+  | Reading _ ->
+    ignore
+      (write_pending c.fd
+         { out = serialise (text ~status:408 "request timeout\n"); off = 0 })
+  | Writing _ -> ());
+  close c.fd
+
+(* One systhread multiplexes the listening socket and every open
+   connection through [select], so a slow or silent client costs the
+   others nothing.  After [stop], connections still reading are
+   dropped at once and the loop exits when the responses already being
+   written are finished or past their deadline.  The wait is capped at
+   [poll_interval] because closing a descriptor does not wake a thread
+   blocked in select(2). *)
+let serve_loop (listen_fd, stopping, handler, read_timeout) =
+  let conns = Hashtbl.create 16 in
+  let step = progress ~scratch:(Bytes.create 65536) ~read_timeout handler in
+  let running = ref true in
+  let rec accept_all () =
+    if Hashtbl.length conns < max_connections then
       match Unix.accept ~cloexec:true listen_fd with
-      | client, _ ->
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close client with Unix.Unix_error _ -> ())
-          (fun () -> handle ~read_timeout handler client)
+      | fd, _ ->
+        Unix.set_nonblock fd;
+        let c =
+          {
+            fd;
+            deadline = Clock.now () +. read_timeout;
+            phase = Reading (parser ());
+          }
+        in
+        (* The request has usually arrived by now: try it before
+           paying for another select. *)
+        if step c then Hashtbl.replace conns fd c;
+        accept_all ()
       | exception
-          Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          Unix.Unix_error
+            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _)
         ->
         ()
-      | exception Unix.Unix_error (_, _, _) -> continue := false)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> continue := false
-  done
+      | exception Unix.Unix_error (_, _, _) -> running := false
+  in
+  while !running do
+    let stop = Atomic.get stopping in
+    let now = Clock.now () in
+    Hashtbl.filter_map_inplace
+      (fun _ c ->
+        match c.phase with
+        | Reading _ when stop ->
+          close c.fd;
+          None
+        | Reading _ | Writing _ ->
+          if c.deadline > now then Some c
+          else begin
+            expire c;
+            None
+          end)
+      conns;
+    if stop && Hashtbl.length conns = 0 then running := false
+    else begin
+      let reads, writes, timeout =
+        Hashtbl.fold
+          (fun fd c (reads, writes, timeout) ->
+            let timeout = Float.min timeout (c.deadline -. now) in
+            match c.phase with
+            | Reading _ -> (fd :: reads, writes, timeout)
+            | Writing _ -> (reads, fd :: writes, timeout))
+          conns ([], [], poll_interval)
+      in
+      let accepting = (not stop) && Hashtbl.length conns < max_connections in
+      let reads = if accepting then listen_fd :: reads else reads in
+      match Unix.select reads writes [] (Float.max 0.0 timeout) with
+      | readable, writable, _ ->
+        let ready fd =
+          match Hashtbl.find_opt conns fd with
+          | Some c -> if not (step c) then Hashtbl.remove conns fd
+          | None -> ()
+        in
+        List.iter ready readable;
+        List.iter ready writable;
+        if List.memq listen_fd readable then accept_all ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (_, _, _) -> running := false
+    end
+  done;
+  Hashtbl.iter (fun _ c -> close c.fd) conns
 
 let default_read_timeout = 5.0
 
 let serve_requests ?(addr = "127.0.0.1") ?(read_timeout = default_read_timeout)
     ~port handler =
   if read_timeout <= 0.0 then invalid_arg "Http.serve_requests: read_timeout <= 0";
+  (* A client that hangs up mid-response must surface as EPIPE on the
+     write, not kill the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
      Unix.bind listen_fd
        (Unix.ADDR_INET (Unix.inet_addr_of_string addr, port));
-     Unix.listen listen_fd 16
+     Unix.listen listen_fd listen_backlog;
+     Unix.set_nonblock listen_fd
    with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+     close listen_fd;
      raise e);
   let bound_port =
     match Unix.getsockname listen_fd with
@@ -266,7 +368,7 @@ let serve_requests ?(addr = "127.0.0.1") ?(read_timeout = default_read_timeout)
   in
   let stopping = Atomic.make false in
   let thread =
-    Thread.create accept_loop (listen_fd, stopping, handler, read_timeout)
+    Thread.create serve_loop (listen_fd, stopping, handler, read_timeout)
   in
   { listen_fd; bound_port; thread; stopping }
 
@@ -283,11 +385,15 @@ let port t = t.bound_port
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     Thread.join t.thread;
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+    close t.listen_fd
   end
 
 module Testing = struct
   let find_headers_end = find_headers_end
-  let read_request = read_request
   let content_length = content_length
+
+  type nonrec parser = parser
+
+  let parser = parser
+  let feed p s = feed p (Bytes.unsafe_of_string s) 0 (String.length s)
 end

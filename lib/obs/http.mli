@@ -2,20 +2,32 @@
     [schedsimd] daemon.
 
     A {!t} owns a loopback TCP listening socket and a background
-    systhread that accepts one connection at a time, parses the request
-    line and headers (plus a [Content-Length] body, if any), and answers
-    from a user handler.  It is deliberately tiny: [Connection: close]
-    on every response, no keep-alive, no TLS, no chunked encoding — just
+    systhread that multiplexes the listener and every open connection
+    (up to 256 at once; more wait in the kernel's listen backlog)
+    through one [select] loop over non-blocking sockets.  Each request
+    line and header block (plus a [Content-Length] body, if any) is
+    parsed incrementally as bytes arrive; a complete request is answered
+    inline from a user handler, so handlers run one at a time, on the
+    server thread.  It is deliberately tiny: [Connection: close] on
+    every response, no keep-alive, no TLS, no chunked encoding — just
     enough to let Prometheus or [curl] scrape a running simulation and
     to drive the daemon's control endpoints.
 
-    Every read on an accepted connection is bounded by a per-connection
-    deadline ([?read_timeout], default 5 s): a client that connects and
-    then stalls gets a 408 and is disconnected, so it cannot head-of-
-    line-block other callers behind the sequential accept loop.
-    Header blocks are capped at 16 KiB and bodies at 1 MiB (413 beyond).
+    Every connection carries a deadline ([?read_timeout], default 5 s).
+    A client that has not sent its whole request within [read_timeout]
+    of being accepted gets a 408 and is disconnected; a response the
+    client has not read within [read_timeout] of being ready is dropped.
+    Slow or silent clients delay only themselves: the loop serves the
+    other connections meanwhile.  Header blocks are capped at 16 KiB and
+    bodies at 1 MiB (413 beyond).
 
-    Because OCaml systhreads share one domain and the accept/read/write
+    Starting a server sets SIGPIPE to ignored for the whole process, so
+    a client that hangs up mid-response costs only its own connection
+    (the write fails with [EPIPE]) instead of killing the process.  A
+    program that relied on SIGPIPE to exit quietly when its standard
+    output closes sees [Sys_error] on that write instead.
+
+    Because OCaml systhreads share one domain and the select/read/write
     syscalls release the runtime lock, serving never runs concurrently
     with simulation code at the machine level: the handler observes a
     consistent heap and cannot perturb the run (it must not mutate
@@ -46,12 +58,14 @@ val serve_requests :
   ?addr:string -> ?read_timeout:float -> port:int -> (request -> response) -> t
 (** [serve_requests ~port handler] binds [addr] (default ["127.0.0.1"])
     : [port] ([port = 0] picks an ephemeral port — see {!port}), starts
-    the accept thread, and answers each request with [handler req].
+    the server thread, and answers each request with [handler req].
     Method dispatch (including 404/405 semantics) is the handler's job.
     Malformed requests get a 400, requests whose headers or body exceed
-    the caps a 413, and connections idle past [read_timeout] seconds a
-    408, all without invoking [handler].  A handler that raises yields a
-    500 to the client and keeps the server alive.
+    the caps a 413, and connections whose request is still incomplete
+    [read_timeout] seconds after accept a 408, all without invoking
+    [handler].  A handler that raises yields a 500 to the client and
+    keeps the server alive.  [handler] runs on the server thread, one
+    request at a time.
 
     @raise Unix.Unix_error if the address can't be bound (e.g. port in
     use).
@@ -71,8 +85,12 @@ val port : t -> int
 (** The bound port — the actual one when [serve] was given port 0. *)
 
 val stop : t -> unit
-(** Close the listening socket and join the accept thread.  In-flight
-    responses finish; subsequent connections are refused.  Idempotent. *)
+(** Stop accepting, drop every connection whose request is still
+    being read, let responses already being written finish (each within
+    its [read_timeout] deadline), then join the server thread and close
+    the listening socket.  Returns within about 0.2 s when no response
+    is in flight, however many silent clients are connected; subsequent
+    connections are refused.  Idempotent. *)
 
 (** Internals exposed for white-box tests only — not a stable API. *)
 module Testing : sig
@@ -82,10 +100,18 @@ module Testing : sig
       Incremental callers resume at [prev_len - 3] so the terminator is
       found even when it straddles a chunk boundary. *)
 
-  val read_request :
-    read_timeout:float -> Unix.file_descr -> (request, response) result
-  (** Read one request off a connected socket; [Error resp] is the
-      error response (400/408/413) that would be sent to the client. *)
+  type parser
+  (** The incremental request parser the server feeds each connection's
+      bytes through. *)
+
+  val parser : unit -> parser
+  (** A parser that has seen no bytes. *)
+
+  val feed : parser -> string -> (request, response) result option
+  (** Append bytes received on the connection.  [None] while the request
+      is incomplete; [Some (Ok req)] once the header block and declared
+      body are in; [Some (Error resp)] for a request refused with a 400
+      or 413 (the response the client would get). *)
 
   val content_length : string -> (int, response) result
   (** Parse the [Content-Length] header out of a raw header block

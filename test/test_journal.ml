@@ -472,6 +472,240 @@ let http_read_timeout () =
       Alcotest.(check bool) "server alive after the staller" true
         (contains (http_get ~port "/ping") "pong"))
 
+(* Client-side helpers for the concurrency tests: every blocking read
+   carries a receive timeout, so a server that never answers fails the
+   test instead of hanging it. *)
+let connect ?(recv_timeout = 10.0) port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO recv_timeout;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let send_all fd s =
+  let n = Unix.write_substring fd s 0 (String.length s) in
+  Alcotest.(check int) "request fully written" (String.length s) n
+
+(* Everything the server sends until it closes; [Error] if the receive
+   timeout fires first. *)
+let read_to_eof fd =
+  let buf = Buffer.create 4096 in
+  let chunk = Bytes.create 65536 in
+  let rec drain () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Ok (Buffer.contents buf)
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      drain ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+      Ok (Buffer.contents buf)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Error (Buffer.contents buf)
+  in
+  drain ()
+
+let get_with_timeout ~port path =
+  let fd = connect ~recv_timeout:5.0 port in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      send_all fd (Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" path);
+      match read_to_eof fd with
+      | Ok response -> response
+      | Error _ -> Alcotest.failf "GET %s: no answer within 5 s" path)
+
+(* Larger than loopback socket buffers, so writing it takes the client's
+   cooperation. *)
+let big_body = lazy (String.make (32 lsl 20) 'b')
+
+let big_handler path =
+  match path with
+  | "/ping" -> Some (Http.text "pong")
+  | "/big" -> Some (Http.text (Lazy.force big_body))
+  | _ -> None
+
+(* One select loop serves every connection: eight silent clients
+   holding connections open do not delay a ninth, and each of them
+   still gets its 408 at its own deadline. *)
+let http_silent_clients () =
+  let read_timeout = 2.0 in
+  let server = Http.serve ~port:0 ~read_timeout big_handler in
+  let port = Http.port server in
+  Fun.protect
+    ~finally:(fun () -> Http.stop server)
+    (fun () ->
+      let opened = Obs.Clock.now () in
+      let silent =
+        List.init 8 (fun _ ->
+            let fd = connect port in
+            send_all fd "GET /pi";
+            fd)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+            silent)
+        (fun () ->
+          let pong = get_with_timeout ~port "/ping" in
+          let answered = Obs.Clock.elapsed ~since:opened in
+          Alcotest.(check bool) "/ping answered" true (contains pong "pong");
+          if answered >= read_timeout then
+            Alcotest.failf
+              "/ping answered %.2f s after the silent clients connected, \
+               not before their %.1f s deadline"
+              answered read_timeout;
+          List.iteri
+            (fun i fd ->
+              match read_to_eof fd with
+              | Ok response ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "silent client %d answered 408" i)
+                  true (contains response "408")
+              | Error _ -> Alcotest.failf "silent client %d never closed" i)
+            silent))
+
+(* A client that requests a large body and never reads it holds a
+   connection, not the server: others are answered meanwhile, and the
+   stuck response is dropped once [read_timeout] passes. *)
+let http_stuck_reader () =
+  let read_timeout = 1.0 in
+  let server = Http.serve ~port:0 ~read_timeout big_handler in
+  let port = Http.port server in
+  Fun.protect
+    ~finally:(fun () -> Http.stop server)
+    (fun () ->
+      let stuck = connect port in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close stuck with Unix.Unix_error _ -> ())
+        (fun () ->
+          send_all stuck "GET /big HTTP/1.1\r\nHost: x\r\n\r\n";
+          let sent = Obs.Clock.now () in
+          Thread.delay 0.3;
+          let asked = Obs.Clock.now () in
+          let pong = get_with_timeout ~port "/ping" in
+          let waited = Obs.Clock.elapsed ~since:asked in
+          Alcotest.(check bool) "/ping answered" true (contains pong "pong");
+          if waited >= 0.5 then
+            Alcotest.failf "/ping waited %.2f s behind the stuck reader" waited;
+          Thread.delay
+            (Float.max 0.0 (read_timeout +. 0.5 -. Obs.Clock.elapsed ~since:sent));
+          match read_to_eof stuck with
+          | Ok partial ->
+            Alcotest.(check bool) "stuck response cut short" true
+              (String.length partial < String.length (Lazy.force big_body))
+          | Error _ -> Alcotest.fail "stuck connection never closed"))
+
+(* Regression: a client that hangs up before reading its response made
+   the server's write raise SIGPIPE, whose default action kills the
+   whole process.  Starting a server now ignores SIGPIPE. *)
+let http_client_hangs_up () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let server = Http.serve ~port:0 big_handler in
+  let port = Http.port server in
+  Fun.protect
+    ~finally:(fun () -> Http.stop server)
+    (fun () ->
+      for _ = 1 to 3 do
+        let fd = connect port in
+        send_all fd "GET /big HTTP/1.1\r\nHost: x\r\n\r\n";
+        Unix.close fd
+      done;
+      Thread.delay 0.3;
+      Alcotest.(check bool) "still serving after the hang-ups" true
+        (contains (get_with_timeout ~port "/ping") "pong"))
+
+(* [stop] drops connections still sending their request at once,
+   rather than waiting out their read deadline. *)
+let http_stop_drops_silent () =
+  let read_timeout = 3.0 in
+  let server = Http.serve ~port:0 ~read_timeout big_handler in
+  let silent = connect (Http.port server) in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close silent with Unix.Unix_error _ -> ())
+    (fun () ->
+      Thread.delay 0.1;
+      let t0 = Obs.Clock.now () in
+      Http.stop server;
+      let took = Obs.Clock.elapsed ~since:t0 in
+      if took >= 1.0 then
+        Alcotest.failf "stop took %.2f s with one silent client open" took;
+      Alcotest.(check bool) "silent client disconnected" true
+        (match read_to_eof silent with Ok "" -> true | Ok _ | Error _ -> false))
+
+(* ... but a response already being written still finishes: a client
+   that posts /drain and then reads its answer must get all of it. *)
+let http_stop_finishes_writes () =
+  let read_timeout = 3.0 in
+  let server = Http.serve ~port:0 ~read_timeout big_handler in
+  let port = Http.port server in
+  let silent = connect port in
+  let reader = connect port in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ silent; reader ])
+    (fun () ->
+      send_all reader "GET /big HTTP/1.1\r\nHost: x\r\n\r\n";
+      Thread.delay 0.3;
+      let t0 = Obs.Clock.now () in
+      let stopper = Thread.create Http.stop server in
+      Thread.delay 0.2;
+      let response = read_to_eof reader in
+      Thread.join stopper;
+      let took = Obs.Clock.elapsed ~since:t0 in
+      (match response with
+      | Ok r ->
+        Alcotest.(check bool) "in-flight response written in full" true
+          (String.length r > String.length (Lazy.force big_body)
+          && contains (String.sub r 0 200) "200 OK")
+      | Error _ -> Alcotest.fail "in-flight response never finished");
+      if took >= read_timeout then
+        Alcotest.failf "stop took %.2f s, past the read deadline" took)
+
+(* Property: the incremental parser gives the same answer however the
+   request is split across reads, including the 413 for a header block
+   over the 16 KiB cap. *)
+let http_parser_chunking =
+  let gen =
+    QCheck2.Gen.(
+      let word n = string_size ~gen:(char_range 'a' 'z') (int_range 0 n) in
+      let* meth = oneofl [ "GET"; "POST"; "PUT"; "DELETE" ] in
+      let* path = map (fun w -> "/" ^ w) (word 12) in
+      let* query = opt (word 8) in
+      let* pad =
+        oneof [ word 64; string_size ~gen:(return 'p') (int_range 16300 16450) ]
+      in
+      let* header = oneofl [ "Content-Length"; "content-length"; "CONTENT-LENGTH" ] in
+      let* body = string_size ~gen:printable (int_range 0 300) in
+      let raw =
+        Printf.sprintf "%s %s%s HTTP/1.1\r\nHost: x\r\nX-Pad: %s\r\n%s: %d\r\n\r\n%s"
+          meth path
+          (match query with Some q -> "?" ^ q | None -> "")
+          pad header (String.length body) body
+      in
+      let* cuts = list_size (int_range 0 16) (int_range 0 (String.length raw)) in
+      let head_len = String.length raw - String.length body - 4 in
+      let expected =
+        if head_len > 16384 then Error (Http.text ~status:413 "headers too large\n")
+        else Ok { Http.meth; path; body }
+      in
+      return (raw, List.sort_uniq compare cuts, expected))
+  in
+  qcheck ~count:300 "http: parser agrees on every split of a request" gen
+    (fun (raw, cuts, expected) ->
+      let whole = Http.Testing.(feed (parser ()) raw) in
+      let p = Http.Testing.parser () in
+      let rec go from = function
+        | [] -> Http.Testing.feed p (String.sub raw from (String.length raw - from))
+        | cut :: rest -> (
+          match Http.Testing.feed p (String.sub raw from (cut - from)) with
+          | None -> go cut rest
+          | Some _ as answer -> answer)
+      in
+      let chunked = go 0 cuts in
+      chunked = whole && whole = Some expected)
+
 (* Method+body dispatch and the request-reader error paths. *)
 let http_method_body_dispatch () =
   let server =
@@ -691,6 +925,14 @@ let suite =
       http_incremental_header_scan;
     test "http: stalled connection gets 408, loop survives"
       http_read_timeout;
+    test "http: silent clients do not delay others, each gets 408"
+      http_silent_clients;
+    test "http: unread response dropped at its deadline" http_stuck_reader;
+    test "http: client hanging up mid-response spares the process"
+      http_client_hangs_up;
+    test "http: stop drops silent clients promptly" http_stop_drops_silent;
+    test "http: stop lets in-flight responses finish" http_stop_finishes_writes;
+    http_parser_chunking;
     test "http: method+body dispatch and reader error paths"
       http_method_body_dispatch;
     slow_test "serve: endpoints answer mid-run" serve_answers_mid_run;
