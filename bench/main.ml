@@ -334,37 +334,55 @@ let run_macro ~jobs () =
     E.Runner.make_spec ~speeds ~workload
       ~scheduler:(Cluster.Scheduler.static Core.Policy.orr) ()
   in
-  let batch = { E.Config.horizon = 5.0e4; warmup = 1.25e4; reps = 8 } in
-  let seq_walls = Array.make alternations 0.0 in
-  let par_walls = Array.make alternations 0.0 in
-  let identical = ref true in
   let mean p = p.E.Runner.mean_response_ratio.Statsched_stats.Confidence.mean in
-  for k = 0 to alternations - 1 do
-    let p_seq, wall_seq = E.Runner.measure_wall ~seed:42L ~jobs:1 ~scale:batch spec in
-    let p_par, wall_par = E.Runner.measure_wall ~seed:42L ~jobs ~scale:batch spec in
-    seq_walls.(k) <- wall_seq;
-    par_walls.(k) <- wall_par;
-    identical :=
-      !identical
-      && Float.equal (mean p_seq) (mean p_par)
-      && Float.equal p_seq.E.Runner.jobs_per_rep p_par.E.Runner.jobs_per_rep
-      && Float.equal p_seq.E.Runner.pooled_p99_ratio p_par.E.Runner.pooled_p99_ratio
-  done;
-  let identical = !identical in
-  let wall_seq = median seq_walls in
-  let wall_par = median par_walls in
-  let reps = float_of_int batch.E.Config.reps in
-  let reps_per_sec = if wall_par > 0.0 then reps /. wall_par else 0.0 in
-  let reps_per_sec_serial = if wall_seq > 0.0 then reps /. wall_seq else 0.0 in
-  let speedup = if wall_par > 0.0 then wall_seq /. wall_par else 0.0 in
+  (* Sequential and parallel walls of [batch], one pair per alternation;
+     fails unless every parallel batch matched its sequential twin. *)
+  let time_batch batch =
+    let seq_walls = Array.make alternations 0.0 in
+    let par_walls = Array.make alternations 0.0 in
+    let identical = ref true in
+    for k = 0 to alternations - 1 do
+      let p_seq, wall_seq = E.Runner.measure_wall ~seed:42L ~jobs:1 ~scale:batch spec in
+      let p_par, wall_par = E.Runner.measure_wall ~seed:42L ~jobs ~scale:batch spec in
+      seq_walls.(k) <- wall_seq;
+      par_walls.(k) <- wall_par;
+      identical :=
+        !identical
+        && Float.equal (mean p_seq) (mean p_par)
+        && Float.equal p_seq.E.Runner.jobs_per_rep p_par.E.Runner.jobs_per_rep
+        && Float.equal p_seq.E.Runner.pooled_p99_ratio p_par.E.Runner.pooled_p99_ratio
+    done;
+    if not !identical then
+      failwith "macro benchmark: parallel replication results diverged from sequential";
+    (seq_walls, par_walls)
+  in
+  let ratio a b = if b > 0.0 then a /. b else 0.0 in
   let cores = Statsched_par.Par.available_parallelism () in
+  let batch = { E.Config.horizon = 5.0e4; warmup = 1.25e4; reps = 8 } in
+  let seq_walls, par_walls = time_batch batch in
+  let wall_seq = median seq_walls and wall_par = median par_walls in
+  let reps = float_of_int batch.E.Config.reps in
+  let reps_per_sec = ratio reps wall_par in
+  let reps_per_sec_serial = ratio reps wall_seq in
+  let speedup = ratio wall_seq wall_par in
   Printf.printf
     "%d replications x%d interleaved: %.3f s sequential, %.3f s on %d domain(s) \
-     = %.2f reps/s (speedup %.2fx, %d core(s) available, results identical: %b)\n%!"
+     = %.2f reps/s (speedup %.2fx, %d core(s) available, results identical)\n%!"
     batch.E.Config.reps alternations wall_seq wall_par jobs reps_per_sec speedup
-    cores identical;
-  if not identical then
-    failwith "macro benchmark: parallel replication results diverged from sequential";
+    cores;
+  (* A batch of exactly [jobs] replications: one index per domain, so
+     the batch is only as fast as the domains' overlap.  An index that
+     runs before the others start halves this speed-up at [jobs = 2],
+     while the 8-replication batch above still reads well above 1.  The
+     speed-up is the median of the per-pair ratios, so a drift in the
+     host's speed between alternations cancels within each pair. *)
+  let round = { E.Config.horizon = 1.0e6; warmup = 2.5e5; reps = jobs } in
+  let round_seq, round_par = time_batch round in
+  let round_speedup = median (Array.map2 ratio round_seq round_par) in
+  Printf.printf
+    "%d replication(s), one per domain, x%d interleaved: %.3f s sequential, %.3f s \
+     parallel (speedup %.2fx, median of pair ratios)\n%!"
+    jobs alternations (median round_seq) (median round_par) round_speedup;
   (* Many-server regime: one n = 10^4 cell of the scale sweep's
      two-class cluster under the full-information tree dispatcher
      (JSQ with d = n).  This is the configuration the scale sweep's
@@ -449,6 +467,7 @@ let run_macro ~jobs () =
     ("reps_per_sec", reps_per_sec);
     ("reps_per_sec_serial", reps_per_sec_serial);
     ("parallel_speedup", speedup);
+    ("parallel_speedup_one_round", round_speedup);
     ("parallel_jobs", float_of_int jobs);
     ("parallel_available_cores", float_of_int cores);
   ]

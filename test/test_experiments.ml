@@ -75,6 +75,18 @@ let fig2_round_robin_smoother () =
     (rr_mean < rand_mean /. 3.0);
   Alcotest.(check bool) "report non-empty" true (String.length (E.Fig2.to_report r) > 0)
 
+(* The two passes are independent (each builds its own RNGs), so
+   running them on two domains at once must not change a bit of
+   either series. *)
+let fig2_jobs_bit_identical () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let seq = E.Fig2.run ~jobs:1 () in
+  let par = E.Fig2.run ~jobs:2 () in
+  Alcotest.(check (array int64)) "round-robin series" (bits seq.E.Fig2.round_robin)
+    (bits par.E.Fig2.round_robin);
+  Alcotest.(check (array int64)) "random series" (bits seq.E.Fig2.random)
+    (bits par.E.Fig2.random)
+
 let fig2_fractions_paper () =
   check_float ~eps:1e-12 "paper fractions sum to 1" 1.0
     (Array.fold_left ( +. ) 0.0 E.Fig2.fractions);
@@ -278,6 +290,7 @@ let suite =
     test "schedulers: roster" schedulers_roster;
     slow_test "table 1: least-load starves slow computers" table1_shape;
     slow_test "figure 2: round-robin smoother than random" fig2_round_robin_smoother;
+    slow_test "figure 2: jobs=2 bit-identical to jobs=1" fig2_jobs_bit_identical;
     test "figure 2: paper fractions" fig2_fractions_paper;
     slow_test "figure 3: structure and optimized-wins ordering" fig3_structure_and_ordering;
     slow_test "figure 3: homogeneous case collapses pairs" fig3_homogeneous_allocations_coincide;

@@ -9,6 +9,7 @@ module Core = Statsched_core
 module Cluster = Statsched_cluster
 module Confidence = Statsched_stats.Confidence
 module Hdr = Statsched_obs.Hdr_histogram
+module Clock = Statsched_obs.Clock
 
 (* ------------------------------------------------------------------ *)
 (* Par.map                                                             *)
@@ -54,6 +55,86 @@ let jobs1_spawns_no_domains () =
   Alcotest.(check int) "map ~jobs:1 spawned no domains" before (Par.spawn_count ());
   ignore (Par.map ~jobs:2 4 Fun.id);
   Alcotest.(check bool) "map ~jobs:2 does spawn" true (Par.spawn_count () > before)
+
+(* Spin until [cond] holds or [seconds] of wall time pass; returns
+   whether it held. *)
+let wait_until ?(seconds = 5.0) cond =
+  let start = Clock.now () in
+  while (not (cond ())) && Clock.elapsed ~since:start < seconds do
+    Domain.cpu_relax ()
+  done;
+  cond ()
+
+(* A batch of exactly [jobs] indices must run all at once: each call
+   announces itself and waits for the other.  If one index ran alone
+   before the rest started, it would time out waiting. *)
+let batch_of_jobs_runs_concurrently () =
+  let arrived = Atomic.make 0 in
+  let f _ =
+    Atomic.incr arrived;
+    wait_until (fun () -> Atomic.get arrived >= 2)
+  in
+  Alcotest.(check (list bool)) "both calls overlapped" [ true; true ] (Par.map ~jobs:2 2 f)
+
+(* Index 0 raises only once index 1 has started; index 1 then runs on
+   for a while.  The exception must surface only after index 1 is done,
+   i.e. after every domain was joined. *)
+let exception_at_index0_after_join () =
+  let started1 = Atomic.make false in
+  let finished1 = Atomic.make false in
+  let f k =
+    if k = 0 then begin
+      ignore (wait_until (fun () -> Atomic.get started1));
+      failwith "boom 0"
+    end
+    else begin
+      Atomic.set started1 true;
+      let start = Clock.now () in
+      ignore (wait_until (fun () -> Clock.elapsed ~since:start > 0.1));
+      Atomic.set finished1 true;
+      k
+    end
+  in
+  Alcotest.check_raises "index 0's failure re-raised" (Failure "boom 0") (fun () ->
+      ignore (Par.map ~jobs:2 2 f));
+  Alcotest.(check bool) "index 1 ran to completion before the raise" true
+    (Atomic.get finished1)
+
+let spawns_min_jobs_n () =
+  List.iter
+    (fun (jobs, n) ->
+      let before = Par.spawn_count () in
+      ignore (Par.map ~jobs n Fun.id);
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d n=%d spawns min (jobs-1) (n-1)" jobs n)
+        (min (jobs - 1) (n - 1))
+        (Par.spawn_count () - before))
+    [ (2, 2); (4, 2); (2, 10); (3, 10); (8, 3); (4, 4) ]
+
+(* Workers run with a 32 Ki-word minor heap when each has a core of its
+   own; the caller gets its own size back afterwards, whether [map]
+   returns or raises. *)
+let caller_minor_heap_restored () =
+  let minor () = (Gc.get ()).Gc.minor_heap_size in
+  let original = minor () in
+  let custom = 64 * 1024 in
+  Fun.protect
+    ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = original })
+    (fun () ->
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = custom };
+      let inside = Par.map ~jobs:2 4 (fun _ -> minor ()) in
+      if Par.available_parallelism () >= 2 then
+        Alcotest.(check (list int)) "workers use 32 Ki words" [ 32768; 32768; 32768; 32768 ]
+          inside;
+      Alcotest.(check int) "restored after return" custom (minor ());
+      let jobs = Par.available_parallelism () + 1 in
+      let oversubscribed = Par.map ~jobs jobs (fun _ -> minor ()) in
+      Alcotest.(check bool) "more domains than cores keep their minor heaps" false
+        (List.mem 32768 oversubscribed);
+      Alcotest.(check int) "restored after an oversubscribed map" custom (minor ());
+      Alcotest.check_raises "raising map" (Failure "boom") (fun () ->
+          ignore (Par.map ~jobs:2 4 (fun k -> if k = 2 then failwith "boom" else k)));
+      Alcotest.(check int) "restored after raise" custom (minor ()))
 
 let default_jobs_positive () =
   Alcotest.(check bool) "default_jobs >= 1" true (Par.default_jobs () >= 1);
@@ -290,6 +371,10 @@ let suite =
     test "par: argument validation" map_validation;
     test "par: worker exception propagates" map_propagates_exception;
     test "par: jobs=1 spawns no domains" jobs1_spawns_no_domains;
+    test "par: a batch of jobs indices runs concurrently" batch_of_jobs_runs_concurrently;
+    test "par: exception at index 0 re-raised after the join" exception_at_index0_after_join;
+    test "par: spawns exactly min (jobs-1) (n-1) domains" spawns_min_jobs_n;
+    test "par: caller's minor heap restored" caller_minor_heap_restored;
     test "par: default jobs sane" default_jobs_positive;
     slow_test "runner: jobs:4 bitwise-equal to jobs:1 (5 combos)" jobs4_equals_jobs1;
     slow_test "runner: merged point identical across jobs {2,4} (3 combos)"
