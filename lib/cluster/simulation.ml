@@ -60,12 +60,12 @@ type progress = {
 }
 
 let make_server ~discipline ~engine ~speed ~on_departure =
+  let serial order = Q.Serial_server.create ~engine ~speed ~order ~on_departure () in
   match discipline with
   | Ps -> Q.Ps_server.to_server (Q.Ps_server.create ~engine ~speed ~on_departure ())
-  | Rr quantum ->
-    Q.Rr_server.to_server (Q.Rr_server.create ~engine ~speed ~quantum ~on_departure ())
-  | Fcfs -> Q.Fcfs_server.to_server (Q.Fcfs_server.create ~engine ~speed ~on_departure ())
-  | Srpt -> Q.Srpt_server.to_server (Q.Srpt_server.create ~engine ~speed ~on_departure ())
+  | Rr quantum -> serial (Q.Serial_server.Rr quantum)
+  | Fcfs -> serial Q.Serial_server.Fcfs
+  | Srpt -> serial Q.Serial_server.Srpt
 
 (* Exact comparison of speed vectors (same length by construction);
    polymorphic [=] on float arrays is banned by schedlint rule R3. *)

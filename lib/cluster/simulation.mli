@@ -12,6 +12,9 @@
     result [k] of replication [k] is reproducible and replications are
     statistically independent. *)
 
+(** A computer's service discipline: [Ps] runs on
+    {!Statsched_queueing.Ps_server}, the other three on
+    {!Statsched_queueing.Serial_server}. *)
 type discipline =
   | Ps  (** processor sharing — the paper's model; default *)
   | Rr of float  (** quantum round-robin with the given quantum (validation) *)

@@ -9,7 +9,8 @@
     virtual time [v] departs when virtual time reaches [v + σ], so the
     next departure is always the minimum over a heap — every arrival and
     departure costs O(log n) with no per-job bookkeeping updates.
-    {!Rr_server} with a small quantum validates this model in the tests. *)
+    {!Serial_server} in [Rr] order with a small quantum validates this
+    model in the tests. *)
 
 type t
 

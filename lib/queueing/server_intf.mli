@@ -1,7 +1,8 @@
 (** Uniform first-class view of a server.
 
-    {!Ps_server}, {!Rr_server} and {!Fcfs_server} all coerce to this record
-    so the cluster model can mix service disciplines per computer. *)
+    {!Ps_server} coerces to this record and {!Serial_server} builds one
+    directly, so the cluster model can mix service disciplines per
+    computer. *)
 
 type t = {
   speed : float;  (** relative processing speed [s_i > 0] *)

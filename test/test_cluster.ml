@@ -523,21 +523,10 @@ let occupancy_all_disciplines () =
             (Statsched_queueing.Ps_server.create ~engine ~speed:1.0
                ~on_departure:(fun _ -> ())
                ())
-        | `Fcfs ->
-          Statsched_queueing.Fcfs_server.to_server
-            (Statsched_queueing.Fcfs_server.create ~engine ~speed:1.0
-               ~on_departure:(fun _ -> ())
-               ())
-        | `Srpt ->
-          Statsched_queueing.Srpt_server.to_server
-            (Statsched_queueing.Srpt_server.create ~engine ~speed:1.0
-               ~on_departure:(fun _ -> ())
-               ())
-        | `Rr ->
-          Statsched_queueing.Rr_server.to_server
-            (Statsched_queueing.Rr_server.create ~engine ~speed:1.0 ~quantum:0.5
-               ~on_departure:(fun _ -> ())
-               ())
+        | `Serial order ->
+          Statsched_queueing.Serial_server.create ~engine ~speed:1.0 ~order
+            ~on_departure:(fun _ -> ())
+            ()
       in
       ignore
         (Statsched_des.Engine.schedule_at engine ~time:0.0 (fun _ ->
@@ -548,7 +537,8 @@ let occupancy_all_disciplines () =
         (Printf.sprintf "L = 0.5 (%s)" server.Statsched_queueing.Server_intf.discipline)
         0.5
         (server.Statsched_queueing.Server_intf.mean_in_system ()))
-    [ `Ps; `Fcfs; `Srpt; `Rr ]
+    Statsched_queueing.Serial_server.
+      [ `Ps; `Serial Fcfs; `Serial Srpt; `Serial (Rr 0.5) ]
 
 let littles_suite =
   [

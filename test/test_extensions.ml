@@ -50,7 +50,7 @@ let theory_vs_fcfs_simulation () =
   let horizon = 200_000.0 in
   let warmup = horizon /. 5.0 in
   let server =
-    Q.Fcfs_server.create ~engine ~speed:1.0
+    Q.Serial_server.create ~engine ~speed:1.0 ~order:Q.Serial_server.Fcfs
       ~on_departure:(fun j ->
         if j.Job.arrival >= warmup then
           Statsched_stats.Welford.add w (Job.response_time j))
@@ -64,7 +64,7 @@ let theory_vs_fcfs_simulation () =
          (fun e ->
            incr id;
            let size = Statsched_dist.Distribution.sample size_dist g in
-           Q.Fcfs_server.submit server (Job.create ~id:!id ~size ~arrival:(Engine.now e));
+           server.Q.Server_intf.submit (Job.create ~id:!id ~size ~arrival:(Engine.now e));
            arrive ()))
   in
   arrive ();

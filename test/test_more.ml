@@ -146,14 +146,6 @@ let confidence_width_shrinks () =
     (Printf.sprintf "width shrinks with n (%.4f -> %.4f)" w10 w160)
     true (w160 < w10 /. 2.0)
 
-let histogram_to_list_roundtrip () =
-  let h = Stats.Histogram.create_linear ~lo:0.0 ~hi:4.0 ~bins:4 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 3.9 ];
-  let cells = Stats.Histogram.to_list h in
-  Alcotest.(check int) "four cells" 4 (List.length cells);
-  let counts = List.map snd cells in
-  Alcotest.(check (list int)) "counts" [ 1; 2; 0; 1 ] counts
-
 let tally_same_time_updates () =
   (* Two updates at the same instant: the later value wins, no area
      accrues in between. *)
@@ -265,7 +257,6 @@ let suite =
     prop_variants_reset_replay;
     slow_test "stats: P2 matches exact quantile" p2_matches_exact_quantile;
     test "stats: CI width shrinks with replications" confidence_width_shrinks;
-    test "stats: histogram to_list" histogram_to_list_roundtrip;
     test "stats: tally same-instant updates" tally_same_time_updates;
     test "queueing: PS with thousands of simultaneous tiny jobs" ps_many_tiny_jobs;
     test "queueing: theory utilization helper" theory_utilization_helper;
@@ -324,76 +315,11 @@ let prop_alias_valid_indices =
       done;
       !ok)
 
-(* ------------------------------------------------------------------ *)
-(* Autocorrelation                                                     *)
-
-let autocorr_white_noise () =
-  let g = rng () in
-  let xs = Array.init 20_000 (fun _ -> Rng.float g) in
-  check_float ~eps:1e-12 "lag 0 is 1" 1.0 (Stats.Autocorrelation.lag xs 0);
-  Alcotest.(check bool) "lag 1 near zero" true
-    (abs_float (Stats.Autocorrelation.lag xs 1) < 0.05);
-  Alcotest.(check int) "first insignificant lag is 1" 1
-    (Stats.Autocorrelation.first_insignificant_lag xs)
-
-let autocorr_ar1 () =
-  (* AR(1) with phi = 0.8: rho_k = 0.8^k. *)
-  let g = rng ~seed:31L () in
-  let n = 100_000 in
-  let xs = Array.make n 0.0 in
-  for i = 1 to n - 1 do
-    let noise = Rng.float g -. 0.5 in
-    xs.(i) <- (0.8 *. xs.(i - 1)) +. noise
-  done;
-  check_close ~rel:0.05 "lag 1 ~ 0.8" 0.8 (Stats.Autocorrelation.lag xs 1);
-  check_close ~rel:0.1 "lag 3 ~ 0.512" 0.512 (Stats.Autocorrelation.lag xs 3);
-  let b = Stats.Autocorrelation.suggest_batch_size xs in
-  Alcotest.(check bool)
-    (Printf.sprintf "suggested batch size %d spans the correlation" b)
-    true (b >= 50)
-
-let autocorr_validation () =
-  Alcotest.check_raises "short series"
-    (Invalid_argument "Autocorrelation.lag: series too short") (fun () ->
-      ignore (Stats.Autocorrelation.lag [| 1.0 |] 0));
-  Alcotest.check_raises "constant series"
-    (Invalid_argument "Autocorrelation.lag: zero variance") (fun () ->
-      ignore (Stats.Autocorrelation.lag [| 2.0; 2.0; 2.0 |] 1));
-  Alcotest.check_raises "lag too large"
-    (Invalid_argument "Autocorrelation.lag: lag >= length") (fun () ->
-      ignore (Stats.Autocorrelation.lag [| 1.0; 2.0 |] 2))
-
-let autocorr_on_simulation_output () =
-  (* Response ratios within a run are positively autocorrelated — the
-     reason batch means exist.  Record a run and verify. *)
-  let speeds = [| 1.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.8 ~mean_size:1.0 ~speeds in
-  let ratios = ref [] in
-  let cfg =
-    Cluster.Simulation.default_config ~horizon:30_000.0 ~warmup:5_000.0 ~speeds
-      ~workload ~scheduler:(Cluster.Scheduler.static Core.Policy.wrr) ()
-  in
-  ignore
-    (Cluster.Simulation.run
-       ~on_completion:(fun j -> ratios := Q.Job.response_ratio j :: !ratios)
-       cfg);
-  let xs = Array.of_list !ratios in
-  Alcotest.(check bool) "enough samples" true (Array.length xs > 5_000);
-  let rho1 = Stats.Autocorrelation.lag xs 1 in
-  Alcotest.(check bool)
-    (Printf.sprintf "positive serial correlation (%.3f)" rho1)
-    true (rho1 > 0.1)
-
 let second_suite =
   [
     slow_test "dispatch: alias method matches frequencies" alias_matches_frequencies;
     test "dispatch: alias degenerate cases" alias_degenerate_cases;
     prop_alias_valid_indices;
-    slow_test "autocorrelation: white noise" autocorr_white_noise;
-    slow_test "autocorrelation: AR(1) fixture" autocorr_ar1;
-    test "autocorrelation: validation" autocorr_validation;
-    slow_test "autocorrelation: simulation output is correlated"
-      autocorr_on_simulation_output;
   ]
 
 let suite = suite @ second_suite

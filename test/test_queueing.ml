@@ -24,8 +24,9 @@ let job_validation () =
 
 (* Drive a server implementation with an explicit trace of
    (arrival_time, size) and return the completed jobs in completion
-   order. *)
-let drive ~make_server trace =
+   order.  [actions] are (time, f) pairs calling [f server] at [time],
+   after any arrival at the same instant. *)
+let drive ?(actions = []) ~make_server trace =
   let engine = Engine.create () in
   let completed = ref [] in
   let server = make_server ~engine ~on_departure:(fun j -> completed := j :: !completed) in
@@ -35,17 +36,27 @@ let drive ~make_server trace =
         (Engine.schedule_at engine ~time:at (fun _ ->
              server.Q.Server_intf.submit (Job.create ~id:i ~size ~arrival:at))))
     trace;
+  List.iter
+    (fun (at, f) -> ignore (Engine.schedule_at engine ~time:at (fun _ -> f server)))
+    actions;
   Engine.run engine;
   List.rev !completed
+
+(* Lexicographic order on (arrival, size) trace entries. *)
+let compare_arrivals (a1, s1) (a2, s2) =
+  match Float.compare a1 a2 with 0 -> Float.compare s1 s2 | c -> c
 
 let ps ?(speed = 1.0) () ~engine ~on_departure =
   Q.Ps_server.to_server (Q.Ps_server.create ~engine ~speed ~on_departure ())
 
-let rr ?(speed = 1.0) ?(quantum = 0.001) () ~engine ~on_departure =
-  Q.Rr_server.to_server (Q.Rr_server.create ~engine ~speed ~quantum ~on_departure ())
+let serial ?(speed = 1.0) order () ~engine ~on_departure =
+  Q.Serial_server.create ~engine ~speed ~order ~on_departure ()
 
-let fcfs ?(speed = 1.0) () ~engine ~on_departure =
-  Q.Fcfs_server.to_server (Q.Fcfs_server.create ~engine ~speed ~on_departure ())
+let rr ?speed ?(quantum = 0.001) () = serial ?speed (Q.Serial_server.Rr quantum) ()
+
+let fcfs ?speed () = serial ?speed Q.Serial_server.Fcfs ()
+
+let srpt ?speed () = serial ?speed Q.Serial_server.Srpt ()
 
 let ps_lone_job () =
   (* A single job on an idle server finishes after size/speed. *)
@@ -72,7 +83,7 @@ let ps_short_job_preempts () =
      has 6 remaining at t=4, gets 2 by t=8, then runs alone: finishes at
      t=12. *)
   let jobs = drive ~make_server:(ps ()) [ (0.0, 10.0); (4.0, 2.0) ] in
-  match List.sort (fun a b -> compare a.Job.completion b.Job.completion) jobs with
+  match List.sort (fun a b -> Float.compare a.Job.completion b.Job.completion) jobs with
   | [ short; long ] ->
     check_float ~eps:1e-6 "short job completion" 8.0 short.Job.completion;
     check_float ~eps:1e-6 "long job completion" 12.0 long.Job.completion
@@ -87,7 +98,7 @@ let ps_three_way_sharing () =
      job2 0.5. [6,7): two jobs rate 1/2, job2 done at t=7, job1 3.0 left.
      [7,10): alone, done at t=10. *)
   let jobs = drive ~make_server:(ps ()) [ (0.0, 6.0); (0.0, 3.0); (3.0, 1.0) ] in
-  let by_size s = List.find (fun j -> j.Job.size = s) jobs in
+  let by_size s = List.find (fun j -> Float.equal j.Job.size s) jobs in
   check_float ~eps:1e-6 "size-1 job" 6.0 (by_size 1.0).Job.completion;
   check_float ~eps:1e-6 "size-3 job" 7.0 (by_size 3.0).Job.completion;
   check_float ~eps:1e-6 "size-6 job" 10.0 (by_size 6.0).Job.completion
@@ -155,7 +166,7 @@ let fcfs_head_of_line_blocking () =
   (* The PS advantage the paper assumes: under FCFS a tiny job behind a
      huge one waits; under PS it overtakes. *)
   let trace = [ (0.0, 100.0); (1.0, 1.0) ] in
-  let small_of jobs = List.find (fun j -> j.Job.size = 1.0) jobs in
+  let small_of jobs = List.find (fun j -> Float.equal j.Job.size 1.0) jobs in
   let fcfs_small = small_of (drive ~make_server:(fcfs ()) trace) in
   let ps_small = small_of (drive ~make_server:(ps ()) trace) in
   Alcotest.(check bool)
@@ -188,7 +199,7 @@ let rr_converges_to_ps () =
     List.init 40 (fun _ ->
         (Rng.float g *. 50.0, 0.5 +. (Rng.float g *. 4.0)))
   in
-  let trace = List.sort compare trace in
+  let trace = List.sort compare_arrivals trace in
   let ps_jobs = drive ~make_server:(ps ()) trace in
   let rr_jobs = drive ~make_server:(rr ~quantum:0.01 ()) trace in
   let completion_by_id jobs =
@@ -209,27 +220,26 @@ let rr_converges_to_ps () =
 
 let rr_work_conservation () =
   let engine = Engine.create () in
-  let server =
-    Q.Rr_server.create ~engine ~speed:1.0 ~quantum:0.25 ~on_departure:(fun _ -> ()) ()
-  in
+  let server = rr ~quantum:0.25 () ~engine ~on_departure:(fun _ -> ()) in
   let total = ref 0.0 in
   for i = 1 to 50 do
     let size = 0.3 +. (0.1 *. float_of_int i) in
     total := !total +. size;
     ignore
       (Engine.schedule_at engine ~time:(float_of_int i) (fun _ ->
-           Q.Rr_server.submit server (Job.create ~id:i ~size ~arrival:(float_of_int i))))
+           server.Q.Server_intf.submit
+             (Job.create ~id:i ~size ~arrival:(float_of_int i))))
   done;
   Engine.run engine;
-  Alcotest.(check int) "all complete" 50 (Q.Rr_server.completed server);
-  check_close ~rel:1e-6 "work conserved" !total (Q.Rr_server.work_done server)
+  Alcotest.(check int) "all complete" 50 (server.Q.Server_intf.completed ());
+  check_close ~rel:1e-6 "work conserved" !total (server.Q.Server_intf.work_done ())
 
 let server_intf_coercion () =
   let engine = Engine.create () in
   let s = Q.Ps_server.to_server (Q.Ps_server.create ~engine ~speed:2.5 ~on_departure:(fun _ -> ()) ()) in
   check_float "speed exposed" 2.5 s.Q.Server_intf.speed;
   Alcotest.(check string) "discipline" "PS" s.Q.Server_intf.discipline;
-  let f = Q.Fcfs_server.to_server (Q.Fcfs_server.create ~engine ~speed:1.0 ~on_departure:(fun _ -> ()) ()) in
+  let f = fcfs () ~engine ~on_departure:(fun _ -> ()) in
   Alcotest.(check string) "fcfs discipline" "FCFS" f.Q.Server_intf.discipline
 
 (* M/G/1-PS insensitivity: mean response time depends on the size
@@ -357,9 +367,6 @@ let suite =
 (* ------------------------------------------------------------------ *)
 (* SRPT server                                                         *)
 
-let srpt ?(speed = 1.0) () ~engine ~on_departure =
-  Q.Srpt_server.to_server (Q.Srpt_server.create ~engine ~speed ~on_departure ())
-
 let srpt_lone_job () =
   let jobs = drive ~make_server:(srpt ~speed:2.0 ()) [ (1.0, 10.0) ] in
   match jobs with
@@ -370,7 +377,7 @@ let srpt_preemption_trace () =
   (* Size-10 at t=0; size-2 at t=3.  SRPT preempts (2 < 7 remaining):
      short done at t=5; long resumes, 7 left, done at t=12. *)
   let jobs = drive ~make_server:(srpt ()) [ (0.0, 10.0); (3.0, 2.0) ] in
-  let by_size s = List.find (fun j -> j.Job.size = s) jobs in
+  let by_size s = List.find (fun j -> Float.equal j.Job.size s) jobs in
   check_float ~eps:1e-9 "short job" 5.0 (by_size 2.0).Job.completion;
   check_float ~eps:1e-9 "long job" 12.0 (by_size 10.0).Job.completion
 
@@ -378,7 +385,7 @@ let srpt_no_preemption_when_larger () =
   (* Size-3 at t=0; size-5 at t=1: no preemption (5 > 2 remaining);
      first done at 3, second at 8. *)
   let jobs = drive ~make_server:(srpt ()) [ (0.0, 3.0); (1.0, 5.0) ] in
-  let by_size s = List.find (fun j -> j.Job.size = s) jobs in
+  let by_size s = List.find (fun j -> Float.equal j.Job.size s) jobs in
   check_float ~eps:1e-9 "runner unaffected" 3.0 (by_size 3.0).Job.completion;
   check_float ~eps:1e-9 "larger waits" 8.0 (by_size 5.0).Job.completion
 
@@ -390,7 +397,7 @@ let srpt_runs_smallest_remaining () =
 
 let srpt_work_conservation () =
   let engine = Engine.create () in
-  let server = Q.Srpt_server.create ~engine ~speed:2.0 ~on_departure:(fun _ -> ()) () in
+  let server = srpt ~speed:2.0 () ~engine ~on_departure:(fun _ -> ()) in
   let g = rng () in
   let total = ref 0.0 in
   for i = 1 to 300 do
@@ -399,19 +406,19 @@ let srpt_work_conservation () =
     total := !total +. size;
     ignore
       (Engine.schedule_at engine ~time:at (fun _ ->
-           Q.Srpt_server.submit server (Job.create ~id:i ~size ~arrival:at)))
+           server.Q.Server_intf.submit (Job.create ~id:i ~size ~arrival:at)))
   done;
   Engine.run engine;
-  Alcotest.(check int) "all complete" 300 (Q.Srpt_server.completed server);
-  check_close ~rel:1e-6 "work conserved" !total (Q.Srpt_server.work_done server);
-  Alcotest.(check int) "drained" 0 (Q.Srpt_server.in_system server)
+  Alcotest.(check int) "all complete" 300 (server.Q.Server_intf.completed ());
+  check_close ~rel:1e-6 "work conserved" !total (server.Q.Server_intf.work_done ());
+  Alcotest.(check int) "drained" 0 (server.Q.Server_intf.in_system ())
 
 let srpt_beats_ps_on_mean_response_time () =
   (* SRPT is optimal for mean response time: on the same arrival trace it
      must not lose to PS. *)
   let g = rng ~seed:77L () in
   let trace =
-    List.sort compare
+    List.sort compare_arrivals
       (List.init 500 (fun _ ->
            (Rng.float g *. 2000.0, 0.2 +. (Rng.float g *. 6.0))))
   in
@@ -460,4 +467,304 @@ let srpt_suite =
       srpt_discipline_in_simulation;
   ]
 
-let suite = suite @ srpt_suite
+(* ------------------------------------------------------------------ *)
+(* Serial server: service order and fault hooks                        *)
+
+let serial_orders =
+  Q.Serial_server.[ ("FCFS", Fcfs); ("RR(q=1)", Rr 1.0); ("SRPT", Srpt) ]
+
+let ids jobs = List.map (fun j -> j.Job.id) jobs
+
+let completion_of id jobs = (List.find (fun j -> j.Job.id = id) jobs).Job.completion
+
+let suspend_at ~from ~until =
+  [ (from, fun s -> s.Q.Server_intf.set_rate 0.0); (until, fun s -> s.Q.Server_intf.set_rate 1.0) ]
+
+let rr_start_at_first_service () =
+  (* Two size-2 jobs, quantum 1, speed 1: the second first runs at t=1. *)
+  match drive ~make_server:(rr ~quantum:1.0 ()) [ (0.0, 2.0); (0.0, 2.0) ] with
+  | [ a; b ] ->
+    check_float ~eps:0.0 "first job starts at once" 0.0 a.Job.start;
+    check_float ~eps:0.0 "second job starts at its first slice" 1.0 b.Job.start
+  | _ -> Alcotest.fail "expected two jobs"
+
+let suspend_shifts_completions () =
+  (* Sizes 1 and 1.5 at t=0 finish at 1 and 2.5 under every order (RR
+     with q=1 slices the second job into 1 + 0.5).  An outage over
+     [0.5, 2.5) catches the first job mid-slice with 0.5 left; on resume
+     it finishes that, so both completions move by exactly 2. *)
+  let trace = [ (0.0, 1.0); (0.0, 1.5) ] in
+  List.iter
+    (fun (name, order) ->
+      let make_server = serial order () in
+      let base = drive ~make_server trace in
+      let util = ref nan in
+      let faulted =
+        drive ~make_server
+          ~actions:
+            (suspend_at ~from:0.5 ~until:2.5
+            @ [ (10.0, fun s -> util := s.Q.Server_intf.utilization ()) ])
+          trace
+      in
+      check_float ~eps:0.0 (name ^ ": first, fault-free") 1.0 (completion_of 0 base);
+      check_float ~eps:0.0 (name ^ ": second, fault-free") 2.5 (completion_of 1 base);
+      check_float ~eps:0.0 (name ^ ": first, outage") 3.0 (completion_of 0 faulted);
+      check_float ~eps:0.0 (name ^ ": second, outage") 4.5 (completion_of 1 faulted);
+      (* busy over [0, 0.5) and [2.5, 4.5) of [0, 10) *)
+      check_float ~eps:1e-12 (name ^ ": suspended time is idle") 0.25 !util)
+    serial_orders
+
+let half_rate_doubles_remaining_time () =
+  (* Size 8 on speed 2 would finish at t=4.  Halving the rate at t=1.25
+     (mid-slice for RR) leaves 2.75 s of service, which now takes 5.5 s:
+     completion 6.75. *)
+  List.iter
+    (fun (name, order) ->
+      let work = ref nan in
+      let jobs =
+        drive
+          ~make_server:(serial ~speed:2.0 order ())
+          ~actions:
+            [
+              (1.25, fun s -> s.Q.Server_intf.set_rate 0.5);
+              (10.0, fun s -> work := s.Q.Server_intf.work_done ());
+            ]
+          [ (0.0, 8.0) ]
+      in
+      check_float ~eps:1e-12 (name ^ ": completion") 6.75 (completion_of 0 jobs);
+      check_float ~eps:1e-12 (name ^ ": work conserved") 8.0 !work)
+    serial_orders
+
+let drain_returns_runner_then_ready () =
+  (* Sizes 3, 1, 2 at t=0, drained at t=1.5.
+     FCFS: job 0 runs, 1 and 2 wait.
+     RR(1): 0 runs [0,1) and rejoins behind 1 and 2; 1 holds the
+       processor at 1.5, then come 2 and 0.
+     SRPT: 1 preempts 0 and finishes at 1; 2 (remaining 2) runs next,
+       ahead of 0 (remaining 3). *)
+  let trace = [ (0.0, 3.0); (0.0, 1.0); (0.0, 2.0) ] in
+  List.iter2
+    (fun (name, order) (drained_ids, completed_ids) ->
+      let drained = ref [] and left = ref (-1) in
+      let completed =
+        drive ~make_server:(serial order ())
+          ~actions:
+            [
+              ( 1.5,
+                fun s ->
+                  drained := s.Q.Server_intf.drain ();
+                  left := s.Q.Server_intf.in_system () );
+            ]
+          trace
+      in
+      Alcotest.(check (list int)) (name ^ ": drain order") drained_ids (ids !drained);
+      Alcotest.(check (list int)) (name ^ ": completed before") completed_ids (ids completed);
+      Alcotest.(check int) (name ^ ": empty after drain") 0 !left;
+      List.iter
+        (fun j -> Alcotest.(check bool) (name ^ ": drained, not completed") false (Job.is_completed j))
+        !drained)
+    serial_orders
+    [ ([ 0; 1; 2 ], []); ([ 1; 2; 0 ], []); ([ 2; 0 ], [ 1 ]) ]
+
+let arrival_while_suspended () =
+  (* Size 4 at t=0, suspended over [0.5, 3) with 3.5 left; size 2 arrives
+     at t=2.  SRPT preempts even while suspended (2 < 3.5), so the
+     newcomer runs [3, 5).  FCFS finishes the first job [3, 6.5); RR(1)
+     alternates from t=3: 0 [3,4) 1 [4,5) 0 [5,6) 1 [6,7) 0 [7,8.5). *)
+  List.iter2
+    (fun (name, order) (first, second) ->
+      let jobs =
+        drive ~make_server:(serial order ())
+          ~actions:(suspend_at ~from:0.5 ~until:3.0)
+          [ (0.0, 4.0); (2.0, 2.0) ]
+      in
+      check_float ~eps:0.0 (name ^ ": first job") first (completion_of 0 jobs);
+      check_float ~eps:0.0 (name ^ ": second job") second (completion_of 1 jobs))
+    serial_orders
+    [ (6.5, 8.5); (8.5, 7.0); (8.5, 5.0) ]
+
+(* ------------------------------------------------------------------ *)
+(* Pinned serial-discipline outputs                                    *)
+
+(* IEEE-754 bit patterns of a short Table 3 run (rho 0.7, ORR, horizon
+   10^4 s, seed 42): mean response time, mean response ratio and each
+   computer's utilisation, per serial discipline with and without
+   exponential crashes (MTBF 2000 s, MTTR 100 s).  Any change to the
+   serial server's arithmetic or event order shows up here. *)
+let pinned_cells =
+  [
+    ("FCFS", "none",
+      0x405d019fb8b51af9L, 0x4015bb04f8e76b15L,
+      [|
+        0x3fd787a37a948868L; 0x3fe27712ff448f1eL; 0x3fd593957be6b86aL;
+        0x3fe0a8364c01780aL; 0x3fc12b2750ccc14eL; 0x3fe1000285bea254L;
+        0x3fdb5eff666a58a9L; 0x3fe2c39a0b3f0f03L; 0x3fda994dbccb30ddL;
+        0x3fde1d32357308faL; 0x3fdf373aeac59e35L; 0x3fd5c99a4bbfeaacL;
+        0x3fe716c95e5c52f5L; 0x3fe5dd8031248918L; 0x3fe728661b656090L
+      |]);
+    ("FCFS", "requeue",
+      0x406cb876577649f0L, 0x40259cf2e83f2a5cL,
+      [|
+        0x3fce54d1d4bc6ac7L; 0x3fd36e7fe9825900L; 0x3fdc3df3496edd64L;
+        0x3fbf312fd1e3892fL; 0x3fc54634831c1ae6L; 0x3fd70f92b80a8d0fL;
+        0x3fd896129994a081L; 0x3fd802f47ddca833L; 0x3fe33f7fb9816deeL;
+        0x3fd9b0c3b6736502L; 0x3fde03d58b37cbe0L; 0x3fd2e56a9d0c3acbL;
+        0x3fe0f68be06d8408L; 0x3fe53928d98ededaL; 0x3febf20213c00084L
+      |]);
+    ("FCFS", "resume",
+      0x406387fc01283d3eL, 0x401d3738a2cbdef7L,
+      [|
+        0x3fdcb06906aab58aL; 0x3fd21a935902986dL; 0x3fd7f3e6670f1d5fL;
+        0x3fdcdbe8cc1f1afbL; 0x3fd3d3ad572da7c5L; 0x3fd7ee5c71bef315L;
+        0x3fe8682044567205L; 0x3fe31f1db3dbcba2L; 0x3fe73f7128b55469L;
+        0x3fe0a199ac44b7b6L; 0x3fe629dd85b54527L; 0x3fd3af38335a7c87L;
+        0x3fe1b99f89117892L; 0x3fe4bf28c9950543L; 0x3fe8681063a3f380L
+      |]);
+    ("FCFS", "drop",
+      0x405b70224a8cd695L, 0x40146828c1eb3933L,
+      [|
+        0x3fcbd1d4c915c2deL; 0x3fd21a935902986dL; 0x3fd5c4a841a2702eL;
+        0x3fce076cd7217431L; 0x3fd381176f3c889bL; 0x3fd70b6015901360L;
+        0x3fd46971da521057L; 0x3fe31f1db3dbcba2L; 0x3fe34cf8e0e52febL;
+        0x3fd8d92243af289fL; 0x3fdd678a5e65c717L; 0x3fd24f3d3877cb77L;
+        0x3fe097429ca4e7a9L; 0x3fe3a5b2656ee5fcL; 0x3fe8681063a3f380L
+      |]);
+    ("RR(q=0.5)", "none",
+      0x403b63e66deb3e7bL, 0x3fdfd14237094e67L,
+      [|
+        0x3fd787a37a948868L; 0x3fe27712ff448f1fL; 0x3fd593957be6b86aL;
+        0x3fe0a8364c01780aL; 0x3fc12b2750ccc14eL; 0x3fe1000285be9b73L;
+        0x3fdb5eff666a4e72L; 0x3fe2c39a0b3f10ecL; 0x3fda994dbccb39feL;
+        0x3fde1d32357308faL; 0x3fdf373aeac59e35L; 0x3fd5c99a4bbfeaafL;
+        0x3fe716c95e5c7838L; 0x3fe5dd8031249a35L; 0x3fe728661b65770cL
+      |]);
+    ("RR(q=0.5)", "requeue",
+      0x40430d5015a2b892L, 0x3fe8eefdc250b97dL,
+      [|
+        0x3fcf8dc103cb002eL; 0x3fd46578a4a4f512L; 0x3fdb9927b0e51ab1L;
+        0x3fbd0590f0d43d22L; 0x3fc54ca2fb2a5201L; 0x3fd4fef9489875fbL;
+        0x3fd678752af78f8dL; 0x3fd81fb0a5c52e1cL; 0x3fe2ece6277fe49bL;
+        0x3fdaf649532a8c89L; 0x3fde98a39a32be94L; 0x3fd19e02e5aba8c6L;
+        0x3fe38111548ad22eL; 0x3fe672bb5e96b48dL; 0x3fec0c61477703e3L
+      |]);
+    ("RR(q=0.5)", "resume",
+      0x4040d4ebc7860c28L, 0x3fe2c1c07a6a4495L,
+      [|
+        0x3fdcb06906aab58aL; 0x3fd21a935902986eL; 0x3fd7f3e6670f1d5fL;
+        0x3fdcdbe8cc1f1afbL; 0x3fd3d3ad572da7c5L; 0x3fd7ee5c71bef3ecL;
+        0x3fe8682044566eb6L; 0x3fe31f1db3dbc977L; 0x3fe73f7128b54e69L;
+        0x3fe0a199ac44b7baL; 0x3fe629dd85b54527L; 0x3fd3af38335a7c89L;
+        0x3fe1b99f8911ae85L; 0x3fe4bf28c9950e5fL; 0x3fe8681063a444b5L
+      |]);
+    ("RR(q=0.5)", "drop",
+      0x4037f3bc0c173a15L, 0x3fdebd2581566f7bL,
+      [|
+        0x3fcbd1d4c915c2deL; 0x3fd21a935902986eL; 0x3fd5c4a841a2702eL;
+        0x3fce076cd7217431L; 0x3fd381176f3c889bL; 0x3fd70b60159013b6L;
+        0x3fd46971da52197dL; 0x3fe31f1db3dbc977L; 0x3fe34cf8e0e52fbcL;
+        0x3fd8d92243af28a6L; 0x3fdd678a5e65c717L; 0x3fd24f3d3877cb77L;
+        0x3fe097429ca51861L; 0x3fe3a5b2656ee944L; 0x3fe8681063a444b5L
+      |]);
+    ("SRPT", "none",
+      0x403459629b720eedL, 0x3fd26a8b5f8bb216L,
+      [|
+        0x3fd787a37a948868L; 0x3fe27712ff448f1fL; 0x3fd593957be6b86cL;
+        0x3fe0a8364c01780aL; 0x3fc12b2750ccc14eL; 0x3fe1000285bea252L;
+        0x3fdb5eff666a58a9L; 0x3fe2c39a0b3f0f04L; 0x3fda994dbccb30ddL;
+        0x3fde1d32357308faL; 0x3fdf373aeac59e35L; 0x3fd5c99a4bbfeaadL;
+        0x3fe716c95e5c52f6L; 0x3fe5dd8031248915L; 0x3fe728661b656092L
+      |]);
+    ("SRPT", "requeue",
+      0x403560aef6a637b7L, 0x3fd257c177b60fd1L,
+      [|
+        0x3fcd9284385a210dL; 0x3fd19a3f06e110d8L; 0x3fdb44714d07042aL;
+        0x3fbbaa16d251d3ccL; 0x3fc54ca2fb2a5201L; 0x3fd4677f2538c2efL;
+        0x3fd58ba1b5550bb5L; 0x3fd7a4597d74410dL; 0x3fe32a3fff679d4aL;
+        0x3fdbf32bf71cac85L; 0x3fde32d570598c2cL; 0x3fd1c3bef3474becL;
+        0x3fe256c01344128bL; 0x3fe668ec594dda3bL; 0x3feb6d88aefb98c5L
+      |]);
+    ("SRPT", "resume",
+      0x4036df89691aa8b3L, 0x3fd2f073c83e507fL,
+      [|
+        0x3fdcb06906aab58aL; 0x3fd21a935902986eL; 0x3fd7f3e6670f1d5fL;
+        0x3fdcdbe8cc1f1afbL; 0x3fd3d3ad572da7c5L; 0x3fd7ee5c71bef315L;
+        0x3fe8682044567205L; 0x3fe31f1db3dbcba2L; 0x3fe73f7128b5546cL;
+        0x3fe0a199ac44b7b6L; 0x3fe629dd85b54527L; 0x3fd3af38335a7c87L;
+        0x3fe1b99f89117892L; 0x3fe4bf28c9950543L; 0x3fe8681063a3f37fL
+      |]);
+    ("SRPT", "drop",
+      0x4030d312a0888a34L, 0x3fd1ecf67ade14ecL,
+      [|
+        0x3fcbd1d4c915c2deL; 0x3fd21a935902986eL; 0x3fd5c4a841a2702eL;
+        0x3fce076cd7217431L; 0x3fd381176f3c889bL; 0x3fd70b6015901360L;
+        0x3fd46971da521057L; 0x3fe31f1db3dbcba2L; 0x3fe34cf8e0e52febL;
+        0x3fd8d92243af289fL; 0x3fdd678a5e65c717L; 0x3fd24f3d3877cb77L;
+        0x3fe097429ca4e7a9L; 0x3fe3a5b2656ee5fcL; 0x3fe8681063a3f37fL
+      |]);
+  ]
+
+let pinned_outputs () =
+  let module S = Statsched_cluster.Simulation in
+  let module Fault = Statsched_cluster.Fault in
+  let speeds = Statsched_core.Speeds.table3 in
+  let workload = Statsched_cluster.Workload.paper_default ~rho:0.7 ~speeds in
+  let disciplines = [ ("FCFS", S.Fcfs); ("RR(q=0.5)", S.Rr 0.5); ("SRPT", S.Srpt) ] in
+  let on_failure =
+    [
+      ("none", None);
+      ("requeue", Some Fault.Requeue);
+      ("resume", Some Fault.Resume);
+      ("drop", Some Fault.Drop);
+    ]
+  in
+  List.iter
+    (fun (d, f, rt, ratio, util) ->
+      let faults =
+        Option.map
+          (fun on_failure -> Fault.exponential ~on_failure ~mtbf:2000.0 ~mttr:100.0 ())
+          (List.assoc f on_failure)
+      in
+      let r =
+        S.run
+          (S.default_config ~discipline:(List.assoc d disciplines) ?faults ~horizon:10_000.0
+             ~warmup:2_500.0 ~speeds ~workload
+             ~scheduler:(Statsched_cluster.Scheduler.static Statsched_core.Policy.orr)
+             ())
+      in
+      let bits what expected actual =
+        Alcotest.(check int64) (Printf.sprintf "%s/%s %s" d f what) expected
+          (Int64.bits_of_float actual)
+      in
+      bits "mean response time" rt r.S.metrics.Statsched_core.Metrics.mean_response_time;
+      bits "mean response ratio" ratio r.S.metrics.Statsched_core.Metrics.mean_response_ratio;
+      Array.iteri
+        (fun i pc -> bits (Printf.sprintf "utilization[%d]" i) util.(i) pc.S.utilization)
+        r.S.per_computer)
+    pinned_cells
+
+let serial_invalid_arguments () =
+  let engine = Engine.create () in
+  let create ~speed order =
+    ignore (Q.Serial_server.create ~engine ~speed ~order ~on_departure:(fun _ -> ()) ())
+  in
+  Alcotest.check_raises "speed <= 0" (Invalid_argument "Serial_server.create: speed <= 0")
+    (fun () -> create ~speed:0.0 Q.Serial_server.Srpt);
+  Alcotest.check_raises "quantum <= 0"
+    (Invalid_argument "Serial_server.create: quantum <= 0") (fun () ->
+      create ~speed:1.0 (Q.Serial_server.Rr 0.0));
+  let s = fcfs () ~engine ~on_departure:(fun _ -> ()) in
+  Alcotest.check_raises "negative rate" (Invalid_argument "Serial_server.set_rate: rate < 0")
+    (fun () -> s.Q.Server_intf.set_rate (-1.0))
+
+let serial_suite =
+  [
+    test "serial: invalid arguments" serial_invalid_arguments;
+    test "rr: start stamped at first service" rr_start_at_first_service;
+    test "serial: suspension shifts completions by the outage" suspend_shifts_completions;
+    test "serial: half rate doubles remaining service time" half_rate_doubles_remaining_time;
+    test "serial: drain returns runner, then ready jobs" drain_returns_runner_then_ready;
+    test "serial: arrival while suspended" arrival_while_suspended;
+    test "serial: pinned Table 3 outputs" pinned_outputs;
+  ]
+
+let suite = suite @ srpt_suite @ serial_suite

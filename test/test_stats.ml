@@ -2,7 +2,6 @@ open Test_util
 module S = Statsched_stats
 module Welford = S.Welford
 module Tally = S.Tally
-module Histogram = S.Histogram
 module P2 = S.P2_quantile
 module Student_t = S.Student_t
 module Confidence = S.Confidence
@@ -110,40 +109,6 @@ let tally_backwards_time () =
 let tally_empty_nan () =
   let t = Tally.create () in
   Alcotest.(check bool) "no elapsed time -> nan" true (Float.is_nan (Tally.time_average t))
-
-let histogram_linear () =
-  let h = Histogram.create_linear ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -1.0; 10.0; 25.0 ];
-  Alcotest.(check int) "count includes overflow" 7 (Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check int) "bin 0" 1 (Histogram.bin_value h 0);
-  Alcotest.(check int) "bin 1" 2 (Histogram.bin_value h 1);
-  Alcotest.(check int) "bin 9" 1 (Histogram.bin_value h 9)
-
-let histogram_log () =
-  let h = Histogram.create_log ~lo:1.0 ~hi:1000.0 ~bins:3 in
-  List.iter (Histogram.add h) [ 2.0; 15.0; 150.0 ];
-  Alcotest.(check int) "bin 0 [1,10)" 1 (Histogram.bin_value h 0);
-  Alcotest.(check int) "bin 1 [10,100)" 1 (Histogram.bin_value h 1);
-  Alcotest.(check int) "bin 2 [100,1000)" 1 (Histogram.bin_value h 2);
-  let lo, hi = Histogram.bin_range h 1 in
-  check_float ~eps:1e-9 "log bin lower" 10.0 lo;
-  check_float ~eps:1e-9 "log bin upper" 100.0 hi
-
-let histogram_quantile () =
-  let h = Histogram.create_linear ~lo:0.0 ~hi:100.0 ~bins:100 in
-  for i = 0 to 999 do
-    Histogram.add h (float_of_int (i mod 100) +. 0.5)
-  done;
-  check_close ~rel:0.05 "median" 50.0 (Histogram.quantile h 0.5);
-  check_close ~rel:0.05 "p90" 90.0 (Histogram.quantile h 0.9)
-
-let histogram_errors () =
-  Alcotest.check_raises "lo >= hi" (Invalid_argument "Histogram.create_linear: lo >= hi")
-    (fun () -> ignore (Histogram.create_linear ~lo:1.0 ~hi:1.0 ~bins:5));
-  Alcotest.check_raises "log lo <= 0" (Invalid_argument "Histogram.create_log: lo <= 0")
-    (fun () -> ignore (Histogram.create_log ~lo:0.0 ~hi:10.0 ~bins:5))
 
 let p2_exact_small () =
   let p = P2.create 0.5 in
@@ -376,10 +341,6 @@ let suite =
     test "tally: warm-up reset" tally_reset;
     test "tally: time monotonicity enforced" tally_backwards_time;
     test "tally: empty is nan" tally_empty_nan;
-    test "histogram: linear bins with under/overflow" histogram_linear;
-    test "histogram: log bins" histogram_log;
-    test "histogram: quantile estimation" histogram_quantile;
-    test "histogram: parameter validation" histogram_errors;
     test "p2: exact before 5 samples" p2_exact_small;
     slow_test "p2: median of uniform" p2_uniform_median;
     slow_test "p2: p99 of exponential" p2_exponential_p99;
