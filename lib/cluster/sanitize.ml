@@ -38,7 +38,8 @@ let check_engine t engine =
   check_time t ~now:(Engine.now engine);
   if not (Engine.heap_ordered engine) then
     fail "event-heap-order"
-      "future-event list violates its heap property (%d events pending at t=%.17g)"
+      "future-event list or completion-slot index out of order (%d events pending \
+       at t=%.17g)"
       (Engine.pending_events engine) (Engine.now engine)
 
 let on_arrival t = t.arrived <- t.arrived + 1

@@ -3,7 +3,15 @@
     A conventional event-scheduling world view: a simulation clock, a
     future-event list ({!Event_queue}), and callbacks fired in timestamp
     order.  The clock only moves forward; scheduling into the past is a
-    programming error and raises. *)
+    programming error and raises.
+
+    Events come from two sources.  One-shot events ({!schedule}:
+    arrivals, faults, warm-up, periodic ticks) go on the future-event
+    list.  Server completions use {e completion slots} ({!slot}): a
+    fixed callback with at most one pending firing, re-armed in place,
+    so the future-event list never carries them.  {!step} fires the
+    earlier of the two; at equal timestamps events fire in the order
+    they were scheduled or armed, whichever source they come from. *)
 
 type t
 (** An engine instance.  Engines are independent; a program may run many
@@ -33,7 +41,39 @@ val cancel : t -> event_handle -> bool
 (** Cancel a pending event; [false] if it already fired or was cancelled. *)
 
 val pending_events : t -> int
-(** Number of events still scheduled. *)
+(** Number of events still scheduled: live heap events plus armed
+    slots. *)
+
+(** {2 Completion slots} *)
+
+type slot
+(** A registered callback with at most one pending firing. *)
+
+val no_slot : slot
+(** A sentinel never returned by {!slot}, for a record field that is
+    filled in once the record exists: {!arm}, {!disarm} and {!armed} on
+    it raise [Invalid_argument]. *)
+
+val slot : t -> (t -> unit) -> slot
+(** [slot e f] registers [f] as a new, disarmed slot.  Slots live as
+    long as the engine. *)
+
+val arm : t -> slot -> delay:float -> unit
+(** [arm e s ~delay] makes [s] fire at [now e +. delay], replacing any
+    pending firing.  Ties with other events break as if [s] were
+    scheduled now with {!schedule}.  The engine disarms [s] just before
+    calling its callback, which may re-arm it.
+
+    @raise Schedule_in_past if [delay < 0].
+    @raise Invalid_argument if the firing time is NaN or infinite. *)
+
+val disarm : t -> slot -> unit
+(** Drop the pending firing, if any.  Idempotent. *)
+
+val armed : t -> slot -> bool
+(** Whether [s] has a pending firing ([false] inside its own callback). *)
+
+(** {2 Running} *)
 
 val step : t -> bool
 (** Execute the single earliest event; [false] if the queue is empty. *)
@@ -64,13 +104,16 @@ val snapshot : t -> snapshot
     monitoring). *)
 
 val heap_high_water : t -> int
-(** High-water mark of the future-event list: the largest number of
-    pending events observed at any point (instrumentation — a proxy for
-    the simulator's heap pressure). *)
+(** High-water mark of pending events: the largest {!pending_events}
+    observed at any point (instrumentation — a proxy for the simulator's
+    event-set pressure). *)
 
 val heap_ordered : t -> bool
-(** Audit the future-event list's heap property; see
-    {!Event_queue.heap_ordered}.  O(pending events). *)
+(** Audit the future-event list's heap property (see
+    {!Event_queue.heap_ordered}) and the slot index: every node of its
+    winner tree holds the [(time, seq)] minimum of its children, and the
+    armed count equals the number of finite slot times.  O(pending events
+    + slots). *)
 
 (**/**)
 
@@ -78,6 +121,17 @@ module Testing : sig
   val corrupt_heap : t -> unit
   (** Test-only: corrupt the future-event list so {!heap_ordered} turns
       false; see {!Event_queue.Testing.corrupt}. *)
+
+  val corrupt_slots : t -> unit
+  (** Test-only: put the wrong slot at the root of the slot index, so
+      {!heap_ordered} turns false. *)
+
+  val heap_stored : t -> int
+  (** Entries physically stored in the future-event list, including
+      lazily-cancelled ones; see {!Event_queue.Testing.stored}. *)
+
+  val slot_capacity : t -> int
+  (** Leaves of the slot index (16 until more slots are registered). *)
 end
 
 type periodic

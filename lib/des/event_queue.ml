@@ -274,6 +274,13 @@ let[@inline] [@schedsim.hot] add q ~time payload =
   if q.live > q.hwm then q.hwm <- q.live;
   (Array.unsafe_get q.slot_gen slot lsl 32) lor slot
 
+let[@inline] take_seq q =
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  seq
+
+let[@inline] top_seq q = q.seqs.(0)
+
 (* Remove the root, refilling the hole with the last entry sifted down. *)
 let remove_root q =
   let last = q.len - 1 in

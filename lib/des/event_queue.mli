@@ -7,10 +7,16 @@
     with lazy deletion, so cancelling is O(1) and the cost is absorbed at
     pop time.
 
+    The engine's future-event list is one such queue; it carries
+    one-shot events (arrivals, faults, warm-up, periodic ticks) but no
+    server completions, which live in the engine's completion slots
+    ({!Engine.slot}).  Servers also keep their own queues (a PS server's
+    jobs by virtual finish time, SRPT's ready list).
+
     While the pending-event count stays under [ladder_threshold] this is
-    a plain binary heap.  Past the threshold (many-server runs: at
-    n = 10^4 computers the pending count tracks the cluster size) a far
-    band activates automatically: events beyond an adaptive time boundary
+    a plain binary heap.  Past the threshold (a queue holding thousands
+    of entries, such as a heavily loaded PS server's job set or a
+    many-server fault plan) a far band activates automatically: events beyond an adaptive time boundary
     are appended unsorted in O(1) and heapified in slices of ~threshold
     when the near heap drains.  The banding is invisible through this
     interface — pop order depends only on [(time, insertion order)].
@@ -88,6 +94,21 @@ val last_payload : 'a t -> 'a
 (** Payload of the event removed by the last successful {!pop_step}.
     Only meaningful immediately after [pop_step] returned [true]; raises
     [Invalid_argument] if the queue never held an event. *)
+
+(** {2 Sequence numbers}
+
+    Every {!add} stamps its event with the next number of one counter,
+    and equal timestamps pop in stamp order.  A caller that keeps timed
+    entries of its own (the engine's completion slots) can draw stamps
+    from the same counter and compare against the earliest event here,
+    so its entries and this queue's interleave in one FIFO order. *)
+
+val take_seq : 'a t -> int
+(** Draw the next sequence number, as an {!add} would. *)
+
+val top_seq : 'a t -> int
+(** Sequence number of the earliest live event.  Only meaningful right
+    after {!next_time} returned a number (it drops cancelled roots). *)
 
 val clear : 'a t -> unit
 (** Drop all events and release the backing storage, so queued payloads

@@ -19,16 +19,14 @@ type t = {
   on_departure : Job.t -> unit;
   active : Job.t Event_queue.t;  (* keyed by virtual finish time *)
   hot : hot;
-  mutable completion_ev : Engine.event_handle;  (* [no_event] when unset *)
-  mutable completion_fn : Engine.t -> unit;
-      (* allocated once in [create]; rescheduling reuses it so the
-         submit/complete cycle creates no closures *)
+  mutable completion : Engine.slot;
+      (* registered in [create] once the record exists; rescheduling
+         re-arms it in place, so the submit/complete cycle creates no
+         closures and puts nothing on the engine's event heap *)
   busy : Tally.t;
   occupancy : Tally.t;
   mutable completed : int;
 }
-
-let no_event = Event_queue.no_handle
 
 (* The helpers below are plain (non-recursive) definitions in dependency
    order so the compiler can inline the small ones into the submit /
@@ -51,28 +49,28 @@ let[@inline] advance t =
 let[@inline] eps t = 1e-9 *. (1.0 +. abs_float t.hot.vclock)
 
 let reschedule t =
-  if Event_queue.is_handle t.completion_ev then begin
-    ignore (Engine.cancel t.engine t.completion_ev);
-    t.completion_ev <- no_event
-  end;
   Tally.update t.occupancy ~time:(Engine.now t.engine)
     ~value:(float_of_int (in_system t));
   (* [next_time] is NaN when no job is active; NaN compares false below,
      so the empty case falls through without allocating an option. *)
   let v_min = Event_queue.next_time t.active in
-  if Float.is_nan v_min then
+  if Float.is_nan v_min then begin
+    Engine.disarm t.engine t.completion;
     Tally.update t.busy ~time:(Engine.now t.engine) ~value:0.0
+  end
   else begin
     let eff = t.speed *. t.hot.rate in
     if eff > 0.0 then begin
       Tally.update t.busy ~time:(Engine.now t.engine) ~value:1.0;
       let n = float_of_int (in_system t) in
       let delay = max 0.0 ((v_min -. t.hot.vclock) *. n /. eff) in
-      t.completion_ev <- Engine.schedule t.engine ~delay t.completion_fn
+      Engine.arm t.engine t.completion ~delay
     end
-    else
+    else begin
       (* Suspended: virtual time is frozen, no completion can occur. *)
+      Engine.disarm t.engine t.completion;
       Tally.update t.busy ~time:(Engine.now t.engine) ~value:0.0
+    end
   end
 
 (* Top-level rather than nested in [on_completion]: a [let rec] there
@@ -91,7 +89,6 @@ let[@schedsim.hot] rec drain_due t tol forced =
     end
 
 let on_completion t =
-  t.completion_ev <- no_event;
   advance t;
   let tol = eps t in
   (* Float round-off can leave the head a hair beyond the virtual clock;
@@ -109,14 +106,13 @@ let create ~engine ~speed ~on_departure () =
       on_departure;
       active = Event_queue.create ();
       hot = { rate = 1.0; vclock = 0.0; last_update = Engine.now engine; work = 0.0 };
-      completion_ev = no_event;
-      completion_fn = ignore;
+      completion = Engine.no_slot;
       busy = Tally.create ~start_time:(Engine.now engine) ();
       occupancy = Tally.create ~start_time:(Engine.now engine) ();
       completed = 0;
     }
   in
-  t.completion_fn <- (fun _ -> on_completion t);
+  t.completion <- Engine.slot engine (fun _ -> on_completion t);
   t
 
 let submit t job =

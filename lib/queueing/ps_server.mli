@@ -8,8 +8,11 @@
     time advances at rate [speed / n(t)], a job of size [σ] arriving at
     virtual time [v] departs when virtual time reaches [v + σ], so the
     next departure is always the minimum over a heap — every arrival and
-    departure costs O(log n) with no per-job bookkeeping updates.
-    {!Serial_server} in [Rr] order with a small quantum validates this
+    departure costs O(log n) with no per-job bookkeeping updates.  The
+    next departure is the server's one engine completion slot
+    ({!Statsched_des.Engine.slot}), re-armed in place on every arrival,
+    departure and rate change, so it never occupies the engine's event
+    heap.  {!Serial_server} in [Rr] order with a small quantum validates this
     model in the tests. *)
 
 type t

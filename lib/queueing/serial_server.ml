@@ -32,17 +32,15 @@ type t = {
   on_departure : Job.t -> unit;
   ready : ready;
   mutable runner : entry option;
-  mutable slice_ev : Engine.event_handle;  (* [no_event] while idle or suspended *)
-  mutable end_of_slice : Engine.t -> unit;
-      (* allocated once in [create]; every slice reuses it *)
+  mutable slice_end : Engine.slot;
+      (* registered in [create] once the record exists; armed while a
+         slice runs, disarmed while idle or suspended *)
   hot : hot;
   busy : Tally.t;
   occupancy : Tally.t;
   mutable completed : int;
   mutable n : int;
 }
-
-let no_event = Event_queue.no_handle
 
 let now t = Engine.now t.engine
 
@@ -73,16 +71,15 @@ let take_ready t =
    flight.  Valid because every rate change ends the slice first, so the
    whole slice ran at the current rate. *)
 let served t =
-  if Event_queue.is_handle t.slice_ev then
+  if Engine.armed t.engine t.slice_end then
     min t.hot.slice ((now t -. t.hot.slice_start) *. (t.speed *. t.hot.rate))
   else 0.0
 
 (* Bank the runner's progress in the current slice and cancel its end. *)
 let interrupt t e =
-  if Event_queue.is_handle t.slice_ev then begin
+  if Engine.armed t.engine t.slice_end then begin
     let s = served t in
-    ignore (Engine.cancel t.engine t.slice_ev);
-    t.slice_ev <- no_event;
+    Engine.disarm t.engine t.slice_end;
     e.remaining <- e.remaining -. s;
     t.hot.work <- t.hot.work +. s
   end
@@ -94,7 +91,7 @@ let start_slice t e =
   if eff > 0.0 then begin
     t.hot.slice <- min t.quantum e.remaining;
     t.hot.slice_start <- now t;
-    t.slice_ev <- Engine.schedule t.engine ~delay:(t.hot.slice /. eff) t.end_of_slice
+    Engine.arm t.engine t.slice_end ~delay:(t.hot.slice /. eff)
   end
 
 let run t e =
@@ -108,7 +105,6 @@ let start_next t =
   else run t (take_ready t)
 
 let end_slice t =
-  t.slice_ev <- no_event;
   match t.runner with
   | None -> ()
   | Some e ->
@@ -200,8 +196,7 @@ let create ~engine ~speed ~order ~on_departure () =
       on_departure;
       ready;
       runner = None;
-      slice_ev = no_event;
-      end_of_slice = ignore;
+      slice_end = Engine.no_slot;
       hot = { rate = 1.0; slice = 0.0; slice_start = Engine.now engine; work = 0.0 };
       busy = Tally.create ~start_time:(Engine.now engine) ();
       occupancy = Tally.create ~start_time:(Engine.now engine) ();
@@ -209,7 +204,7 @@ let create ~engine ~speed ~order ~on_departure () =
       n = 0;
     }
   in
-  t.end_of_slice <- (fun _ -> end_slice t);
+  t.slice_end <- Engine.slot engine (fun _ -> end_slice t);
   {
     Server_intf.speed;
     submit = submit t;

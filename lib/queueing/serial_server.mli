@@ -15,7 +15,8 @@
       list and slices of at most [q] work, after which the job rejoins
       the back of the list.  As [q] shrinks this converges to
       {!Ps_server}, and a test checks the agreement on identical traces.
-      Every slice is a simulation event, so small quanta are slow; this
+      Every slice end is a simulation event (a firing of the server's
+      engine completion slot), so small quanta are slow; this
       order validates the PS model rather than running the headline
       experiments.
     - {!Srpt}: shortest-remaining-processing-time, the optimal

@@ -338,6 +338,219 @@ let engine_heap_high_water () =
   Alcotest.(check int) "seven simultaneous pending events" 7
     (Engine.heap_high_water e)
 
+(* ------------------------------------------------------------------ *)
+(* Completion slots                                                    *)
+
+(* Fire everything, logging each label in firing order. *)
+let firing_order setup =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note label _ = log := label :: !log in
+  setup e note;
+  Engine.run e;
+  List.rev !log
+
+let engine_slot_heap_ties () =
+  Alcotest.(check (list string)) "heap scheduled first fires first" [ "heap"; "slot" ]
+    (firing_order (fun e note ->
+         let s = Engine.slot e (note "slot") in
+         ignore (Engine.schedule e ~delay:1.0 (note "heap"));
+         Engine.arm e s ~delay:1.0));
+  Alcotest.(check (list string)) "slot armed first fires first" [ "slot"; "heap" ]
+    (firing_order (fun e note ->
+         let s = Engine.slot e (note "slot") in
+         Engine.arm e s ~delay:1.0;
+         ignore (Engine.schedule e ~delay:1.0 (note "heap"))));
+  Alcotest.(check (list string)) "a re-arm onto a tie queues behind the heap event"
+    [ "heap"; "slot" ]
+    (firing_order (fun e note ->
+         let s = Engine.slot e (note "slot") in
+         Engine.arm e s ~delay:1.0;
+         ignore (Engine.schedule e ~delay:1.0 (note "heap"));
+         Engine.arm e s ~delay:1.0));
+  Alcotest.(check (list string)) "several slots tie by arm order" [ "a"; "heap"; "b" ]
+    (firing_order (fun e note ->
+         let a = Engine.slot e (note "a") and b = Engine.slot e (note "b") in
+         Engine.arm e b ~delay:2.0;
+         Engine.arm e a ~delay:2.0;
+         ignore (Engine.schedule e ~delay:2.0 (note "heap"));
+         Engine.arm e b ~delay:2.0))
+
+let engine_slot_rearm_disarm () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let inside = ref true in
+  let self = ref Engine.no_slot in
+  let s =
+    Engine.slot e (fun e ->
+        fired := Engine.now e :: !fired;
+        inside := Engine.armed e !self)
+  in
+  self := s;
+  Alcotest.(check bool) "fresh slot is disarmed" false (Engine.armed e s);
+  Engine.arm e s ~delay:5.0;
+  Engine.arm e s ~delay:2.0;
+  Alcotest.(check bool) "armed" true (Engine.armed e s);
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "re-arm replaces the pending firing" [ 2.0 ] !fired;
+  Alcotest.(check bool) "disarmed inside its own callback" false !inside;
+  Alcotest.(check int) "one event executed" 1 (Engine.events_executed e);
+  Engine.arm e s ~delay:1.0;
+  Engine.disarm e s;
+  Engine.disarm e s;
+  Alcotest.(check bool) "disarmed" false (Engine.armed e s);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events e);
+  Engine.run e;
+  Alcotest.(check int) "a disarmed slot never fires" 1 (List.length !fired)
+
+let engine_slot_counters () =
+  let e = Engine.create () in
+  let slots = Array.init 3 (fun _ -> Engine.slot e (fun _ -> ())) in
+  ignore (Engine.schedule e ~delay:1.0 (fun _ -> ()));
+  ignore (Engine.schedule e ~delay:2.0 (fun _ -> ()));
+  Array.iteri (fun i s -> Engine.arm e s ~delay:(float_of_int (i + 3))) slots;
+  Alcotest.(check int) "pending counts armed slots" 5 (Engine.pending_events e);
+  Alcotest.(check int) "high-water counts armed slots" 5 (Engine.heap_high_water e);
+  Engine.arm e slots.(0) ~delay:9.0;
+  Alcotest.(check int) "a re-arm adds nothing" 5 (Engine.pending_events e);
+  Engine.disarm e slots.(1);
+  Alcotest.(check int) "disarm removes one" 4 (Engine.pending_events e);
+  Alcotest.(check int) "snapshot agrees" 4 (Engine.snapshot e).Engine.snap_pending;
+  Engine.run e;
+  Alcotest.(check int) "all fired" 4 (Engine.events_executed e);
+  Alcotest.(check int) "high-water kept" 5 (Engine.heap_high_water e);
+  Alcotest.(check int) "snapshot high-water" 5
+    (Engine.snapshot e).Engine.snap_heap_high_water
+
+let engine_slot_validation () =
+  let e = Engine.create ~start_time:1.0 () in
+  let s = Engine.slot e (fun _ -> ()) in
+  (try
+     Engine.arm e s ~delay:(-0.5);
+     Alcotest.fail "expected Schedule_in_past"
+   with Engine.Schedule_in_past { now; requested } ->
+     check_float "now" 1.0 now;
+     check_float "requested" 0.5 requested);
+  Alcotest.check_raises "nan" (Invalid_argument "Engine.arm: non-finite time") (fun () ->
+      Engine.arm e s ~delay:Float.nan);
+  Alcotest.check_raises "inf" (Invalid_argument "Engine.arm: non-finite time") (fun () ->
+      Engine.arm e s ~delay:Float.infinity);
+  Alcotest.(check bool) "failed arms leave it disarmed" false (Engine.armed e s);
+  Alcotest.(check bool) "index intact" true (Engine.heap_ordered e);
+  Alcotest.check_raises "no_slot" (Invalid_argument "index out of bounds") (fun () ->
+      Engine.arm e Engine.no_slot ~delay:1.0)
+
+let engine_slot_growth () =
+  (* 40 slots, past the initial 16 leaves: arms in a scrambled order with
+     ties must fire by (time, arm order). *)
+  let e = Engine.create () in
+  let log = ref [] in
+  let slots = Array.init 40 (fun i -> Engine.slot e (fun _ -> log := i :: !log)) in
+  Alcotest.(check bool) "index grew" true (Engine.Testing.slot_capacity e >= 40);
+  let order = List.init 40 (fun k -> (k * 17) mod 40) in
+  List.iter (fun i -> Engine.arm e slots.(i) ~delay:(float_of_int (i mod 7))) order;
+  Alcotest.(check bool) "index ordered" true (Engine.heap_ordered e);
+  Engine.run e;
+  let expected =
+    List.stable_sort (fun a b -> Int.compare (a mod 7) (b mod 7)) order
+  in
+  Alcotest.(check (list int)) "fires by (time, arm order)" expected (List.rev !log)
+
+(* Random interleavings against a reference engine in which a slot is a
+   plain heap event: [arm] is a cancel plus a fresh [schedule].  Slot
+   callbacks on even slots re-arm once from inside, so re-entrant arms
+   are covered too. *)
+let prop_slots_match_reference =
+  let n_slots = 5 in
+  qcheck ~count:300 "engine: slots match cancel-and-reschedule reference"
+    QCheck2.Gen.(
+      list_size (int_range 0 120)
+        (oneof
+           [
+             map (fun d -> `Schedule d) (int_range 0 8);
+             map (fun k -> `Cancel k) (int_range 0 1000);
+             map2 (fun s d -> `Arm (s, d)) (int_range 0 (n_slots - 1)) (int_range 0 8);
+             map (fun s -> `Disarm s) (int_range 0 (n_slots - 1));
+             return `Step;
+           ]))
+    (fun ops ->
+      let delay d = float_of_int d /. 4.0 in
+      (* The slot engine. *)
+      let e = Engine.create () in
+      let log = ref [] in
+      let handles = ref [] and n_sched = ref 0 in
+      let rearmed = Array.make n_slots false in
+      let slots = Array.make n_slots Engine.no_slot in
+      Array.iteri
+        (fun k _ ->
+          slots.(k) <-
+            Engine.slot e (fun e ->
+                log := (`S k, Engine.now e) :: !log;
+                if k mod 2 = 0 && not rearmed.(k) then begin
+                  rearmed.(k) <- true;
+                  Engine.arm e slots.(k) ~delay:0.5
+                end))
+        slots;
+      (* The reference engine. *)
+      let r = Engine.create () in
+      let rlog = ref [] in
+      let rhandles = ref [] in
+      let rrearmed = Array.make n_slots false in
+      let rslot = Array.make n_slots Event_queue.no_handle in
+      let rec rarm k d =
+        ignore (Engine.cancel r rslot.(k));
+        rslot.(k) <-
+          Engine.schedule r ~delay:d (fun r ->
+              rslot.(k) <- Event_queue.no_handle;
+              rlog := (`S k, Engine.now r) :: !rlog;
+              if k mod 2 = 0 && not rrearmed.(k) then begin
+                rrearmed.(k) <- true;
+                rarm k 0.5
+              end)
+      in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | `Schedule d ->
+            let id = !n_sched in
+            incr n_sched;
+            handles :=
+              Engine.schedule e ~delay:(delay d) (fun e ->
+                  log := (`H id, Engine.now e) :: !log)
+              :: !handles;
+            rhandles :=
+              Engine.schedule r ~delay:(delay d) (fun r ->
+                  rlog := (`H id, Engine.now r) :: !rlog)
+              :: !rhandles
+          | `Cancel k ->
+            if !n_sched > 0 then begin
+              let i = k mod !n_sched in
+              ignore (Engine.cancel e (List.nth !handles i));
+              ignore (Engine.cancel r (List.nth !rhandles i))
+            end
+          | `Arm (k, d) ->
+            Engine.arm e slots.(k) ~delay:(delay d);
+            rarm k (delay d)
+          | `Disarm k ->
+            Engine.disarm e slots.(k);
+            ignore (Engine.cancel r rslot.(k));
+            rslot.(k) <- Event_queue.no_handle
+          | `Step ->
+            let fired = Engine.step e in
+            if fired <> Engine.step r then ok := false);
+          if Engine.pending_events e <> Engine.pending_events r
+             || not (Engine.heap_ordered e)
+          then ok := false)
+        ops;
+      Engine.run e;
+      Engine.run r;
+      let same_firing (a, t) (b, t') = a = b && Float.equal t t' in
+      !ok
+      && List.equal same_firing !log !rlog
+      && Engine.events_executed e = Engine.events_executed r
+      && Engine.heap_high_water e = Engine.heap_high_water r)
+
 let eq_hot_path_no_alloc () =
   (* The SoA queue must not allocate per event once its buffers are
      sized: [add] with a statically-allocated time, [pop_step] and the
@@ -562,4 +775,10 @@ let suite =
     test "engine: stopping a periodic task" engine_every_stop;
     test "event_queue: heap high-water mark" eq_high_water;
     test "engine: heap high-water mark" engine_heap_high_water;
+    test "engine: slot and heap ties fire in schedule order" engine_slot_heap_ties;
+    test "engine: slot re-arm and disarm" engine_slot_rearm_disarm;
+    test "engine: counters include armed slots" engine_slot_counters;
+    test "engine: slot arm validation" engine_slot_validation;
+    test "engine: slot index growth keeps order" engine_slot_growth;
+    prop_slots_match_reference;
   ]

@@ -584,15 +584,57 @@ let arrival_while_suspended () =
     [ (6.5, 8.5); (8.5, 7.0); (8.5, 5.0) ]
 
 (* ------------------------------------------------------------------ *)
-(* Pinned serial-discipline outputs                                    *)
+(* Pinned discipline outputs                                           *)
 
 (* IEEE-754 bit patterns of a short Table 3 run (rho 0.7, ORR, horizon
    10^4 s, seed 42): mean response time, mean response ratio and each
-   computer's utilisation, per serial discipline with and without
-   exponential crashes (MTBF 2000 s, MTTR 100 s).  Any change to the
-   serial server's arithmetic or event order shows up here. *)
+   computer's utilisation, per discipline with and without exponential
+   crashes (MTBF 2000 s, MTTR 100 s), followed by the engine's
+   [events_executed] and [heap_high_water].  Any change to a server's
+   arithmetic or event order shows up here, and so does any change to
+   how many events the engine fires or holds pending at once. *)
 let pinned_cells =
   [
+    ("PS", "none",
+      0x403b5fa6c55506b9L, 0x3fdfbee1009a4264L,
+      [|
+        0x3fd787a37a948868L; 0x3fe27712ff448f1aL; 0x3fd593957be6b869L;
+        0x3fe0a8364c017809L; 0x3fc12b2750ccc14aL; 0x3fe1000285bea251L;
+        0x3fdb5eff666a58adL; 0x3fe2c39a0b3f0efeL; 0x3fda994dbccb30d2L;
+        0x3fde1d32357308f1L; 0x3fdf373aeac59e23L; 0x3fd5c99a4bbfeaa0L;
+        0x3fe716c95e5c52eaL; 0x3fe5dd8031248905L; 0x3fe728661b6560a1L
+      |],
+      8347, 15);
+    ("PS", "requeue",
+      0x404477e870abc6e1L, 0x3fe8f341c075e54fL,
+      [|
+        0x3fcd302e1a312294L; 0x3fd58d771ef1864bL; 0x3fdb7b5ac2bd5503L;
+        0x3fbd36e2fe4e50f7L; 0x3fc54634831c1ae3L; 0x3fe216f0aa1b3b9dL;
+        0x3fd67d5f6ebbc2e8L; 0x3fd7cadaa90bed76L; 0x3fe3322c6e7d68aaL;
+        0x3fdaf649532a8c95L; 0x3fdfe6c3dbd6fe93L; 0x3fd23b4f102b159bL;
+        0x3fe5f9b345857323L; 0x3fe73cef3328fd31L; 0x3feb322fda8d1530L
+      |],
+      8467, 31);
+    ("PS", "resume",
+      0x4040d214feec1089L, 0x3fe2b56cc8adc2f3L,
+      [|
+        0x3fdcb06906aab586L; 0x3fd21a9359029878L; 0x3fd7f3e6670f1d5eL;
+        0x3fdcdbe8cc1f1af7L; 0x3fd3d3ad572da7c5L; 0x3fd7ee5c71bef311L;
+        0x3fe8682044567206L; 0x3fe31f1db3dbcba2L; 0x3fe73f7128b55462L;
+        0x3fe0a199ac44b7baL; 0x3fe629dd85b54526L; 0x3fd3af38335a7c7aL;
+        0x3fe1b99f8911788fL; 0x3fe4bf28c9950542L; 0x3fe8681063a3f389L
+      |],
+      8492, 31);
+    ("PS", "drop",
+      0x4037ef39c3a55eb0L, 0x3fdea9e9d8e87ff5L,
+      [|
+        0x3fcbd1d4c915c2e2L; 0x3fd21a9359029878L; 0x3fd5c4a841a2702dL;
+        0x3fce076cd7217428L; 0x3fd381176f3c889bL; 0x3fd70b6015901359L;
+        0x3fd46971da521058L; 0x3fe31f1db3dbcba2L; 0x3fe34cf8e0e52fe6L;
+        0x3fd8d92243af28a7L; 0x3fdd678a5e65c715L; 0x3fd24f3d3877cb68L;
+        0x3fe097429ca4e7a5L; 0x3fe3a5b2656ee602L; 0x3fe8681063a3f38bL
+      |],
+      8450, 31);
     ("FCFS", "none",
       0x405d019fb8b51af9L, 0x4015bb04f8e76b15L,
       [|
@@ -601,7 +643,8 @@ let pinned_cells =
         0x3fdb5eff666a58a9L; 0x3fe2c39a0b3f0f03L; 0x3fda994dbccb30ddL;
         0x3fde1d32357308faL; 0x3fdf373aeac59e35L; 0x3fd5c99a4bbfeaacL;
         0x3fe716c95e5c52f5L; 0x3fe5dd8031248918L; 0x3fe728661b656090L
-      |]);
+      |],
+      8155, 15);
     ("FCFS", "requeue",
       0x406cb876577649f0L, 0x40259cf2e83f2a5cL,
       [|
@@ -610,7 +653,8 @@ let pinned_cells =
         0x3fd896129994a081L; 0x3fd802f47ddca833L; 0x3fe33f7fb9816deeL;
         0x3fd9b0c3b6736502L; 0x3fde03d58b37cbe0L; 0x3fd2e56a9d0c3acbL;
         0x3fe0f68be06d8408L; 0x3fe53928d98ededaL; 0x3febf20213c00084L
-      |]);
+      |],
+      8251, 31);
     ("FCFS", "resume",
       0x406387fc01283d3eL, 0x401d3738a2cbdef7L,
       [|
@@ -619,7 +663,8 @@ let pinned_cells =
         0x3fe8682044567205L; 0x3fe31f1db3dbcba2L; 0x3fe73f7128b55469L;
         0x3fe0a199ac44b7b6L; 0x3fe629dd85b54527L; 0x3fd3af38335a7c87L;
         0x3fe1b99f89117892L; 0x3fe4bf28c9950543L; 0x3fe8681063a3f380L
-      |]);
+      |],
+      8262, 31);
     ("FCFS", "drop",
       0x405b70224a8cd695L, 0x40146828c1eb3933L,
       [|
@@ -628,7 +673,8 @@ let pinned_cells =
         0x3fd46971da521057L; 0x3fe31f1db3dbcba2L; 0x3fe34cf8e0e52febL;
         0x3fd8d92243af289fL; 0x3fdd678a5e65c717L; 0x3fd24f3d3877cb77L;
         0x3fe097429ca4e7a9L; 0x3fe3a5b2656ee5fcL; 0x3fe8681063a3f380L
-      |]);
+      |],
+      8230, 31);
     ("RR(q=0.5)", "none",
       0x403b63e66deb3e7bL, 0x3fdfd14237094e67L,
       [|
@@ -637,7 +683,8 @@ let pinned_cells =
         0x3fdb5eff666a4e72L; 0x3fe2c39a0b3f10ecL; 0x3fda994dbccb39feL;
         0x3fde1d32357308faL; 0x3fdf373aeac59e35L; 0x3fd5c99a4bbfeaafL;
         0x3fe716c95e5c7838L; 0x3fe5dd8031249a35L; 0x3fe728661b65770cL
-      |]);
+      |],
+      520242, 15);
     ("RR(q=0.5)", "requeue",
       0x40430d5015a2b892L, 0x3fe8eefdc250b97dL,
       [|
@@ -646,7 +693,8 @@ let pinned_cells =
         0x3fd678752af78f8dL; 0x3fd81fb0a5c52e1cL; 0x3fe2ece6277fe49bL;
         0x3fdaf649532a8c89L; 0x3fde98a39a32be94L; 0x3fd19e02e5aba8c6L;
         0x3fe38111548ad22eL; 0x3fe672bb5e96b48dL; 0x3fec0c61477703e3L
-      |]);
+      |],
+      530076, 31);
     ("RR(q=0.5)", "resume",
       0x4040d4ebc7860c28L, 0x3fe2c1c07a6a4495L,
       [|
@@ -655,7 +703,8 @@ let pinned_cells =
         0x3fe8682044566eb6L; 0x3fe31f1db3dbc977L; 0x3fe73f7128b54e69L;
         0x3fe0a199ac44b7baL; 0x3fe629dd85b54527L; 0x3fd3af38335a7c89L;
         0x3fe1b99f8911ae85L; 0x3fe4bf28c9950e5fL; 0x3fe8681063a444b5L
-      |]);
+      |],
+      522625, 31);
     ("RR(q=0.5)", "drop",
       0x4037f3bc0c173a15L, 0x3fdebd2581566f7bL,
       [|
@@ -664,7 +713,8 @@ let pinned_cells =
         0x3fd46971da52197dL; 0x3fe31f1db3dbc977L; 0x3fe34cf8e0e52fbcL;
         0x3fd8d92243af28a6L; 0x3fdd678a5e65c717L; 0x3fd24f3d3877cb77L;
         0x3fe097429ca51861L; 0x3fe3a5b2656ee944L; 0x3fe8681063a444b5L
-      |]);
+      |],
+      479605, 31);
     ("SRPT", "none",
       0x403459629b720eedL, 0x3fd26a8b5f8bb216L,
       [|
@@ -673,7 +723,8 @@ let pinned_cells =
         0x3fdb5eff666a58a9L; 0x3fe2c39a0b3f0f04L; 0x3fda994dbccb30ddL;
         0x3fde1d32357308faL; 0x3fdf373aeac59e35L; 0x3fd5c99a4bbfeaadL;
         0x3fe716c95e5c52f6L; 0x3fe5dd8031248915L; 0x3fe728661b656092L
-      |]);
+      |],
+      8362, 15);
     ("SRPT", "requeue",
       0x403560aef6a637b7L, 0x3fd257c177b60fd1L,
       [|
@@ -682,7 +733,8 @@ let pinned_cells =
         0x3fd58ba1b5550bb5L; 0x3fd7a4597d74410dL; 0x3fe32a3fff679d4aL;
         0x3fdbf32bf71cac85L; 0x3fde32d570598c2cL; 0x3fd1c3bef3474becL;
         0x3fe256c01344128bL; 0x3fe668ec594dda3bL; 0x3feb6d88aefb98c5L
-      |]);
+      |],
+      8515, 31);
     ("SRPT", "resume",
       0x4036df89691aa8b3L, 0x3fd2f073c83e507fL,
       [|
@@ -691,7 +743,8 @@ let pinned_cells =
         0x3fe8682044567205L; 0x3fe31f1db3dbcba2L; 0x3fe73f7128b5546cL;
         0x3fe0a199ac44b7b6L; 0x3fe629dd85b54527L; 0x3fd3af38335a7c87L;
         0x3fe1b99f89117892L; 0x3fe4bf28c9950543L; 0x3fe8681063a3f37fL
-      |]);
+      |],
+      8512, 31);
     ("SRPT", "drop",
       0x4030d312a0888a34L, 0x3fd1ecf67ade14ecL,
       [|
@@ -700,7 +753,8 @@ let pinned_cells =
         0x3fd46971da521057L; 0x3fe31f1db3dbcba2L; 0x3fe34cf8e0e52febL;
         0x3fd8d92243af289fL; 0x3fdd678a5e65c717L; 0x3fd24f3d3877cb77L;
         0x3fe097429ca4e7a9L; 0x3fe3a5b2656ee5fcL; 0x3fe8681063a3f37fL
-      |]);
+      |],
+      8481, 31);
   ]
 
 let pinned_outputs () =
@@ -708,7 +762,9 @@ let pinned_outputs () =
   let module Fault = Statsched_cluster.Fault in
   let speeds = Statsched_core.Speeds.table3 in
   let workload = Statsched_cluster.Workload.paper_default ~rho:0.7 ~speeds in
-  let disciplines = [ ("FCFS", S.Fcfs); ("RR(q=0.5)", S.Rr 0.5); ("SRPT", S.Srpt) ] in
+  let disciplines =
+    [ ("PS", S.Ps); ("FCFS", S.Fcfs); ("RR(q=0.5)", S.Rr 0.5); ("SRPT", S.Srpt) ]
+  in
   let on_failure =
     [
       ("none", None);
@@ -718,7 +774,7 @@ let pinned_outputs () =
     ]
   in
   List.iter
-    (fun (d, f, rt, ratio, util) ->
+    (fun (d, f, rt, ratio, util, events, hwm) ->
       let faults =
         Option.map
           (fun on_failure -> Fault.exponential ~on_failure ~mtbf:2000.0 ~mttr:100.0 ())
@@ -739,8 +795,45 @@ let pinned_outputs () =
       bits "mean response ratio" ratio r.S.metrics.Statsched_core.Metrics.mean_response_ratio;
       Array.iteri
         (fun i pc -> bits (Printf.sprintf "utilization[%d]" i) util.(i) pc.S.utilization)
-        r.S.per_computer)
+        r.S.per_computer;
+      Alcotest.(check int) (Printf.sprintf "%s/%s events executed" d f) events
+        r.S.events_executed;
+      Alcotest.(check int) (Printf.sprintf "%s/%s heap high-water" d f) hwm
+        r.S.heap_high_water)
     pinned_cells
+
+(* Completions never touch the engine's event heap: jobs submitted
+   directly, with no other event scheduled, must all complete while the
+   heap stores nothing — servers re-arm their completion slot instead.
+   A suspension and a resume (straight calls, not events) re-arm too. *)
+let completions_bypass_heap () =
+  List.iter
+    (fun (name, make_server) ->
+      let engine = Engine.create () in
+      let done_ = ref 0 in
+      let heap_seen = ref 0 in
+      let look () = heap_seen := max !heap_seen (Engine.Testing.heap_stored engine) in
+      let server =
+        make_server ~engine ~on_departure:(fun _ ->
+            incr done_;
+            look ())
+      in
+      List.iteri
+        (fun i size -> server.Q.Server_intf.submit (Job.create ~id:i ~size ~arrival:0.0))
+        [ 3.0; 1.0; 2.0; 0.5 ];
+      ignore (Engine.step engine);
+      server.Q.Server_intf.set_rate 0.0;
+      Alcotest.(check int) (name ^ ": suspended, nothing pending") 0
+        (Engine.pending_events engine);
+      server.Q.Server_intf.set_rate 1.0;
+      Alcotest.(check int) (name ^ ": one completion pending") 1
+        (Engine.pending_events engine);
+      while Engine.step engine do
+        look ()
+      done;
+      Alcotest.(check int) (name ^ ": all jobs completed") 4 !done_;
+      Alcotest.(check int) (name ^ ": heap never stored an event") 0 !heap_seen)
+    [ ("PS", ps ()); ("FCFS", fcfs ()); ("RR", rr ~quantum:0.25 ()); ("SRPT", srpt ()) ]
 
 let serial_invalid_arguments () =
   let engine = Engine.create () in
@@ -765,6 +858,7 @@ let serial_suite =
     test "serial: drain returns runner, then ready jobs" drain_returns_runner_then_ready;
     test "serial: arrival while suspended" arrival_while_suspended;
     test "serial: pinned Table 3 outputs" pinned_outputs;
+    test "servers: completions bypass the event heap" completions_bypass_heap;
   ]
 
 let suite = suite @ srpt_suite @ serial_suite

@@ -46,6 +46,18 @@ let engine_heap_check_fires () =
   Engine.Testing.corrupt_heap e;
   violation_fires "corrupted engine heap" (fun () -> Sanitize.check_engine s e)
 
+let engine_slot_check_fires () =
+  (* Both halves of the root match hold an armed slot, so crowning the
+     loser breaks the tree whatever the slots' order. *)
+  let e = Engine.create () in
+  let slots = Array.init 16 (fun _ -> Engine.slot e (fun _ -> ())) in
+  Array.iteri (fun i s -> Engine.arm e s ~delay:(float_of_int (16 - i))) slots;
+  let s = Sanitize.create () in
+  Sanitize.check_engine s e;
+  Engine.Testing.corrupt_slots e;
+  Alcotest.(check bool) "audit sees the corrupted index" false (Engine.heap_ordered e);
+  violation_fires "corrupted slot index" (fun () -> Sanitize.check_engine s e)
+
 let job_conservation_fires () =
   let s = Sanitize.create () in
   Sanitize.on_arrival s;
@@ -167,6 +179,7 @@ let suite =
     test "sanitize: clock monotonicity fires" clock_monotonicity_fires;
     test "sanitize: event-queue heap audit fires" heap_order_fires;
     test "sanitize: engine heap check fires" engine_heap_check_fires;
+    test "sanitize: engine slot-index check fires" engine_slot_check_fires;
     test "sanitize: job conservation fires" job_conservation_fires;
     test "sanitize: allocation feasibility fires" allocation_feasibility_fires;
     test "sanitize: fresh state is balanced" env_toggle;
