@@ -386,10 +386,10 @@ let run_macro ~jobs () =
   (* Many-server regime: one n = 10^4 cell of the scale sweep's
      two-class cluster under the full-information tree dispatcher
      (JSQ with d = n).  This is the configuration the scale sweep's
-     acceptance bound watches — enough pending events that the event
-     queue's far band is active — so its throughput is tracked as its
-     own pair of macros rather than inferred from the six-computer
-     figures above. *)
+     acceptance bound watches — 10^4 servers, each re-arming its own
+     completion slot in the engine's index — so its throughput is
+     tracked as its own pair of macros rather than inferred from the
+     six-computer figures above. *)
   let n10k = 10_000 in
   let n10k_speeds = E.Ext_scale.speeds_for n10k in
   let n10k_workload = Cluster.Workload.paper_default ~rho:0.7 ~speeds:n10k_speeds in

@@ -109,11 +109,12 @@ val heap_high_water : t -> int
     event-set pressure). *)
 
 val heap_ordered : t -> bool
-(** Audit the future-event list's heap property (see
-    {!Event_queue.heap_ordered}) and the slot index: every node of its
-    winner tree holds the [(time, seq)] minimum of its children, and the
-    armed count equals the number of finite slot times.  O(pending events
-    + slots). *)
+(** Audit both event sources.  The future-event list is one binary
+    heap, so every parent must precede its children
+    ({!Event_queue.heap_ordered}).  In the slot index every node of the
+    winner tree must hold the [(time, seq)] minimum of its children, and
+    the armed count must equal the number of finite slot times.
+    O(pending events + slots). *)
 
 (**/**)
 

@@ -1,28 +1,7 @@
-(* Two-band future-event list keyed by (time, seq), structure-of-arrays
-   throughout.
-
-   Near band: a binary min-heap across four parallel arrays — [times]
-   (unboxed floatarray), [seqs], [slots] and [payloads].  Far band: an
-   {e unsorted} append-only overflow holding every event at or beyond
-   [boundary].  While the queue is small the far band is disabled
-   ([boundary = +inf]) and this is exactly the PR 4 heap.  Once the
-   heap outgrows [threshold] (the binary heap's comfort zone — at
-   n = 10^4 computers the pending-event count tracks the cluster size),
-   the boundary locks at the current maximum heap time and later adds
-   beyond it become O(1) appends instead of O(log n) sifts, the
-   calendar-queue idea with a single adaptive bucket.  When the heap
-   drains, a slice of the far band (the earliest ~[threshold] events,
-   found by a linear partition) is promoted and Floyd-heapified.  Pop
-   order depends only on [(time, seq)], so banding cannot change
-   simulation results — the qcheck oracle pins bit-exact equality with
-   a sorted-list model with the band forced on.
-
-   Ordering across the bands is safe by construction: far events have
-   [time >= boundary], post-activation heap adds have
-   [time < boundary], and the heap-resident events that {e equal} the
-   boundary (possible only at activation) carry smaller sequence
-   numbers than any far event, so draining the heap first is exactly
-   FIFO order even on a time tie.
+(* Future-event list: a binary min-heap keyed by (time, seq),
+   structure-of-arrays throughout — four parallel arrays [times]
+   (unboxed floatarray), [seqs], [slots] and [payloads].  Pop order
+   depends only on [(time, seq)]: equal times pop in insertion order.
 
    Cancellation is a slot table, not the former sequence-number bitmap.
    The bitmap spanned [min stored seq, next seq), so one long-lived
@@ -40,66 +19,41 @@ let no_handle = -1
 let[@inline] is_handle h = h >= 0
 
 type 'a t = {
-  (* near band: binary min-heap *)
   mutable times : Float.Array.t;
   mutable seqs : int array;
   mutable slots : int array;
   mutable payloads : 'a array;
   mutable len : int;  (* stored in the heap, including lazily-cancelled *)
-  (* far band: unsorted events with time >= boundary *)
-  mutable far_times : Float.Array.t;
-  mutable far_seqs : int array;
-  mutable far_slots : int array;
-  mutable far_payloads : 'a array;
-  mutable far_len : int;  (* stored in the far band, incl. cancelled *)
-  mutable boundary : float;  (* +inf: banding off, everything heaps *)
-  threshold : int;
   mutable live : int;  (* stored entries not yet fired or cancelled *)
   mutable next_seq : int;
-  mutable hwm : int;  (* most live events ever pending at once *)
   mutable filler : 'a option;
       (* Written into vacated payload cells so popped entries become
          collectable immediately.  The type has no value to make one
          from until the first [add], whose payload is kept as the
-         filler — so at most that one payload outlives its scheduling
-         (until [clear]). *)
+         filler — so at most that one payload outlives its scheduling. *)
   (* slot table: liveness + handle generations, O(max stored) *)
   mutable slot_seq : int array;  (* seq of the tenant, -1 when free *)
   mutable slot_gen : int array;  (* bumped on free: stale handles miss *)
   mutable free_slots : int array;  (* stack of free slot ids *)
   mutable free_top : int;
-  init_cap : int;
   last_time : Float.Array.t;  (* length 1: time of the last [pop_step] *)
   mutable last_payload : 'a array;  (* length <= 1: its payload *)
 }
 
-let default_threshold = 4096
-
-let create ?(initial_capacity = 64) ?(ladder_threshold = default_threshold) () =
-  if ladder_threshold < 1 then
-    invalid_arg "Event_queue.create: ladder_threshold < 1";
+let create () =
   {
     times = Float.Array.make 0 0.0;
     seqs = [||];
     slots = [||];
     payloads = [||];
     len = 0;
-    far_times = Float.Array.make 0 0.0;
-    far_seqs = [||];
-    far_slots = [||];
-    far_payloads = [||];
-    far_len = 0;
-    boundary = infinity;
-    threshold = ladder_threshold;
     live = 0;
     next_seq = 0;
-    hwm = 0;
     filler = None;
     slot_seq = [||];
     slot_gen = [||];
     free_slots = [||];
     free_top = 0;
-    init_cap = max 16 initial_capacity;
     last_time = Float.Array.make 1 Float.nan;
     last_payload = [||];
   }
@@ -107,8 +61,6 @@ let create ?(initial_capacity = 64) ?(ladder_threshold = default_threshold) () =
 let is_empty q = q.live = 0
 
 let size q = q.live
-
-let high_water q = q.hwm
 
 (* -- slot table --------------------------------------------------------- *)
 
@@ -167,15 +119,12 @@ let[@inline] precedes q i j =
 let blank q i =
   match q.filler with Some d -> q.payloads.(i) <- d | None -> ()
 
-let[@schedsim.cold] register_filler q payload =
-  (match q.filler with None -> q.filler <- Some payload | Some _ -> ());
-  if Array.length q.last_payload = 0 then q.last_payload <- Array.make 1 payload
-
 let[@schedsim.cold] ensure_capacity q payload =
-  register_filler q payload;
+  (match q.filler with None -> q.filler <- Some payload | Some _ -> ());
+  if Array.length q.last_payload = 0 then q.last_payload <- Array.make 1 payload;
   let cap = Float.Array.length q.times in
   if q.len = cap then begin
-    let ncap = max q.init_cap (2 * cap) in
+    let ncap = max 64 (2 * cap) in
     let nt = Float.Array.make ncap 0.0 in
     Float.Array.blit q.times 0 nt 0 q.len;
     q.times <- nt;
@@ -195,83 +144,35 @@ let[@schedsim.cold] ensure_capacity q payload =
     q.payloads <- np
   end
 
-let[@schedsim.cold] ensure_far_capacity q payload =
-  register_filler q payload;
-  let cap = Float.Array.length q.far_times in
-  if q.far_len = cap then begin
-    let ncap = max q.init_cap (2 * cap) in
-    let nt = Float.Array.make ncap 0.0 in
-    Float.Array.blit q.far_times 0 nt 0 q.far_len;
-    q.far_times <- nt;
-    let ns = Array.make ncap 0 in
-    Array.blit q.far_seqs 0 ns 0 q.far_len;
-    q.far_seqs <- ns;
-    let nsl = Array.make ncap 0 in
-    Array.blit q.far_slots 0 nsl 0 q.far_len;
-    q.far_slots <- nsl;
-    let np = Array.make ncap payload in
-    Array.blit q.far_payloads 0 np 0 q.far_len;
-    (match q.filler with
-    | Some d -> Array.fill np q.far_len (ncap - q.far_len) d
-    | None -> ());
-    q.far_payloads <- np
-  end
-
-(* Lock the band boundary at the current maximum heap time: events
-   already stored keep their heap order, every later add at or beyond
-   the boundary becomes an O(1) far-band append.  O(len) once per
-   activation. *)
-let[@schedsim.cold] activate_band q =
-  let m = ref neg_infinity in
-  for i = 0 to q.len - 1 do
-    let t = Float.Array.unsafe_get q.times i in
-    if t > !m then m := t
-  done;
-  q.boundary <- !m
-
 let[@inline] [@schedsim.hot] add q ~time payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.add: non-finite time";
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   let slot = alloc_slot q seq in
-  if time >= q.boundary then begin
-    ensure_far_capacity q payload;
-    let k = q.far_len in
-    Float.Array.unsafe_set q.far_times k time;
-    Array.unsafe_set q.far_seqs k seq;
-    Array.unsafe_set q.far_slots k slot;
-    Array.unsafe_set q.far_payloads k payload;
-    q.far_len <- k + 1
-  end
-  else begin
-    ensure_capacity q payload;
-    (* Sift up with a hole: the new entry has the largest seq, so on a
-       time tie it never precedes its parent (FIFO). *)
-    let i = ref q.len in
-    q.len <- q.len + 1;
-    let sifting = ref true in
-    while !sifting && !i > 0 do
-      let p = (!i - 1) / 2 in
-      let tp = Float.Array.unsafe_get q.times p in
-      if time < tp then begin
-        Float.Array.unsafe_set q.times !i tp;
-        Array.unsafe_set q.seqs !i (Array.unsafe_get q.seqs p);
-        Array.unsafe_set q.slots !i (Array.unsafe_get q.slots p);
-        Array.unsafe_set q.payloads !i (Array.unsafe_get q.payloads p);
-        i := p
-      end
-      else sifting := false
-    done;
-    Float.Array.unsafe_set q.times !i time;
-    Array.unsafe_set q.seqs !i seq;
-    Array.unsafe_set q.slots !i slot;
-    Array.unsafe_set q.payloads !i payload;
-    if q.len > q.threshold && Float.equal q.boundary infinity then
-      activate_band q
-  end;
+  ensure_capacity q payload;
+  (* Sift up with a hole: the new entry has the largest seq, so on a
+     time tie it never precedes its parent (FIFO). *)
+  let i = ref q.len in
+  q.len <- q.len + 1;
+  let sifting = ref true in
+  while !sifting && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let tp = Float.Array.unsafe_get q.times p in
+    if time < tp then begin
+      Float.Array.unsafe_set q.times !i tp;
+      Array.unsafe_set q.seqs !i (Array.unsafe_get q.seqs p);
+      Array.unsafe_set q.slots !i (Array.unsafe_get q.slots p);
+      Array.unsafe_set q.payloads !i (Array.unsafe_get q.payloads p);
+      i := p
+    end
+    else sifting := false
+  done;
+  Float.Array.unsafe_set q.times !i time;
+  Array.unsafe_set q.seqs !i seq;
+  Array.unsafe_set q.slots !i slot;
+  Array.unsafe_set q.payloads !i payload;
   q.live <- q.live + 1;
-  if q.live > q.hwm then q.hwm <- q.live;
   (Array.unsafe_get q.slot_gen slot lsl 32) lor slot
 
 let[@inline] take_seq q =
@@ -350,110 +251,8 @@ let heapify q =
     sift_down q i
   done
 
-(* Drop cancelled far-band entries in place. *)
-let compact_far q =
-  let j = ref 0 in
-  for i = 0 to q.far_len - 1 do
-    if not (entry_dead q (Array.unsafe_get q.far_slots i) (Array.unsafe_get q.far_seqs i))
-    then begin
-      Float.Array.unsafe_set q.far_times !j (Float.Array.unsafe_get q.far_times i);
-      q.far_seqs.(!j) <- q.far_seqs.(i);
-      q.far_slots.(!j) <- q.far_slots.(i);
-      q.far_payloads.(!j) <- q.far_payloads.(i);
-      incr j
-    end
-  done;
-  let new_len = !j in
-  (match q.filler with
-  | Some d -> Array.fill q.far_payloads new_len (q.far_len - new_len) d
-  | None -> ());
-  q.far_len <- new_len
-
-(* Heap drained but the far band is not: promote its earliest slice
-   into the heap.  A small band moves wholesale (and the banding turns
-   off until the heap outgrows the threshold again); a large one is
-   partitioned around an interpolated pivot targeting ~threshold
-   promotions, so each event is scanned O(far/threshold) times before
-   it reaches the heap — a constant in the steady state, where the band
-   holds a few multiples of the threshold.  A time-skewed band (pivot
-   rounding to the minimum) degrades gracefully to promoting the
-   minimal-time cohort, never to a stall. *)
-let[@schedsim.cold] migrate q =
-  compact_far q;
-  if q.far_len = 0 then q.boundary <- infinity
-  else begin
-    let k = q.far_len in
-    let tmin = ref infinity and tmax = ref neg_infinity in
-    for i = 0 to k - 1 do
-      let t = Float.Array.unsafe_get q.far_times i in
-      if t < !tmin then tmin := t;
-      if t > !tmax then tmax := t
-    done;
-    let move_all = k <= q.threshold || Float.equal !tmin !tmax in
-    let pivot =
-      if move_all then infinity
-      else begin
-        let frac = float_of_int q.threshold /. float_of_int k in
-        let b = !tmin +. ((!tmax -. !tmin) *. frac) in
-        (* Interpolation can round back onto the minimum when the span
-           is tiny relative to its magnitude; promote the minimal-time
-           cohort instead of looping. *)
-        if b > !tmin then b else !tmin
-      end
-    in
-    let promote_min_only = (not move_all) && Float.equal pivot !tmin in
-    (* Partition: entries before the pivot move to the heap, the rest
-       stay far (order within the band is irrelevant, it is unsorted). *)
-    let j = ref 0 in
-    let keep_min = ref infinity in
-    for i = 0 to k - 1 do
-      let t = Float.Array.unsafe_get q.far_times i in
-      let promote =
-        if promote_min_only then Float.equal t !tmin else t < pivot
-      in
-      if promote then begin
-        let payload = q.far_payloads.(i) in
-        ensure_capacity q payload;
-        Float.Array.unsafe_set q.times q.len t;
-        q.seqs.(q.len) <- q.far_seqs.(i);
-        q.slots.(q.len) <- q.far_slots.(i);
-        q.payloads.(q.len) <- payload;
-        q.len <- q.len + 1
-      end
-      else begin
-        if t < !keep_min then keep_min := t;
-        Float.Array.unsafe_set q.far_times !j t;
-        q.far_seqs.(!j) <- q.far_seqs.(i);
-        q.far_slots.(!j) <- q.far_slots.(i);
-        q.far_payloads.(!j) <- q.far_payloads.(i);
-        incr j
-      end
-    done;
-    (match q.filler with
-    | Some d -> Array.fill q.far_payloads !j (k - !j) d
-    | None -> ());
-    q.far_len <- !j;
-    q.boundary <-
-      (if !j = 0 then infinity
-       else if promote_min_only then
-         (* Everything left is strictly above the promoted cohort; the
-            kept minimum keeps both band-split inequalities strict. *)
-         !keep_min
-       else pivot);
-    heapify q
-  end
-
 let[@schedsim.hot] rec pop_step q =
-  if q.len = 0 then begin
-    if q.far_len > 0 then begin
-      migrate q;
-      pop_step q
-    end
-    else begin
-      q.boundary <- infinity;
-      false
-    end
-  end
+  if q.len = 0 then false
   else begin
     let time = Float.Array.unsafe_get q.times 0 in
     let seq = Array.unsafe_get q.seqs 0 in
@@ -487,16 +286,10 @@ let pop q =
   end
   else None
 
-(* Cold path of [next_time]: drop lazily-cancelled roots (migrating the
-   far band in when the heap runs dry) until a live entry or emptiness
-   surfaces. *)
+(* Cold path of [next_time]: drop lazily-cancelled roots until a live
+   entry or emptiness surfaces. *)
 let rec drop_done_roots q =
-  if q.len = 0 then
-    if q.far_len > 0 then begin
-      migrate q;
-      drop_done_roots q
-    end
-    else Float.nan
+  if q.len = 0 then Float.nan
   else if entry_dead q (Array.unsafe_get q.slots 0) (Array.unsafe_get q.seqs 0)
   then begin
     remove_root q;
@@ -508,19 +301,14 @@ let rec drop_done_roots q =
    engine main loop and the PS reschedule path read this once per event)
    and the returned float stays unboxed there. *)
 let[@inline] next_time q =
-  if q.len = 0 then
-    if q.far_len > 0 then drop_done_roots q else Float.nan
+  if q.len = 0 then Float.nan
   else if entry_dead q (Array.unsafe_get q.slots 0) (Array.unsafe_get q.seqs 0)
   then drop_done_roots q
   else Float.Array.unsafe_get q.times 0
 
-let peek_time q =
-  let t = next_time q in
-  if Float.is_nan t then None else Some t
-
 (* -- cancellation ------------------------------------------------------- *)
 
-(* Rebuild both bands from the entries still live.  Triggered when live
+(* Rebuild the heap from the entries still live.  Triggered when live
    entries fall under a quarter of the stored total, so the dead weight
    carried between compactions is O(live), independent of how large the
    queue once was. *)
@@ -540,9 +328,7 @@ let compact q =
   | Some d -> Array.fill q.payloads new_len (q.len - new_len) d
   | None -> ());
   q.len <- new_len;
-  heapify q;
-  compact_far q;
-  if q.len = 0 && q.far_len = 0 then q.boundary <- infinity
+  heapify q
 
 let cancel q h =
   (* O(1) via the slot table: a handle is valid exactly while its
@@ -559,26 +345,17 @@ let cancel q h =
     else begin
       free_slot q slot;
       q.live <- q.live - 1;
-      let stored = q.len + q.far_len in
-      if stored >= 64 && q.live * 4 < stored then compact q;
+      if q.len >= 64 && q.live * 4 < q.len then compact q;
       true
     end
   end
 
-(* Audit the structural invariants over every stored entry (live or
-   lazily cancelled): the heap property, and the band split — far
-   entries at or beyond the boundary, heap entries not beyond it.
-   O(n); meant for sanitizers and tests, not the hot path. *)
+(* Audit the heap property over every stored entry (live or lazily
+   cancelled).  O(n); meant for sanitizers and tests, not the hot path. *)
 let heap_ordered q =
   let ok = ref true in
   for i = 1 to q.len - 1 do
     if precedes q i ((i - 1) / 2) then ok := false
-  done;
-  for i = 0 to q.len - 1 do
-    if Float.Array.unsafe_get q.times i > q.boundary then ok := false
-  done;
-  for i = 0 to q.far_len - 1 do
-    if Float.Array.unsafe_get q.far_times i < q.boundary then ok := false
   done;
   !ok
 
@@ -587,41 +364,7 @@ module Testing = struct
     if q.len >= 2 then
       Float.Array.set q.times 0 (Float.Array.get q.times (q.len - 1) +. 1.0)
 
-  let stored q = q.len + q.far_len
-
-  let far_size q = q.far_len
-
-  let band_active q = not (Float.equal q.boundary infinity)
+  let stored q = q.len
 
   let slot_capacity q = Array.length q.slot_seq
 end
-
-let clear q =
-  (* Release the backing arrays outright: truncating [len] alone kept
-     every queued payload reachable for the queue's lifetime.  The slot
-     table stays (it holds no payloads) with every occupied slot freed
-     and its generation bumped, so handles from before the clear can
-     never touch events scheduled after it. *)
-  q.times <- Float.Array.make 0 0.0;
-  q.seqs <- [||];
-  q.slots <- [||];
-  q.payloads <- [||];
-  q.far_times <- Float.Array.make 0 0.0;
-  q.far_seqs <- [||];
-  q.far_slots <- [||];
-  q.far_payloads <- [||];
-  q.last_payload <- [||];
-  q.len <- 0;
-  q.far_len <- 0;
-  q.live <- 0;
-  q.filler <- None;
-  q.boundary <- infinity;
-  q.free_top <- 0;
-  for s = Array.length q.slot_seq - 1 downto 0 do
-    if q.slot_seq.(s) >= 0 then begin
-      q.slot_seq.(s) <- -1;
-      q.slot_gen.(s) <- q.slot_gen.(s) + 1
-    end;
-    q.free_slots.(q.free_top) <- s;
-    q.free_top <- q.free_top + 1
-  done

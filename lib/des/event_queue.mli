@@ -1,5 +1,4 @@
-(** Future-event list: a binary min-heap with a calendar-style overflow
-    band, keyed by timestamp.
+(** Future-event list: a binary min-heap keyed by timestamp.
 
     Ties are broken by insertion order (FIFO), which makes simulations
     deterministic: two events scheduled for the same instant fire in the
@@ -12,14 +11,6 @@
     server completions, which live in the engine's completion slots
     ({!Engine.slot}).  Servers also keep their own queues (a PS server's
     jobs by virtual finish time, SRPT's ready list).
-
-    While the pending-event count stays under [ladder_threshold] this is
-    a plain binary heap.  Past the threshold (a queue holding thousands
-    of entries, such as a heavily loaded PS server's job set or a
-    many-server fault plan) a far band activates automatically: events beyond an adaptive time boundary
-    are appended unsorted in O(1) and heapified in slices of ~threshold
-    when the near heap drains.  The banding is invisible through this
-    interface — pop order depends only on [(time, insertion order)].
 
     Handles are slot-table based: memory for cancellation bookkeeping is
     O(maximum concurrently pending), independent of the total number of
@@ -40,12 +31,8 @@ val no_handle : handle
 val is_handle : handle -> bool
 (** [is_handle h] is [false] exactly for {!no_handle}. *)
 
-val create : ?initial_capacity:int -> ?ladder_threshold:int -> unit -> 'a t
-(** An empty queue.  [ladder_threshold] (default 4096) is the heap size
-    past which the far band activates; tests force small values to
-    exercise the banding, the engine keeps the default.
-
-    @raise Invalid_argument if [ladder_threshold < 1]. *)
+val create : unit -> 'a t
+(** An empty queue. *)
 
 val is_empty : 'a t -> bool
 
@@ -63,9 +50,6 @@ val cancel : 'a t -> handle -> bool
     pending; returns [false] if it already fired or was already
     cancelled. *)
 
-val peek_time : 'a t -> float option
-(** Timestamp of the earliest live event. *)
-
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest live event as [(time, payload)]. *)
 
@@ -79,7 +63,7 @@ val pop : 'a t -> (float * 'a) option
 
 val next_time : 'a t -> float
 (** Timestamp of the earliest live event, or [Float.nan] when the queue
-    is empty — an allocation-free {!peek_time}. *)
+    is empty. *)
 
 val pop_step : 'a t -> bool
 (** Remove the earliest live event without allocating; returns [false]
@@ -110,21 +94,11 @@ val top_seq : 'a t -> int
 (** Sequence number of the earliest live event.  Only meaningful right
     after {!next_time} returned a number (it drops cancelled roots). *)
 
-val clear : 'a t -> unit
-(** Drop all events and release the backing storage, so queued payloads
-    become collectable immediately. *)
-
-val high_water : 'a t -> int
-(** Largest number of live events ever pending simultaneously over the
-    queue's lifetime (not reset by {!clear}) — the simulator's
-    memory-pressure proxy. *)
-
 val heap_ordered : 'a t -> bool
-(** Audit the internal invariants: the heap property (every parent
-    precedes its children) and the band split (near-band times not
-    beyond the boundary, far-band times not before it).  Always [true]
-    unless the queue's internals have been corrupted; O(n), intended for
-    runtime sanitizers and tests. *)
+(** Audit the heap property: every parent precedes its children in
+    [(time, insertion order)].  Always [true] unless the queue's
+    internals have been corrupted; O(n), intended for runtime sanitizers
+    and tests. *)
 
 (**/**)
 
@@ -136,18 +110,11 @@ module Testing : sig
       actually fire; never call it elsewhere. *)
 
   val stored : 'a t -> int
-  (** Entries physically stored across both bands, including
-      lazily-cancelled ones — the compaction tests bound this by a
-      multiple of {!size}. *)
-
-  val far_size : 'a t -> int
-  (** Entries currently in the far band. *)
-
-  val band_active : 'a t -> bool
-  (** Whether the far band is currently enabled (boundary finite). *)
+  (** Entries physically stored in the heap, including lazily-cancelled
+      ones — the compaction tests bound this by a multiple of {!size}. *)
 
   val slot_capacity : 'a t -> int
   (** Capacity of the cancellation slot table — the memory-regression
-      test bounds this by a multiple of {!high_water}, independent of
-      the total event count. *)
+      test bounds this by a multiple of the most events ever pending at
+      once, independent of the total event count. *)
 end

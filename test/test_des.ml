@@ -41,13 +41,12 @@ let eq_cancel_after_pop () =
 
 let eq_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check (option (float 0.0))) "peek empty" None (Event_queue.peek_time q);
+  Alcotest.(check bool) "peek empty" true (Float.is_nan (Event_queue.next_time q));
   let h = Event_queue.add q ~time:4.0 () in
   ignore (Event_queue.add q ~time:7.0 ());
-  Alcotest.(check (option (float 0.0))) "peek min" (Some 4.0) (Event_queue.peek_time q);
+  check_float ~eps:0.0 "peek min" 4.0 (Event_queue.next_time q);
   ignore (Event_queue.cancel q h);
-  Alcotest.(check (option (float 0.0))) "peek skips cancelled" (Some 7.0)
-    (Event_queue.peek_time q)
+  check_float ~eps:0.0 "peek skips cancelled" 7.0 (Event_queue.next_time q)
 
 let eq_nonfinite_rejected () =
   let q = Event_queue.create () in
@@ -55,15 +54,6 @@ let eq_nonfinite_rejected () =
     (fun () -> ignore (Event_queue.add q ~time:Float.nan ()));
   Alcotest.check_raises "inf" (Invalid_argument "Event_queue.add: non-finite time")
     (fun () -> ignore (Event_queue.add q ~time:Float.infinity ()))
-
-let eq_clear () =
-  let q = Event_queue.create () in
-  for i = 1 to 10 do
-    ignore (Event_queue.add q ~time:(float_of_int i) ())
-  done;
-  Event_queue.clear q;
-  Alcotest.(check bool) "empty after clear" true (Event_queue.is_empty q);
-  Alcotest.(check (option (pair (float 0.0) unit))) "pop empty" None (Event_queue.pop q)
 
 let eq_random_stress () =
   (* Insert random times, pop everything: output must be sorted and
@@ -88,7 +78,7 @@ let eq_random_stress () =
     if popped.(i) < popped.(i - 1) then Alcotest.fail "out of order pop"
   done;
   let sorted = Array.copy times in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   check_array ~eps:0.0 "exact multiset preserved" sorted popped
 
 let prop_eq_sorted =
@@ -198,8 +188,8 @@ let engine_fifo_determinism () =
     (List.rev !order)
 
 (* ------------------------------------------------------------------ *)
-(* Memory behaviour: cleared and cancelled events must not be retained *)
-(* by the heap array (regression for the clear/cancel space leak).     *)
+(* Memory behaviour: popped and cancelled events must not be retained *)
+(* by the heap array (regression for the cancel space leak).          *)
 
 let add_tracked q (w : float array Weak.t) i ~time =
   (* Allocate the payload inside a helper so no local binding keeps it
@@ -207,24 +197,6 @@ let add_tracked q (w : float array Weak.t) i ~time =
   let payload = Array.make 64 (float_of_int i) in
   Weak.set w i (Some payload);
   Event_queue.add q ~time payload
-
-let eq_clear_releases_payloads () =
-  let q = Event_queue.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    ignore (add_tracked q w i ~time:(float_of_int i))
-  done;
-  Event_queue.clear q;
-  Gc.full_major ();
-  for i = 0 to 7 do
-    Alcotest.(check bool)
-      (Printf.sprintf "payload %d collected after clear" i)
-      true
-      (Weak.get w i = None)
-  done;
-  (* The queue stays usable after clear. *)
-  ignore (Event_queue.add q ~time:1.0 [| 0.0 |]);
-  Alcotest.(check int) "usable after clear" 1 (Event_queue.size q)
 
 let eq_pop_releases_payloads () =
   let q = Event_queue.create () in
@@ -237,12 +209,13 @@ let eq_pop_releases_payloads () =
   done;
   Gc.full_major ();
   (* Slot 0's original entry doubles as the dead-slot filler, so it may
-     legitimately stay reachable until [clear]; everything else must go. *)
+     legitimately stay reachable for the queue's lifetime; everything
+     else must go. *)
   for i = 1 to 7 do
     Alcotest.(check bool)
       (Printf.sprintf "payload %d collected after pop" i)
       true
-      (Weak.get w i = None)
+      (Option.is_none (Weak.get w i))
   done
 
 let eq_cancel_compacts () =
@@ -262,7 +235,7 @@ let eq_cancel_compacts () =
   Gc.full_major ();
   let reclaimed = ref 0 in
   for i = 10 to n - 1 do
-    if Weak.get w i = None then incr reclaimed
+    if Option.is_none (Weak.get w i) then incr reclaimed
   done;
   Alcotest.(check bool)
     (Printf.sprintf "most cancelled payloads reclaimed (%d of %d)" !reclaimed
@@ -273,7 +246,7 @@ let eq_cancel_compacts () =
   let popped = List.init 10 (fun _ -> fst (Option.get (Event_queue.pop q))) in
   Alcotest.(check (list (float 0.0))) "survivors pop in order"
     (List.init 10 float_of_int) popped;
-  Alcotest.(check bool) "then empty" true (Event_queue.pop q = None)
+  Alcotest.(check bool) "then empty" true (Option.is_none (Event_queue.pop q))
 
 let engine_every () =
   let e = Engine.create () in
@@ -311,23 +284,6 @@ let engine_every_stop () =
   Engine.run ~until:30.0 e;
   Alcotest.(check int) "stopped from inside its own tick" 3 !self_fired;
   Alcotest.(check int) "nothing rescheduled" 0 (Engine.pending_events e)
-
-let eq_high_water () =
-  let q = Event_queue.create () in
-  Alcotest.(check int) "empty" 0 (Event_queue.high_water q);
-  let _ = Event_queue.add q ~time:1.0 "a" in
-  let _ = Event_queue.add q ~time:2.0 "b" in
-  let _ = Event_queue.add q ~time:3.0 "c" in
-  let _ = Event_queue.add q ~time:4.0 "d" in
-  let _ = Event_queue.add q ~time:5.0 "e" in
-  Alcotest.(check int) "after five adds" 5 (Event_queue.high_water q);
-  ignore (Event_queue.pop q);
-  ignore (Event_queue.pop q);
-  let _ = Event_queue.add q ~time:6.0 "f" in
-  (* 3 live + 1 = 4 < 5, so the lifetime high-water mark sticks at 5. *)
-  Alcotest.(check int) "high-water not lowered by pops" 5 (Event_queue.high_water q);
-  Event_queue.clear q;
-  Alcotest.(check int) "survives clear" 5 (Event_queue.high_water q)
 
 let engine_heap_high_water () =
   let e = Engine.create () in
@@ -554,12 +510,11 @@ let prop_slots_match_reference =
 let eq_hot_path_no_alloc () =
   (* The SoA queue must not allocate per event once its buffers are
      sized: [add] with a statically-allocated time, [pop_step] and the
-     scratch reads all work in place.  Warm up (sizing the heap arrays,
-     the cancellation bitmap and the scratch slots), drain — the empty
-     branch of [pop_step] recycles the bitmap — then measure a full
-     add/drain cycle under [Gc.minor_words]. *)
+     scratch reads all work in place.  A first add/drain cycle grows the
+     heap arrays, the slot table and the scratch slots; the second is
+     measured under [Gc.minor_words]. *)
   let n = 512 in
-  let q = Event_queue.create ~initial_capacity:(n + 1) () in
+  let q = Event_queue.create () in
   let cycle () =
     for _ = 1 to n do
       ignore (Event_queue.add q ~time:1.0 ())
@@ -582,11 +537,69 @@ let eq_hot_path_no_alloc () =
     true
     (delta <= 64.0)
 
-let model_prop ~name ~make_queue =
-  (* Model-based check of the SoA heap against a sorted-list oracle:
-     coarse times force ties (FIFO order must match insertion order),
-     and cancellations hit live, popped and already-cancelled events. *)
-  qcheck ~count:300 name
+(* The oracle: live entries as an ordered set of (time, id), where ids
+   count adds, so set order is pop order (time, then FIFO). *)
+module Oracle = Set.Make (struct
+  type t = float * int
+
+  let compare (t, i) (t', i') =
+    match Float.compare t t' with 0 -> Int.compare i i' | c -> c
+end)
+
+(* Replay [ops] on a fresh queue and on the oracle.  After every op the
+   queue's size and earliest time must match the oracle's; the O(n)
+   heap audit runs every [audit_every] ops.  Cancellations hit live,
+   popped and already-cancelled events alike.  Returns whether the two
+   agreed throughout, and the most events pending at once. *)
+let replay_against_oracle ?(audit_every = 1) ops =
+  let q = Event_queue.create () in
+  let added = Hashtbl.create 64 in  (* id -> (handle, time) *)
+  let n_added = ref 0 in
+  let live = ref Oracle.empty and n_live = ref 0 and peak = ref 0 in
+  let ok = ref true in
+  let fail_if b = if b then ok := false in
+  List.iteri
+    (fun k op ->
+      (if !ok then
+         match op with
+         | `Add t ->
+           Hashtbl.replace added !n_added (Event_queue.add q ~time:t !n_added, t);
+           live := Oracle.add (t, !n_added) !live;
+           incr n_added;
+           incr n_live;
+           peak := max !peak !n_live
+         | `Cancel k ->
+           if !n_added > 0 then begin
+             let id = k mod !n_added in
+             let h, t = Hashtbl.find added id in
+             let expected = Oracle.mem (t, id) !live in
+             fail_if (Event_queue.cancel q h <> expected);
+             if expected then begin
+               live := Oracle.remove (t, id) !live;
+               decr n_live
+             end
+           end
+         | `Pop -> (
+           match (Event_queue.pop q, Oracle.min_elt_opt !live) with
+           | None, None -> ()
+           | Some (t, id), Some ((t', id') as first) ->
+             fail_if (not (Float.equal t t') || id <> id');
+             live := Oracle.remove first !live;
+             decr n_live
+           | _ -> ok := false));
+      if !ok then begin
+        fail_if (Event_queue.size q <> !n_live);
+        if k mod audit_every = 0 then fail_if (not (Event_queue.heap_ordered q));
+        match Oracle.min_elt_opt !live with
+        | None -> fail_if (not (Float.is_nan (Event_queue.next_time q)))
+        | Some (t, _) -> fail_if (not (Float.equal (Event_queue.next_time q) t))
+      end)
+    ops;
+  (!ok, !peak)
+
+let prop_eq_model =
+  (* Coarse times force ties, so FIFO order must match insertion order. *)
+  qcheck ~count:300 "model: heap matches sorted-list oracle"
     QCheck2.Gen.(
       list_size (int_range 0 150)
         (oneof
@@ -595,129 +608,54 @@ let model_prop ~name ~make_queue =
              map (fun k -> `Cancel k) (int_range 0 1000);
              return `Pop;
            ]))
-    (fun ops ->
-      let q = make_queue () in
-      (* Insertion-ordered record of every add: id -> (handle, time). *)
-      let added = ref [] in
-      let n_added = ref 0 in
-      (* Live oracle entries (time, id), sorted by time then id. *)
-      let live = ref [] in
-      let insert t id =
-        let rec go = function
-          | [] -> [ (t, id) ]
-          | (t', id') :: rest when t' <= t -> (t', id') :: go rest
-          | later -> (t, id) :: later
-        in
-        live := go !live
-      in
-      let ok = ref true in
-      let fail_if b = if b then ok := false in
-      List.iter
-        (fun op ->
-          (if !ok then
-             match op with
-             | `Add t ->
-               let h = Event_queue.add q ~time:t !n_added in
-               added := (h, t) :: !added;
-               insert t !n_added;
-               incr n_added
-             | `Cancel k ->
-               if !n_added > 0 then begin
-                 let id = k mod !n_added in
-                 let h, _ = List.nth !added (!n_added - 1 - id) in
-                 let expected = List.exists (fun (_, id') -> id' = id) !live in
-                 fail_if (Event_queue.cancel q h <> expected);
-                 if expected then
-                   live := List.filter (fun (_, id') -> id' <> id) !live
-               end
-             | `Pop -> (
-               match (Event_queue.pop q, !live) with
-               | None, [] -> ()
-               | Some (t, id), (t', id') :: rest ->
-                 fail_if (not (Float.equal t t') || id <> id');
-                 live := rest
-               | _ -> ok := false));
-          if !ok then begin
-            fail_if (Event_queue.size q <> List.length !live);
-            fail_if (not (Event_queue.heap_ordered q));
-            match (Event_queue.peek_time q, !live) with
-            | None, [] -> ()
-            | Some t, (t', _) :: _ -> fail_if (not (Float.equal t t'))
-            | _ -> ok := false
-          end)
-        ops;
-      !ok)
+    (fun ops -> fst (replay_against_oracle ops))
 
-let prop_eq_model =
-  model_prop ~name:"model: heap matches sorted-list oracle"
-    ~make_queue:(fun () -> Event_queue.create ())
-
-let prop_eq_model_ladder =
-  (* Same oracle with the far band forced on almost immediately: every
-     interleaving of adds, cancels and pops must pop bit-identically to
-     the sorted list even while events migrate between the bands. *)
-  model_prop ~name:"model: ladder bands match sorted-list oracle"
-    ~make_queue:(fun () -> Event_queue.create ~ladder_threshold:4 ())
-
-let eq_ladder_pop_identical () =
-  (* The banding must be invisible: a plain heap and a queue with a tiny
-     ladder threshold fed the same event stream (coarse times to force
-     FIFO ties, interleaved cancellations) pop bit-identical
-     (time, payload) streams. *)
+let eq_model_many_pending () =
+  (* The regime of a many-server fault plan: over 10^4 events pending at
+     once, coarse times (ties) drifting upwards as the pops advance, and
+     cancellations of recent and of arbitrary events. *)
   let g = rng () in
-  let n = 20_000 in
-  let plain = Event_queue.create () in
-  let ladder = Event_queue.create ~ladder_threshold:64 () in
-  let hp = Array.make n Event_queue.no_handle in
-  let hl = Array.make n Event_queue.no_handle in
-  for i = 0 to n - 1 do
-    let t = float_of_int (Statsched_prng.Rng.int g 5000) /. 8.0 in
-    hp.(i) <- Event_queue.add plain ~time:t i;
-    hl.(i) <- Event_queue.add ladder ~time:t i;
-    (* Interleave pops and cancellations so migration happens mid-run. *)
-    if i land 7 = 3 then begin
-      let k = Statsched_prng.Rng.int g (i + 1) in
-      let cp = Event_queue.cancel plain hp.(k) in
-      let cl = Event_queue.cancel ladder hl.(k) in
-      Alcotest.(check bool) "cancel outcomes agree" cp cl
-    end;
-    if i land 15 = 9 then begin
-      match (Event_queue.pop plain, Event_queue.pop ladder) with
-      | Some (tp, ip), Some (tl, il) ->
-        if not (Float.equal tp tl) || ip <> il then
-          Alcotest.fail "mid-run pops diverge"
-      | None, None -> ()
-      | _ -> Alcotest.fail "mid-run pop presence diverges"
-    end
-  done;
-  Alcotest.(check bool) "far band actually exercised" true
-    (Event_queue.Testing.band_active ladder
-    || Event_queue.Testing.far_size ladder = 0);
-  let rec drain () =
-    match (Event_queue.pop plain, Event_queue.pop ladder) with
-    | Some (tp, ip), Some (tl, il) ->
-      if not (Float.equal tp tl) || ip <> il then
-        Alcotest.fail "drain pops diverge";
-      drain ()
-    | None, None -> ()
-    | _ -> Alcotest.fail "queues disagree on emptiness"
+  let rint = Statsched_prng.Rng.int g in
+  let ops = ref [] and n_adds = ref 0 in
+  let emit op = ops := op :: !ops in
+  let add () =
+    emit (`Add (float_of_int ((!n_adds / 4) + rint 4096) /. 8.0));
+    incr n_adds
   in
-  drain ()
+  for _ = 1 to 12_000 do
+    add ()
+  done;
+  for _ = 1 to 40_000 do
+    match rint 8 with
+    | 0 | 1 | 2 | 3 -> add ()
+    | 4 | 5 -> emit `Pop
+    | 6 -> emit (`Cancel (rint !n_adds))
+    | _ -> emit (`Cancel (!n_adds - 1 - rint 64))
+  done;
+  for _ = 1 to 40_000 do
+    emit `Pop
+  done;
+  let ok, peak = replay_against_oracle ~audit_every:4096 (List.rev !ops) in
+  Alcotest.(check bool) (Printf.sprintf "peak pending %d >= 10^4" peak) true (peak >= 10_000);
+  Alcotest.(check bool) "pops, sizes and cancels match the oracle" true ok
 
 let eq_slot_table_bounded () =
   (* Regression for the O(total-events) cancellation bitmap: with 10^4
      events pending at all times and 2 * 10^5 scheduled over the run —
      half of them cancelled, so lazy deletion and compaction both run —
-     the cancellation bookkeeping must stay proportional to the
-     concurrent high-water mark, and the stored entries (live + not yet
+     the cancellation bookkeeping must stay proportional to the most
+     events ever pending at once, and the stored entries (live + not yet
      compacted) proportional to the live count. *)
   let pending = 10_000 in
   let churn = 200_000 in
-  let q = Event_queue.create ~ladder_threshold:1024 () in
-  let handles = Array.make pending Event_queue.no_handle in
-  for i = 0 to pending - 1 do
-    handles.(i) <- Event_queue.add q ~time:(float_of_int i) i
-  done;
+  let q = Event_queue.create () in
+  let peak = ref 0 in
+  let add ~time slot =
+    let h = Event_queue.add q ~time slot in
+    peak := max !peak (Event_queue.size q);
+    h
+  in
+  let handles = Array.init pending (fun i -> add ~time:(float_of_int i) i) in
   let g = rng () in
   for j = 0 to churn - 1 do
     let slot = j mod pending in
@@ -725,15 +663,13 @@ let eq_slot_table_bounded () =
     if j land 1 = 0 then ignore (Event_queue.cancel q handles.(slot))
     else ignore (Event_queue.pop q);
     let t = float_of_int (pending + j) +. Statsched_prng.Rng.float g in
-    handles.(slot) <- Event_queue.add q ~time:t slot
+    handles.(slot) <- add ~time:t slot
   done;
-  let hwm = Event_queue.high_water q in
   let cap = Event_queue.Testing.slot_capacity q in
   Alcotest.(check bool)
-    (Printf.sprintf "slot table O(high-water): capacity %d vs high-water %d"
-       cap hwm)
+    (Printf.sprintf "slot table O(peak pending): capacity %d vs peak %d" cap !peak)
     true
-    (cap <= (4 * hwm) + 64);
+    (cap <= (4 * !peak) + 64);
   let live = Event_queue.size q in
   let stored = Event_queue.Testing.stored q in
   Alcotest.(check bool)
@@ -743,6 +679,35 @@ let eq_slot_table_bounded () =
   Alcotest.(check bool) "invariants hold after churn" true
     (Event_queue.heap_ordered q)
 
+(* A 5000-computer cluster under an exponential fault plan keeps one
+   pending fault event per computer, so the future-event list holds
+   about 5000 events throughout.  Bit patterns of JSQ(2) at rho 0.7
+   (MTBF 2*10^4 s, MTTR 50 s, horizon 50 s, warm-up 5 s, seed 42): the
+   response metrics, the engine's [events_executed] and its
+   [heap_high_water].  Any change to the event order at this scale
+   shows up here. *)
+let engine_many_pending_faults_pinned () =
+  let module S = Statsched_cluster.Simulation in
+  let module M = Statsched_core.Metrics in
+  let speeds = Statsched_experiments.Ext_scale.speeds_for 5000 in
+  let r =
+    S.run
+      (S.default_config ~horizon:50.0 ~warmup:5.0 ~speeds
+         ~faults:(Statsched_cluster.Fault.exponential ~mtbf:20_000.0 ~mttr:50.0 ())
+         ~workload:(Statsched_cluster.Workload.paper_default ~rho:0.7 ~speeds)
+         ~scheduler:(Statsched_cluster.Scheduler.jsq ~d:2 ())
+         ())
+  in
+  let bits what expected actual =
+    Alcotest.(check int64) what expected (Int64.bits_of_float actual)
+  in
+  bits "mean response time" 0x40173399813ab4c8L r.S.metrics.M.mean_response_time;
+  bits "mean response ratio" 0x3fd068f96f6c8ac7L r.S.metrics.M.mean_response_ratio;
+  bits "p99 response ratio" 0x3ff00047254c22fdL r.S.p99_response_ratio;
+  Alcotest.(check int) "jobs measured" 2978 r.S.metrics.M.jobs;
+  Alcotest.(check int) "events executed" 8032 r.S.events_executed;
+  Alcotest.(check int) "heap high-water" 5796 r.S.heap_high_water
+
 let suite =
   [
     test "event_queue: basic ordering" eq_ordering;
@@ -751,17 +716,13 @@ let suite =
     test "event_queue: cancel after pop" eq_cancel_after_pop;
     test "event_queue: peek" eq_peek;
     test "event_queue: non-finite time rejected" eq_nonfinite_rejected;
-    test "event_queue: clear" eq_clear;
-    test "event_queue: clear releases payloads" eq_clear_releases_payloads;
     test "event_queue: pop releases payloads" eq_pop_releases_payloads;
     test "event_queue: cancellation compacts the heap" eq_cancel_compacts;
     test "event_queue: random stress" eq_random_stress;
     test "event_queue: hot path does not allocate" eq_hot_path_no_alloc;
     prop_eq_sorted;
     prop_eq_model;
-    prop_eq_model_ladder;
-    test "event_queue: ladder pops bit-identical to plain heap"
-      eq_ladder_pop_identical;
+    test "event_queue: 10^4 pending match sorted-list oracle" eq_model_many_pending;
     test "event_queue: slot table bounded by high-water" eq_slot_table_bounded;
     test "engine: clock advances with events" engine_clock_advances;
     test "engine: nested scheduling" engine_nested_scheduling;
@@ -773,7 +734,6 @@ let suite =
     test "engine: same-time FIFO determinism" engine_fifo_determinism;
     test "engine: periodic events" engine_every;
     test "engine: stopping a periodic task" engine_every_stop;
-    test "event_queue: heap high-water mark" eq_high_water;
     test "engine: heap high-water mark" engine_heap_high_water;
     test "engine: slot and heap ties fire in schedule order" engine_slot_heap_ties;
     test "engine: slot re-arm and disarm" engine_slot_rearm_disarm;
@@ -781,4 +741,5 @@ let suite =
     test "engine: slot arm validation" engine_slot_validation;
     test "engine: slot index growth keeps order" engine_slot_growth;
     prop_slots_match_reference;
+    test "engine: 5000-computer fault plan pinned" engine_many_pending_faults_pinned;
   ]
