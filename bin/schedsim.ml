@@ -402,13 +402,6 @@ let print_result (r : Cluster.Simulation.result) =
       s.Cluster.Fault.downtime
 
 let run_cmd =
-  let trace_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a per-job dispatch/completion trace to $(docv) as CSV.")
-  in
   let probe_t =
     Arg.(
       value
@@ -428,15 +421,6 @@ let run_cmd =
              drift, response-time/-ratio histograms, fault accounting, DES \
              self-profiling) to $(docv) in the Prometheus text exposition \
              format.")
-  in
-  let trace_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write per-job spans and computer up/down intervals to $(docv) \
-             as Chrome trace-event JSON (open in ui.perfetto.dev).")
   in
   let stats_interval_t =
     Arg.(
@@ -467,8 +451,9 @@ let run_cmd =
           ~doc:
             "Record a bounded structured run journal (sampled dispatch/\
              queue-depth/completion/drop/rate records plus collector \
-             summary) and write it to $(docv); cross-validate with \
-             tracestat.")
+             summary) and write it to $(docv); cross-validate it with \
+             $(b,tracestat check), or render it as a per-job CSV or a \
+             Chrome trace with $(b,tracestat export).")
   in
   let journal_capacity_t =
     Arg.(
@@ -476,8 +461,9 @@ let run_cmd =
       & opt int 4096
       & info [ "journal-capacity" ] ~docv:"N"
           ~doc:
-            "Maximum records the journal retains (memory stays O($(docv)); \
-             on overflow the sampling stride doubles).")
+            "Maximum records the journal retains; memory grows with the \
+             records kept, 64 bytes each, up to $(docv) of them.  On \
+             overflow the sampling stride doubles.")
   in
   let journal_sample_t =
     Arg.(
@@ -487,7 +473,7 @@ let run_cmd =
           ~doc:"Initial systematic sampling stride: record every K-th event.")
   in
   let run speeds rho policy seed scale discipline arrival_cv size_dist mean_size
-      horizon warmup trace_file probe_file metrics_out trace_out stats_interval
+      horizon warmup probe_file metrics_out stats_interval
       serve_port journal_file journal_capacity journal_sample mtbf mttr
       on_failure oblivious computers d sanitize verbose =
     setup_logging verbose;
@@ -536,7 +522,6 @@ let run_cmd =
           ~seed ~speeds ~workload
           ~scheduler:(Scenario.scheduler_of_name ~d:scenario.Scenario.d policy) ()
       in
-      let trace = Option.map (fun _ -> Cluster.Trace.create ()) trace_file in
       let probe = Option.map (fun _ -> Cluster.Probe.create ()) probe_file in
       let journal =
         Option.map
@@ -546,9 +531,9 @@ let run_cmd =
           journal_file
       in
       let telemetry =
-        match (metrics_out, trace_out, journal, serve_port) with
-        | None, None, None, None -> None
-        | _ -> Some (Cluster.Telemetry.create ~trace:(trace_out <> None) ?journal cfg)
+        match (metrics_out, journal, serve_port) with
+        | None, None, None -> None
+        | _ -> Some (Cluster.Telemetry.create ?journal cfg)
       in
       let server =
         match (serve_port, telemetry) with
@@ -561,13 +546,6 @@ let run_cmd =
             (Statsched_obs.Http.port srv);
           Some srv
         | _ -> None
-      in
-      (* Run both observers when a CSV trace and telemetry are requested
-         together; neither perturbs the simulation. *)
-      let chain f g =
-        match (f, g) with
-        | None, h | h, None -> h
-        | Some f, Some g -> Some (fun job -> f job; g job)
       in
       let wall_start = Statsched_obs.Clock.now () in
       let progress =
@@ -592,7 +570,7 @@ let run_cmd =
       let result =
         Cluster.Simulation.run
           ?sanitize:(if sanitize then Some true else None)
-          (* Every CLI observer (Trace, Probe, Telemetry, the journal)
+          (* Every CLI observer (Probe, Telemetry, the journal)
              copies job fields out synchronously, so job-record recycling
              can stay on. *)
           ~hooks_retain_jobs:false
@@ -600,15 +578,9 @@ let run_cmd =
           ?on_engine:
             (Option.map (fun t e -> Cluster.Telemetry.set_engine t e) telemetry)
           ?on_dispatch:
-            (chain
-               (Option.map Cluster.Trace.on_dispatch trace)
-               (Option.map (fun t job -> Cluster.Telemetry.on_dispatch t job) telemetry))
+            (Option.map (fun t job -> Cluster.Telemetry.on_dispatch t job) telemetry)
           ?on_completion:
-            (chain
-               (Option.map Cluster.Trace.on_completion trace)
-               (Option.map
-                  (fun t job -> Cluster.Telemetry.on_completion t job)
-                  telemetry))
+            (Option.map (fun t job -> Cluster.Telemetry.on_completion t job) telemetry)
           ?on_tick:(Option.map (fun p -> (10.0, Cluster.Probe.on_tick p)) probe)
           ?on_drop:(Option.map (fun t job -> Cluster.Telemetry.on_drop t job) telemetry)
           ?on_rate_change:
@@ -618,14 +590,6 @@ let run_cmd =
                telemetry)
           ?on_progress:progress cfg
       in
-      (match (trace, trace_file) with
-      | Some t, Some path ->
-        Cluster.Trace.write_csv t path;
-        Printf.printf "trace: %d dispatches, %d completions -> %s\n"
-          (Cluster.Trace.dispatch_count t)
-          (Cluster.Trace.completion_count t)
-          path
-      | _ -> ());
       (match (probe, probe_file) with
       | Some p, Some path ->
         Cluster.Probe.write_csv p path;
@@ -642,23 +606,14 @@ let run_cmd =
           Printf.printf "metrics: %d series -> %s\n"
             (Cluster.Telemetry.metric_count t) path
         | None -> ());
-        (match journal_file with
-        | Some path ->
+        match (journal_file, Cluster.Telemetry.journal t) with
+        | Some path, Some j ->
           Cluster.Telemetry.write_journal t result path;
-          (match Cluster.Telemetry.journal t with
-          | Some j ->
-            Printf.printf "journal: %d records (stride %d) -> %s\n"
-              (Statsched_obs.Journal.length j)
-              (Statsched_obs.Journal.stride j)
-              path
-          | None -> ())
-        | None -> ());
-        match trace_out with
-        | Some path ->
-          Cluster.Telemetry.write_trace t path;
-          Printf.printf "trace-events: %d -> %s\n"
-            (Cluster.Telemetry.trace_event_count t) path
-        | None -> ());
+          Printf.printf "journal: %d records (stride %d) -> %s\n"
+            (Statsched_obs.Journal.length j)
+            (Statsched_obs.Journal.stride j)
+            path
+        | _ -> ());
       Option.iter Statsched_obs.Http.stop server;
       print_result result;
       `Ok ()
@@ -672,10 +627,10 @@ let run_cmd =
       ret
         (const run $ speeds_t $ rho_t $ scheduler_t $ seed_t $ scale_t
        $ discipline_t $ arrival_cv_t $ size_dist_t $ mean_size_t $ horizon_t
-       $ warmup_t $ trace_t $ probe_t $ metrics_out_t $ trace_out_t
-       $ stats_interval_t $ serve_t $ journal_t $ journal_capacity_t
-       $ journal_sample_t $ mtbf_t $ mttr_t $ on_failure_t $ fault_oblivious_t
-       $ computers_t $ d_t $ sanitize_t $ verbose_t))
+       $ warmup_t $ probe_t $ metrics_out_t $ stats_interval_t $ serve_t
+       $ journal_t $ journal_capacity_t $ journal_sample_t $ mtbf_t $ mttr_t
+       $ on_failure_t $ fault_oblivious_t $ computers_t $ d_t $ sanitize_t
+       $ verbose_t))
   in
   Cmd.v
     (Cmd.info "run"

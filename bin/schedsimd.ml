@@ -105,7 +105,9 @@ let journal_capacity_t =
     value
     & opt int 65536
     & info [ "journal-capacity" ] ~docv:"N"
-        ~doc:"Maximum records the journal retains (memory stays O($(docv))).")
+        ~doc:
+          "Maximum records the journal retains; memory grows with the \
+           records kept, 64 bytes each, up to $(docv) of them.")
 
 let metrics_out_t =
   Arg.(

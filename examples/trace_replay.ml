@@ -2,11 +2,12 @@
 
    A user who doesn't trust synthetic workloads can record what their
    cluster actually served and replay it: (1) run a "production" cluster
-   on the paper's workload while recording a per-job trace; (2) rebuild
-   an empirical job-size distribution from the completed jobs; (3) replay
-   that empirical workload against candidate schedulers to pick one.
-   This exercises the Trace and Empirical modules end to end and shows
-   that conclusions drawn on the replayed workload match the original.
+   on the paper's workload while recording a stride-1 run journal (every
+   per-job record kept); (2) rebuild an empirical job-size distribution
+   from its completion records; (3) replay that empirical workload
+   against candidate schedulers to pick one.  This exercises the Journal
+   and Empirical modules end to end and shows that conclusions drawn on
+   the replayed workload match the original.
 
    Run with:  dune exec examples/trace_replay.exe *)
 
@@ -14,34 +15,45 @@ module Core = Statsched_core
 module Cluster = Statsched_cluster
 module Dist = Statsched_dist
 module E = Statsched_experiments
+module Journal = Statsched_obs.Journal
 
 let speeds = [| 1.0; 1.0; 2.0; 4.0; 8.0 |]
 
 let rho = 0.65
 
+let config ~workload scheduler =
+  Cluster.Simulation.default_config ~horizon:150_000.0 ~speeds ~workload ~scheduler ()
+
 let simulate ?on_dispatch ?on_completion ~workload scheduler =
-  let cfg =
-    Cluster.Simulation.default_config ~horizon:150_000.0 ~speeds ~workload ~scheduler ()
-  in
-  Cluster.Simulation.run ?on_dispatch ?on_completion cfg
+  Cluster.Simulation.run ?on_dispatch ?on_completion (config ~workload scheduler)
 
 let () =
-  (* 1. "Production" run with trace recording. *)
+  (* 1. "Production" run with a journal large enough to keep every
+     record (three per job: dispatch, queue depth, completion). *)
   let production_workload = Cluster.Workload.paper_default ~rho ~speeds in
-  let trace = Cluster.Trace.create () in
+  let journal = Journal.create ~capacity:(1 lsl 17) () in
+  let telemetry =
+    Cluster.Telemetry.create ~journal
+      (config ~workload:production_workload (Cluster.Scheduler.static Core.Policy.wrr))
+  in
   let prod =
     simulate
-      ~on_dispatch:(Cluster.Trace.on_dispatch trace)
-      ~on_completion:(Cluster.Trace.on_completion trace)
+      ~on_dispatch:(Cluster.Telemetry.on_dispatch telemetry)
+      ~on_completion:(Cluster.Telemetry.on_completion telemetry)
       ~workload:production_workload
       (Cluster.Scheduler.static Core.Policy.wrr)
   in
+  assert (Journal.stride journal = 1);
   Printf.printf "production run (WRR): %d jobs traced, mean response ratio %.3f\n"
-    (Cluster.Trace.completion_count trace)
+    (Journal.kept journal Journal.Completion)
     prod.Cluster.Simulation.metrics.Core.Metrics.mean_response_ratio;
 
-  (* 2. Rebuild the size distribution from the trace. *)
-  let sizes = Cluster.Trace.completed_sizes trace in
+  (* 2. Rebuild the size distribution from the completion records. *)
+  let sizes = ref [] in
+  Journal.iter journal (function
+    | Journal.Completion_r { size; _ } -> sizes := size :: !sizes
+    | _ -> ());
+  let sizes = Array.of_list (List.rev !sizes) in
   let empirical = Dist.Empirical.create sizes in
   Printf.printf
     "replayed size distribution: %s — mean %.1f s (generator was %.1f s)\n\n"

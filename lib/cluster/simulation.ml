@@ -421,7 +421,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
      under such a reference.  The scheduler-internal observers above
      (collector, adaptive size accounting, least-load lag) all read
      fields synchronously and never store the record.  Callers whose
-     hooks also copy fields out synchronously (Trace, Telemetry, the
+     hooks also copy fields out synchronously (Telemetry and its
      journal) pass [~hooks_retain_jobs:false] to keep recycling on. *)
   let job_pool = Q.Job.pool () in
   let recycle =

@@ -121,8 +121,8 @@ val run :
   result
 (** Execute one replication.  [on_dispatch] observes every dispatch
     decision as it is made (warm-up included; the job's [computer] field
-    is already set) — Figure 2's interval statistics and {!Trace} hook in
-    here.  [on_completion] observes every job departure.
+    is already set) — Figure 2's interval statistics and {!Telemetry}'s
+    journal hook in here.  [on_completion] observes every job departure.
     [on_tick (period, f)] calls [f] every [period] simulated seconds with
     the instantaneous per-computer run-queue lengths — {!Probe} plugs in
     here.

@@ -1,22 +1,14 @@
 module Job = Statsched_queueing.Job
 module Registry = Statsched_obs.Registry
-module Trace_event = Statsched_obs.Trace_event
 module Hdr = Statsched_obs.Hdr_histogram
 module Clock = Statsched_obs.Clock
 module Journal = Statsched_obs.Journal
 module Http = Statsched_obs.Http
 module Engine = Statsched_des.Engine
 
-(* Trace lane layout: pid 0 holds one thread per computer carrying job
-   spans (ts = arrival, dur = response time); pid 1 mirrors the
-   computers with down/degraded capacity spans and drop markers. *)
-let jobs_pid = 0
-let computers_pid = 1
-
 type t = {
   config : Simulation.config;
   registry : Registry.t;
-  tracer : Trace_event.t option;
   journal : Journal.t option;
   wall_start : float;
   dispatches : Registry.counter array;
@@ -55,28 +47,12 @@ let per_computer_family registry ~help name n =
   Array.init n (fun i ->
       Registry.counter registry ~help ~labels:[ ("computer", string_of_int i) ] name)
 
-let create ?(trace = false) ?journal (config : Simulation.config) =
+let create ?journal (config : Simulation.config) =
   let n = Array.length config.Simulation.speeds in
   let registry = Registry.create () in
-  let tracer =
-    if not trace then None
-    else begin
-      let tr = Trace_event.create () in
-      Trace_event.process_name tr ~pid:jobs_pid "jobs";
-      Trace_event.process_name tr ~pid:computers_pid "computers";
-      Array.iteri
-        (fun i speed ->
-          let label = Printf.sprintf "computer %d (speed %g)" i speed in
-          Trace_event.thread_name tr ~pid:jobs_pid ~tid:i label;
-          Trace_event.thread_name tr ~pid:computers_pid ~tid:i label)
-        config.Simulation.speeds;
-      Some tr
-    end
-  in
   {
     config;
     registry;
-    tracer;
     journal;
     wall_start = Clock.now ();
     dispatches =
@@ -118,8 +94,6 @@ let metric_count t = Registry.metric_count t.registry
 let histograms t =
   t.hists_shared <- true;
   (t.rt_hist, t.rr_hist)
-let trace_event_count t =
-  match t.tracer with None -> 0 | Some tr -> Trace_event.event_count tr
 
 (* The hot hooks count dispatches/completions/drops only in the flat
    integer shadows; [sync_counters] brings the exported counter cells up
@@ -145,7 +119,8 @@ let on_dispatch t job =
     match t.journal with
     | None -> ()
     | Some j ->
-      Journal.record_dispatch j ~id:job.Job.id ~computer:i ~time:job.Job.arrival;
+      Journal.record_dispatch j ~id:job.Job.id ~computer:i ~time:job.Job.arrival
+        ~size:job.Job.size;
       (* Instantaneous run-queue depth of the target, right after this
          dispatch: in-flight = dispatched − completed − dropped. *)
       let depth = d - Array.unsafe_get t.comp_n i - Array.unsafe_get t.drop_n i in
@@ -166,63 +141,30 @@ let on_completion t job =
     Hdr.add t.rt_hist rt;
     Hdr.add t.rr_hist (rt /. job.Job.size)
   end;
-  (match t.journal with
+  match t.journal with
   | Some j when i >= 0 && i < t.n_computers ->
     Journal.record_completion j ~id:job.Job.id ~computer:i
       ~arrival:job.Job.arrival ~start:job.Job.start
       ~completion:job.Job.completion ~size:job.Job.size
-  | Some _ | None -> ());
-  match t.tracer with
-  | None -> ()
-  | Some tr ->
-    let rt = Job.response_time job in
-    let wait = if job.Job.start >= 0.0 then job.Job.start -. job.Job.arrival else 0.0 in
-    Trace_event.complete tr ~cat:"job" ~name:"job" ~ts:job.Job.arrival ~dur:rt
-      ~pid:jobs_pid ~tid:i
-      ~args:
-        [
-          ("id", Trace_event.Int job.Job.id);
-          ("size", Trace_event.Num job.Job.size);
-          ("wait", Trace_event.Num wait);
-          ("measured", Trace_event.Str (if measured then "yes" else "no"));
-        ]
-      ()
+  | Some _ | None -> ()
 
 let on_drop t job =
   let i = job.Job.computer in
   if i >= 0 && i < t.n_computers then begin
     Array.unsafe_set t.drop_n i (Array.unsafe_get t.drop_n i + 1);
-    (match t.journal with
+    match t.journal with
     | Some j ->
       (* Drops only happen while the triggering rate change is being
          applied, so the computer's last-change instant is "now". *)
       Journal.record_drop j ~id:job.Job.id ~computer:i ~time:t.rate_since.(i)
-    | None -> ());
-    match t.tracer with
     | None -> ()
-    | Some tr ->
-      (* A drop is triggered by the rate change being applied right now,
-         so the computer's last-change instant is the current sim time. *)
-      Trace_event.instant tr ~cat:"fault" ~name:"drop" ~ts:t.rate_since.(i)
-        ~pid:computers_pid ~tid:i
-        ~args:[ ("id", Trace_event.Int job.Job.id) ]
-        ()
   end
 
 (* Close the capacity span that ran at [prev] since [since]. *)
 let close_capacity_span t ~computer ~since ~until ~prev =
-  if prev < 1.0 && until > since then begin
+  if prev < 1.0 && until > since then
     t.down_seconds.(computer) <-
-      t.down_seconds.(computer) +. ((until -. since) *. (1.0 -. prev));
-    match t.tracer with
-    | None -> ()
-    | Some tr ->
-      Trace_event.complete tr ~cat:"fault"
-        ~name:(if prev <= 0.0 then "down" else "degraded")
-        ~ts:since ~dur:(until -. since) ~pid:computers_pid ~tid:computer
-        ~args:[ ("rate", Trace_event.Num prev) ]
-        ()
-  end
+      t.down_seconds.(computer) +. ((until -. since) *. (1.0 -. prev))
 
 let on_rate_change t ~time ~computer ~rate =
   Registry.inc t.rate_changes;
@@ -307,11 +249,6 @@ let finalize ?horizon t (result : Simulation.result) =
 let write_metrics t path =
   sync_counters t;
   Registry.write_prometheus t.registry path
-
-let write_trace t path =
-  match t.tracer with
-  | None -> ()
-  | Some tr -> Trace_event.write_json tr path
 
 (* ------------------------------------------------------------------ *)
 (* Live state and the in-process HTTP server                           *)

@@ -1,6 +1,5 @@
-(** Unified run telemetry: a metric registry plus an optional Chrome
-    trace-event recorder, fed by the passive observer hooks of
-    {!Simulation.run}.
+(** Unified run telemetry: a metric registry plus an optional run
+    journal, fed by the passive observer hooks of {!Simulation.run}.
 
     Construct one per run, pass its [on_*] callbacks to {!Simulation.run},
     then call {!finalize} with the result to close open spans and set the
@@ -15,12 +14,12 @@
 
 type t
 
-val create : ?trace:bool -> ?journal:Statsched_obs.Journal.t -> Simulation.config -> t
-(** [trace] (default false) additionally records per-job spans and
-    computer up/down intervals for Perfetto; metrics are always on.
-    [journal] tees every hook into a bounded structured run journal
-    (dispatch/queue-depth/completion/drop/rate records, systematically
-    sampled) — see {!Statsched_obs.Journal}. *)
+val create : ?journal:Statsched_obs.Journal.t -> Simulation.config -> t
+(** Metrics are always on.  [journal] tees every hook into a bounded
+    structured run journal (dispatch/queue-depth/completion/drop/rate
+    records, systematically sampled) — see {!Statsched_obs.Journal}.
+    At stride 1 the journal is the run's complete record, from which
+    [tracestat export] renders the per-job CSV and the Chrome trace. *)
 
 val on_dispatch : t -> Statsched_queueing.Job.t -> unit
 val on_completion : t -> Statsched_queueing.Job.t -> unit
@@ -54,14 +53,8 @@ val histograms :
 
 val metric_count : t -> int
 
-val trace_event_count : t -> int
-(** 0 when tracing is off. *)
-
 val write_metrics : t -> string -> unit
 (** Prometheus text exposition to a file. *)
-
-val write_trace : t -> string -> unit
-(** Chrome trace-event JSON to a file; no-op when tracing is off. *)
 
 (** {2 Live observation}
 

@@ -2,9 +2,14 @@
 
     A journal records fixed-size event records — dispatches, sampled
     queue depths, completion (service) spans, drops and effective-rate
-    (fault span) edges — into preallocated structure-of-arrays storage,
-    so a recording site allocates {e nothing} per event and the footprint
-    stays [O(capacity)] no matter how many events the run produces.
+    (fault span) edges — into fixed 4096-record blocks, allocated the
+    first time a record lands in them and never copied, so a recording
+    site allocates {e nothing} per event and the footprint grows with the
+    records kept, never past [O(capacity)] however many events the run
+    produces.  With room for every record of a run (and [sample_every]
+    1) it never compacts, keeps stride 1 and is the run's complete
+    record; [tracestat export] renders it as the per-job CSV or the
+    Chrome trace.
 
     Sampling is systematic 1-in-[k]: each record stream keeps its
     [0]th, [k]th, [2k]th… event.  When the journal fills, it compacts in
@@ -25,7 +30,9 @@ type t
 type kind = Dispatch | Queue | Completion | Drop | Rate
 
 val create : ?capacity:int -> ?sample_every:int -> unit -> t
-(** [capacity] (default 4096, about 256 KiB — small enough that recording stays cache-resident) bounds the number of retained records;
+(** [capacity] (default 4096, one block) bounds the number of retained
+    records; memory grows with the records kept, 64 bytes each, up to
+    [capacity] of them;
     [sample_every] (default 1) is the initial sampling stride [k].
 
     @raise Invalid_argument if [capacity < 16] or [sample_every < 1]. *)
@@ -37,7 +44,7 @@ val create : ?capacity:int -> ?sample_every:int -> unit -> t
     [Gc.minor_words] test); the in-place compaction on overflow is the
     single amortised cold path. *)
 
-val record_dispatch : t -> id:int -> computer:int -> time:float -> unit
+val record_dispatch : t -> id:int -> computer:int -> time:float -> size:float -> unit
 val record_queue : t -> depth:int -> computer:int -> time:float -> unit
 
 val record_completion :
@@ -71,7 +78,7 @@ val kept : t -> kind -> int
 (** Records of this kind currently retained. *)
 
 type record =
-  | Dispatch_r of { id : int; computer : int; time : float }
+  | Dispatch_r of { id : int; computer : int; time : float; size : float }
   | Queue_r of { depth : int; computer : int; time : float }
   | Completion_r of {
       id : int;
@@ -95,7 +102,7 @@ val fnv1a64 : string -> int64
 
 val to_string :
   ?meta:(string * string) list -> ?summary:(string * string) list -> t -> string
-(** Serialise: header ([statsched-journal v1]), [meta] key/value lines
+(** Serialise: header ([statsched-journal v2]), [meta] key/value lines
     (run configuration), sampling state, [summary] key/value lines
     (collector-side results for cross-validation), the records, and the
     checksum line.  Keys must be non-empty and space-free.

@@ -14,7 +14,7 @@ type event = {
   args : (string * arg) list;
 }
 
-(* Growable buffer, Buffer-style doubling (same idiom as Cluster.Trace). *)
+(* Growable buffer, Buffer-style doubling. *)
 type t = { mutable events : event array; mutable len : int }
 
 let create () = { events = [||]; len = 0 }

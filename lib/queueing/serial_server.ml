@@ -9,8 +9,12 @@ type order =
 
 (* A job at this server.  [remaining] is its work left when its current
    (or next) slice begins; the same record carries the job through every
-   RR turn and SRPT preemption. *)
-type entry = { job : Job.t; mutable remaining : float }
+   RR turn and SRPT preemption.  It sits in an all-float record, like
+   [hot] below, so the write at each RR requeue stores a raw double
+   instead of boxing one that is then promoted with the queued entry. *)
+type left = { mutable remaining : float }
+
+type entry = { job : Job.t; left : left }
 
 type ready =
   | Fifo of entry Queue.t  (* FCFS and RR *)
@@ -52,7 +56,7 @@ let note_busy t =
 let push_ready t e =
   match t.ready with
   | Fifo q -> Queue.push e q
-  | By_remaining q -> ignore (Event_queue.add q ~time:e.remaining e)
+  | By_remaining q -> ignore (Event_queue.add q ~time:e.left.remaining e)
 
 let ready_is_empty t =
   match t.ready with
@@ -80,7 +84,7 @@ let interrupt t e =
   if Engine.armed t.engine t.slice_end then begin
     let s = served t in
     Engine.disarm t.engine t.slice_end;
-    e.remaining <- e.remaining -. s;
+    e.left.remaining <- e.left.remaining -. s;
     t.hot.work <- t.hot.work +. s
   end
 
@@ -89,7 +93,9 @@ let interrupt t e =
 let start_slice t e =
   let eff = t.speed *. t.hot.rate in
   if eff > 0.0 then begin
-    t.hot.slice <- min t.quantum e.remaining;
+    (* [Stdlib.min] would box the unboxed [remaining] read. *)
+    let r = e.left.remaining in
+    t.hot.slice <- (if t.quantum <= r then t.quantum else r);
     t.hot.slice_start <- now t;
     Engine.arm t.engine t.slice_end ~delay:(t.hot.slice /. eff)
   end
@@ -110,7 +116,7 @@ let end_slice t =
   | Some e ->
     t.runner <- None;
     t.hot.work <- t.hot.work +. t.hot.slice;
-    let left = e.remaining -. t.hot.slice in
+    let left = e.left.remaining -. t.hot.slice in
     (* Relative tolerance: RR slices can leave a round-off residue. *)
     if left <= 1e-12 *. e.job.Job.size then begin
       e.job.Job.completion <- now t;
@@ -120,18 +126,18 @@ let end_slice t =
       t.on_departure e.job
     end
     else begin
-      e.remaining <- left;
+      e.left.remaining <- left;
       push_ready t e
     end;
     start_next t
 
 let submit t job =
-  let e = { job; remaining = job.Job.size } in
+  let e = { job; left = { remaining = job.Job.size } } in
   t.n <- t.n + 1;
   note_occupancy t;
   match (t.runner, t.ready) with
   | None, _ -> run t e
-  | Some r, By_remaining _ when job.Job.size < r.remaining -. served t ->
+  | Some r, By_remaining _ when job.Job.size < r.left.remaining -. served t ->
     interrupt t r;
     push_ready t r;
     run t e

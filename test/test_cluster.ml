@@ -409,56 +409,60 @@ let probe_suite =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
+(* Trace: the per-job records a stride-1 journal keeps                 *)
+
+module Journal = Statsched_obs.Journal
+module Journal_file = Tracestat_core.Journal_file
+module Export = Tracestat_core.Export
+
+(* Feed one job through the telemetry hooks of a four-computer cluster
+   into a journal. *)
+let journal_one_job ~id ~size ~arrival ~computer ~completion =
+  let speeds = [| 1.0; 1.0; 2.0; 4.0 |] in
+  let workload = Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
+  let cfg =
+    Simulation.default_config ~horizon:100.0 ~speeds ~workload
+      ~scheduler:(Scheduler.static Core.Policy.wrr) ()
+  in
+  let journal = Journal.create () in
+  let t = Cluster.Telemetry.create ~journal cfg in
+  let job = Job.create ~id ~size ~arrival in
+  job.Job.computer <- computer;
+  Cluster.Telemetry.on_dispatch t job;
+  job.Job.completion <- completion;
+  Cluster.Telemetry.on_completion t job;
+  journal
 
 let trace_record_contents () =
-  let t = Cluster.Trace.create () in
-  let job = Job.create ~id:7 ~size:2.0 ~arrival:10.0 in
-  job.Job.computer <- 3;
-  Cluster.Trace.on_dispatch t job;
-  job.Job.completion <- 14.0;
-  Cluster.Trace.on_completion t job;
-  Alcotest.(check int) "one dispatch" 1 (Cluster.Trace.dispatch_count t);
-  Alcotest.(check int) "one completion" 1 (Cluster.Trace.completion_count t);
-  let d = (Cluster.Trace.dispatches t).(0) in
-  check_float "dispatch time is the arrival" 10.0 d.Cluster.Trace.time;
-  Alcotest.(check int) "dispatch job id" 7 d.Cluster.Trace.job_id;
-  Alcotest.(check int) "dispatch computer" 3 d.Cluster.Trace.computer;
-  check_float "dispatch size" 2.0 d.Cluster.Trace.size;
-  let c = (Cluster.Trace.completions t).(0) in
-  check_float "completion time" 14.0 c.Cluster.Trace.time;
-  Alcotest.(check int) "completion job id" 7 c.Cluster.Trace.job_id;
-  check_float "response time" 4.0 c.Cluster.Trace.response_time;
-  check_float "response ratio" 2.0 c.Cluster.Trace.response_ratio;
-  check_array ~eps:0.0 "completed sizes" [| 2.0 |] (Cluster.Trace.completed_sizes t)
+  let j = journal_one_job ~id:7 ~size:2.0 ~arrival:10.0 ~computer:3 ~completion:14.0 in
+  Alcotest.(check int) "one dispatch" 1 (Journal.kept j Journal.Dispatch);
+  Alcotest.(check int) "one completion" 1 (Journal.kept j Journal.Completion);
+  Journal.iter j (function
+    | Journal.Dispatch_r d ->
+      check_float "dispatch time is the arrival" 10.0 d.time;
+      Alcotest.(check int) "dispatch job id" 7 d.id;
+      Alcotest.(check int) "dispatch computer" 3 d.computer;
+      check_float "dispatch size" 2.0 d.size
+    | Journal.Completion_r c ->
+      check_float "completion time" 14.0 c.completion;
+      Alcotest.(check int) "completion job id" 7 c.id;
+      check_float "response time" 4.0 (c.completion -. c.arrival);
+      check_float "response ratio" 2.0 ((c.completion -. c.arrival) /. c.size);
+      check_float ~eps:0.0 "completed size" 2.0 c.size
+    | Journal.Queue_r _ -> ()
+    | Journal.Drop_r _ | Journal.Rate_r _ -> Alcotest.fail "no faults in this run")
 
 let trace_csv_golden () =
-  let t = Cluster.Trace.create () in
-  let job = Job.create ~id:1 ~size:0.5 ~arrival:1.0 in
-  job.Job.computer <- 0;
-  Cluster.Trace.on_dispatch t job;
-  job.Job.completion <- 2.0;
-  Cluster.Trace.on_completion t job;
-  let path = Filename.temp_file "statsched_trace" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Cluster.Trace.write_csv t path;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      Alcotest.(check (list string))
-        "csv lines"
-        [
-          "kind,time,job_id,computer,size,response_time,response_ratio";
-          "dispatch,1.000000,1,0,0.500000,,";
-          "completion,2.000000,1,0,,1.000000,2.000000";
-        ]
-        (List.rev !lines))
+  let j = journal_one_job ~id:1 ~size:0.5 ~arrival:1.0 ~computer:0 ~completion:2.0 in
+  match Journal_file.parse (Journal.to_string j) with
+  | Error _ -> Alcotest.fail "journal must parse"
+  | Ok jf ->
+    Alcotest.(check string)
+      "csv lines"
+      "kind,time,job_id,computer,size,response_time,response_ratio\n\
+       dispatch,1.000000,1,0,0.500000,,\n\
+       completion,2.000000,1,0,,1.000000,2.000000\n"
+      (Export.csv jf)
 
 let trace_suite =
   [
@@ -593,12 +597,38 @@ let per_job_allocation_bounded () =
   if per_job > 120.0 then
     Alcotest.failf "hot path allocates %.1f words/job (bound: 120)" per_job
 
+let rr_allocation_per_arrival () =
+  (* RR requeues a job at the end of every quantum, and a Table 3 job
+     takes hundreds of 0.25 s slices.  Each requeue must store the job's
+     remaining work as a raw double: a boxed float per slice (promoted
+     with the queued entry) costs about 570 more words per arrival on
+     this configuration (4930 measured with it, 4360 without). *)
+  let speeds = Core.Speeds.table3 in
+  let workload = Workload.paper_default ~rho:0.7 ~speeds in
+  let cfg =
+    Simulation.default_config ~discipline:(Simulation.Rr 0.25) ~horizon:2.0e4
+      ~warmup:5.0e3 ~seed:7L ~speeds ~workload
+      ~scheduler:(Scheduler.static Core.Policy.orr) ()
+  in
+  ignore (Simulation.run ~sanitize:false cfg);
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  let result = Simulation.run ~sanitize:false cfg in
+  let per_arrival =
+    (Gc.minor_words () -. before) /. float_of_int result.Simulation.total_arrivals
+  in
+  if per_arrival > 4650.0 then
+    Alcotest.failf "RR(0.25) allocates %.1f minor words/arrival (bound: 4650)"
+      per_arrival
+
 let hot_path_suite =
   [
     test "workload: batched gap source bit-identical to direct draws"
       gap_source_matches_direct;
     slow_test "simulation: steady-state allocation bounded per job"
       per_job_allocation_bounded;
+    slow_test "simulation: RR requeue stores remaining work unboxed"
+      rr_allocation_per_arrival;
   ]
 
 let suite = suite @ hot_path_suite

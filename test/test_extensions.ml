@@ -171,68 +171,65 @@ let jain_optimized_less_balanced () =
   Alcotest.(check bool) "optimized unbalances" true (j_opt < 0.95)
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
+(* Trace: a stride-1 journal is the run's complete record              *)
+
+module Journal = Statsched_obs.Journal
 
 let trace_records_roundtrip () =
-  let t = Cluster.Trace.create () in
   let speeds = [| 1.0; 2.0 |] in
   let workload = Cluster.Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
   let cfg =
     Cluster.Simulation.default_config ~horizon:5_000.0 ~speeds ~workload
       ~scheduler:(Cluster.Scheduler.static Core.Policy.wrr) ()
   in
+  let journal = Journal.create ~capacity:(1 lsl 16) () in
+  let t = Cluster.Telemetry.create ~journal cfg in
   let r =
     Cluster.Simulation.run
-      ~on_dispatch:(Cluster.Trace.on_dispatch t)
-      ~on_completion:(Cluster.Trace.on_completion t)
+      ~on_dispatch:(Cluster.Telemetry.on_dispatch t)
+      ~on_completion:(Cluster.Telemetry.on_completion t)
       cfg
   in
+  Alcotest.(check int) "nothing sampled away" 1 (Journal.stride journal);
+  let dispatched = Hashtbl.create 4096 in
+  let last_dispatch = ref neg_infinity in
+  let completions = ref 0 in
+  Journal.iter journal (function
+    | Journal.Dispatch_r { id; time; size; _ } ->
+      if time < !last_dispatch then Alcotest.fail "dispatch trace out of order";
+      last_dispatch := time;
+      Hashtbl.replace dispatched id size
+    | Journal.Completion_r { id; size; _ } ->
+      incr completions;
+      (* The replayable size is the one the job was dispatched with. *)
+      (match Hashtbl.find_opt dispatched id with
+      | Some s -> check_float ~eps:0.0 "completed size is the dispatched size" s size
+      | None -> Alcotest.fail "completion without a dispatch");
+      Alcotest.(check bool) "positive size" true (size > 0.0)
+    | Journal.Queue_r _ | Journal.Drop_r _ | Journal.Rate_r _ -> ());
   Alcotest.(check int) "every arrival traced" r.Cluster.Simulation.total_arrivals
-    (Cluster.Trace.dispatch_count t);
-  Alcotest.(check bool) "completions traced" true (Cluster.Trace.completion_count t > 0);
+    (Hashtbl.length dispatched);
+  Alcotest.(check bool) "completions traced" true (!completions > 0);
   Alcotest.(check bool) "completions <= dispatches" true
-    (Cluster.Trace.completion_count t <= Cluster.Trace.dispatch_count t);
-  (* records are time-ordered *)
-  let ds = Cluster.Trace.dispatches t in
-  for i = 1 to Array.length ds - 1 do
-    if ds.(i).Cluster.Trace.time < ds.(i - 1).Cluster.Trace.time then
-      Alcotest.fail "dispatch trace out of order"
-  done;
-  (* completed_sizes reconstructs sizes *)
-  let sizes = Cluster.Trace.completed_sizes t in
-  Array.iter
-    (fun s -> Alcotest.(check bool) "positive size" true (s > 0.0))
-    sizes
+    (!completions <= Hashtbl.length dispatched)
 
 let trace_csv_output () =
-  let t = Cluster.Trace.create () in
-  Cluster.Trace.record_dispatch t
-    { Cluster.Trace.time = 1.0; job_id = 1; computer = 0; size = 2.0 };
-  Cluster.Trace.record_completion t
-    {
-      Cluster.Trace.time = 3.0;
-      job_id = 1;
-      computer = 0;
-      response_time = 2.0;
-      response_ratio = 1.0;
-    };
-  let path = Filename.temp_file "statsched" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Cluster.Trace.write_csv t path;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      Alcotest.(check int) "header + 2 records" 3 (List.length lines);
-      Alcotest.(check string) "header"
-        "kind,time,job_id,computer,size,response_time,response_ratio"
-        (List.hd lines))
+  let j = Journal.create () in
+  Journal.record_dispatch j ~id:1 ~computer:0 ~time:1.0 ~size:2.0;
+  Journal.record_completion j ~id:1 ~computer:0 ~arrival:1.0 ~start:1.0
+    ~completion:3.0 ~size:2.0;
+  match Tracestat_core.Journal_file.parse (Journal.to_string j) with
+  | Error _ -> Alcotest.fail "journal must parse"
+  | Ok jf ->
+    let lines =
+      List.filter
+        (fun l -> l <> "")
+        (String.split_on_char '\n' (Tracestat_core.Export.csv jf))
+    in
+    Alcotest.(check int) "header + 2 records" 3 (List.length lines);
+    Alcotest.(check string) "header"
+      "kind,time,job_id,computer,size,response_time,response_ratio"
+      (List.hd lines)
 
 (* ------------------------------------------------------------------ *)
 (* Batch means runner                                                  *)

@@ -17,15 +17,22 @@ module Band = Statsched_simcheck.Band
 (* ------------------------------------------------------------------ *)
 (* Bounded journal: sampling and compaction invariants                  *)
 
-let journal_bounded_sampling () =
-  let j = Journal.create ~capacity:16 () in
+(* Besides a small one-block journal, the compaction tests run at
+   several whole blocks and at a last block shorter than the others. *)
+let block = 4096
+let multi_block = [ 3 * block; (3 * block) + 5 ]
+
+let bounded_sampling_at capacity =
+  let j = Journal.create ~capacity () in
   Alcotest.(check int) "initial stride" 1 (Journal.stride j);
-  for i = 0 to 999 do
+  let n = max 1000 (10 * capacity) in
+  for i = 0 to n - 1 do
     Journal.record_dispatch j ~id:i ~computer:(i mod 3) ~time:(float_of_int i)
+      ~size:(float_of_int (i + 1))
   done;
   Alcotest.(check bool) "length bounded by capacity" true
     (Journal.length j <= Journal.capacity j);
-  Alcotest.(check int) "every offer counted" 1000 (Journal.seen j Journal.Dispatch);
+  Alcotest.(check int) "every offer counted" n (Journal.seen j Journal.Dispatch);
   let stride = Journal.stride j in
   Alcotest.(check bool) "stride grew under pressure" true (stride > 1);
   Alcotest.(check bool) "stride stays a power of two" true
@@ -35,7 +42,11 @@ let journal_bounded_sampling () =
      recording order — a uniform sample, not an arbitrary subset. *)
   let ids = ref [] in
   Journal.iter j (function
-    | Journal.Dispatch_r { id; _ } -> ids := id :: !ids
+    | Journal.Dispatch_r { id; time; size; _ } ->
+      (* Compaction moves whole slots: the fields stay together. *)
+      check_float ~eps:0.0 "time travels with its record" (float_of_int id) time;
+      check_float ~eps:0.0 "size travels with its record" (float_of_int (id + 1)) size;
+      ids := id :: !ids
     | _ -> Alcotest.fail "journal holds only dispatch records");
   let ids = List.rev !ids in
   Alcotest.(check bool) "some records survive" true (ids <> []);
@@ -48,12 +59,15 @@ let journal_bounded_sampling () =
     (Journal.length j)
     (Journal.kept j Journal.Dispatch)
 
-let journal_per_stream_sampling () =
+let journal_bounded_sampling () = List.iter bounded_sampling_at (16 :: multi_block)
+
+let per_stream_sampling_at capacity =
   (* Mixed streams compact together but sample per stream: each kind
      keeps its own 0, stride, 2*stride... ordinals. *)
-  let j = Journal.create ~capacity:32 () in
-  for i = 0 to 499 do
-    Journal.record_dispatch j ~id:i ~computer:0 ~time:(float_of_int i);
+  let j = Journal.create ~capacity () in
+  let n = max 500 (2 * capacity) in
+  for i = 0 to n - 1 do
+    Journal.record_dispatch j ~id:i ~computer:0 ~time:(float_of_int i) ~size:1.0;
     Journal.record_completion j ~id:i ~computer:0 ~arrival:(float_of_int i)
       ~start:(float_of_int i)
       ~completion:(float_of_int (i + 1))
@@ -77,10 +91,14 @@ let journal_per_stream_sampling () =
   check_ordinals "completion" (function
     | Journal.Completion_r { id; _ } -> Some id
     | _ -> None);
-  Alcotest.(check int) "dispatch stream population" 500
+  Alcotest.(check bool) "streams were compacted" true (stride > 1);
+  Alcotest.(check int) "dispatch stream population" n
     (Journal.seen j Journal.Dispatch);
-  Alcotest.(check int) "completion stream population" 500
+  Alcotest.(check int) "completion stream population" n
     (Journal.seen j Journal.Completion)
+
+let journal_per_stream_sampling () =
+  List.iter per_stream_sampling_at (32 :: multi_block)
 
 let journal_validation () =
   Alcotest.(check bool) "capacity < 16 rejected" true
@@ -116,7 +134,7 @@ let journal_checksum_vectors () =
 
 let sample_journal () =
   let j = Journal.create ~capacity:16 () in
-  Journal.record_dispatch j ~id:0 ~computer:2 ~time:0.1;
+  Journal.record_dispatch j ~id:0 ~computer:2 ~time:0.1 ~size:2.5;
   Journal.record_queue j ~depth:3 ~computer:2 ~time:0.1;
   Journal.record_completion j ~id:0 ~computer:2 ~arrival:0.1
     ~start:(1.0 /. 3.0) ~completion:1.0e-17 ~size:2.5;
@@ -154,8 +172,9 @@ let journal_roundtrip () =
             && Float.equal start p.start
             && Float.equal completion p.completion
             && Float.equal size p.size
-          | Journal.Dispatch_r { id; computer; time }, Journal.Dispatch_r p ->
+          | Journal.Dispatch_r { id; computer; time; size }, Journal.Dispatch_r p ->
             id = p.id && computer = p.computer && Float.equal time p.time
+            && Float.equal size p.size
           | Journal.Queue_r { depth; computer; time }, Journal.Queue_r p ->
             depth = p.depth && computer = p.computer && Float.equal time p.time
           | Journal.Drop_r { id; computer; time }, Journal.Drop_r p ->
@@ -206,13 +225,19 @@ let journal_corruption_detected () =
     body ^ Printf.sprintf "checksum fnv1a64 %016Lx\n" (Journal.fnv1a64 body)
   in
   Alcotest.(check bool) "record count mismatch caught" true (corrupt miscounted);
-  (* An honest file of a future version is Unsupported, not Corrupt. *)
-  let v2 = "statsched-journal v2\n" in
-  let v2 = v2 ^ Printf.sprintf "checksum fnv1a64 %016Lx\n" (Journal.fnv1a64 v2) in
-  Alcotest.(check bool) "future version is Unsupported" true
-    (match Journal_file.parse v2 with
-    | Error (Journal_file.Unsupported _) -> true
-    | _ -> false)
+  (* An honest file of another version — v1 predates the dispatch size,
+     v3 is from the future — is Unsupported, not Corrupt. *)
+  List.iter
+    (fun header ->
+      let text = header ^ "\n" in
+      let text =
+        text ^ Printf.sprintf "checksum fnv1a64 %016Lx\n" (Journal.fnv1a64 text)
+      in
+      Alcotest.(check bool) (header ^ " is Unsupported") true
+        (match Journal_file.parse text with
+        | Error (Journal_file.Unsupported _) -> true
+        | _ -> false))
+    [ "statsched-journal v1"; "statsched-journal v3" ]
 
 let journal_write_atomic () =
   let dir = Filename.temp_file "statsched-journal" "" in
@@ -239,8 +264,10 @@ let journal_recording_allocation () =
   (* Recording must not build per-record heap structure: the only
      allocation a call site may pay is the boxing of its float
      arguments (a few words), never an O(record) or O(capacity) cost.
-     The loop below crosses several compactions. *)
-  let j = Journal.create ~capacity:1024 () in
+     The measured loop opens the second and third blocks (a block is
+     one direct major allocation, not a minor one), fills the short
+     last block and compacts. *)
+  let j = Journal.create ~capacity:((3 * block) + 5) () in
   let record i =
     let t = float_of_int i in
     Journal.record_completion j ~id:i ~computer:0 ~arrival:t ~start:t
@@ -250,12 +277,13 @@ let journal_recording_allocation () =
     record i
   done;
   Gc.full_major ();
-  let n = 8192 in
+  let n = 4 * block in
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
     record i
   done;
   let per_record = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool) "the loop compacted" true (Journal.stride j > 1);
   if per_record > 16.0 then
     Alcotest.failf "journal recording allocates %.1f words/record (bound: 16)"
       per_record

@@ -626,7 +626,8 @@ let run_combo ?faults ~scheduler ~telemetry () =
     match telemetry with
     | false -> Simulation.run ~on_completion:record cfg
     | true ->
-      let t = Telemetry.create ~trace:true cfg in
+      let journal = Obs.Journal.create ~capacity:(1 lsl 16) () in
+      let t = Telemetry.create ~journal cfg in
       let r =
         Simulation.run
           ~metric_histograms:(Telemetry.histograms t)
@@ -641,13 +642,14 @@ let run_combo ?faults ~scheduler ~telemetry () =
       Telemetry.finalize t r;
       Alcotest.(check bool) "telemetry collected metrics" true
         (Telemetry.metric_count t > 0);
-      Alcotest.(check bool) "telemetry collected trace events" true
-        (Telemetry.trace_event_count t > 0);
+      Alcotest.(check bool) "telemetry journaled every record" true
+        (Obs.Journal.stride journal = 1 && Obs.Journal.length journal > 0);
       r
   in
   { result; completion_order = List.rev !order }
 
-(* Acceptance criterion: a run with full telemetry (metrics + trace) is
+(* Acceptance criterion: a run with full telemetry (metrics + a stride-1
+   journal, the run's complete record) is
    bit-identical to a bare run under the same seed, across static,
    dynamic, adaptive and faulty configurations. *)
 let telemetry_bit_identity () =
@@ -745,7 +747,8 @@ let telemetry_fault_accounting () =
       ~horizon:30_000.0 ~warmup:5_000.0 ~speeds ~workload
       ~scheduler:(Scheduler.static Core.Policy.wrr) ()
   in
-  let t = Telemetry.create ~trace:true cfg in
+  let journal = Obs.Journal.create ~capacity:(1 lsl 16) () in
+  let t = Telemetry.create ~journal cfg in
   let result =
     Simulation.run
       ~metric_histograms:(Telemetry.histograms t)
@@ -776,13 +779,17 @@ let telemetry_fault_accounting () =
       "statsched_des_heap_high_water";
       "statsched_dispatch_drift{computer=\"1\"}";
     ];
-  (* Down spans were recorded and the trace is non-trivial. *)
+  (* Down spans were recorded and the record stream is non-trivial. *)
   Alcotest.(check bool) "rate changes observed" true
     (match result.Simulation.fault_summary with
     | Some s -> s.Fault.failures > 0
     | None -> false);
-  Alcotest.(check bool) "trace has job + fault events" true
-    (Telemetry.trace_event_count t > 100)
+  Alcotest.(check bool) "journal has rate records" true
+    (Obs.Journal.kept journal Obs.Journal.Rate > 0);
+  Alcotest.(check bool) "journal has job + fault records" true
+    (Obs.Journal.kept journal Obs.Journal.Completion
+     + Obs.Journal.kept journal Obs.Journal.Rate
+    > 100)
 
 let suite =
   [

@@ -67,7 +67,7 @@ let validate ?(bias = 0.02) ?(util_bias = 0.05) (jf : Journal_file.t) =
           if completion > warmup && computer >= 0 && computer < n then
             spans.(computer) <-
               (max arrival warmup, min completion horizon) :: spans.(computer)
-        | J.Dispatch_r { id; computer; time } ->
+        | J.Dispatch_r { id; computer; time; size = _ } ->
           dispatches := (id, computer, time) :: !dispatches;
           if time >= warmup && computer >= 0 && computer < n then begin
             disp.(computer) <- disp.(computer) + 1;

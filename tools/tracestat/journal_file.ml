@@ -55,10 +55,10 @@ let parse_record ~lineno tag rest =
   let num s = float_of_string_opt s in
   let idx s = int_of_string_opt s in
   match (tag, fields) with
-  | "D", [ a; b; c ] -> (
-    match (idx a, idx b, num c) with
-    | Some id, Some computer, Some time ->
-      Ok (Journal.Dispatch_r { id; computer; time })
+  | "D", [ a; b; c; d ] -> (
+    match (idx a, idx b, num c, num d) with
+    | Some id, Some computer, Some time, Some size ->
+      Ok (Journal.Dispatch_r { id; computer; time; size })
     | _ -> fail ())
   | "Q", [ a; b; c ] -> (
     match (idx a, idx b, num c) with
@@ -87,7 +87,7 @@ let parse content =
   let* body = verify_checksum content in
   let lines = String.split_on_char '\n' body in
   match lines with
-  | header :: rest when String.equal header "statsched-journal v1" ->
+  | header :: rest when String.equal header "statsched-journal v2" ->
     let meta = ref [] in
     let summary = ref [] in
     let stride = ref 1 in

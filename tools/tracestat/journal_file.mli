@@ -1,4 +1,4 @@
-(** Reader for the [statsched-journal v1] on-disk format written by
+(** Reader for the [statsched-journal v2] on-disk format written by
     {!Statsched_obs.Journal.write} / [Cluster.Telemetry.write_journal]. *)
 
 type t = {

@@ -1,6 +1,6 @@
-(* tracestat — recompute run metrics from a structured run journal (or
-   Chrome trace) and cross-validate them against the collector summary
-   recorded in the same file.
+(* tracestat — recompute run metrics from a structured run journal and
+   cross-validate them against the collector summary recorded in the
+   same file, or export the journal as a per-job CSV or a Chrome trace.
 
    Exit codes: 0 all checks pass; 1 a cross-validation band failed;
    2 the file is corrupt, truncated, or unreadable. *)
@@ -8,7 +8,8 @@
 open Cmdliner
 module Journal_file = Tracestat_core.Journal_file
 module Crossval = Tracestat_core.Crossval
-module Trace_stat = Tracestat_core.Trace_stat
+module Export = Tracestat_core.Export
+module Trace_event = Statsched_obs.Trace_event
 module Band = Statsched_simcheck.Band
 module Confidence = Statsched_stats.Confidence
 
@@ -63,24 +64,33 @@ let show_run path =
     (fun (k, v) -> Printf.printf "summary %s = %s\n" k v)
     jf.Journal_file.summary
 
-let trace_run path =
-  match Trace_stat.of_file path with
-  | Error reason ->
-    Printf.eprintf "tracestat: %s: %s\n" path reason;
-    exit exit_corrupt
-  | Ok s ->
-    Printf.printf "job spans: %d (%d measured)\n" s.Trace_stat.spans
-      s.Trace_stat.measured;
-    Printf.printf "mean response time:  %.4f s\n" s.Trace_stat.mean_response_time;
-    Printf.printf "mean response ratio: %.4f\n" s.Trace_stat.mean_response_ratio;
-    let total =
-      float_of_int (Array.fold_left ( + ) 0 s.Trace_stat.dispatch_counts)
-    in
-    Array.iteri
-      (fun i c ->
-        Printf.printf "computer %d: %d measured jobs (%.4f)\n" i c
-          (if total > 0.0 then float_of_int c /. total else 0.0))
-      s.Trace_stat.dispatch_counts
+type format = Csv | Chrome
+
+let export_run format path out =
+  let jf = load_or_die path in
+  let stride = jf.Journal_file.stride in
+  if stride > 1 then
+    Printf.eprintf
+      "tracestat: %s: sampled journal (stride %d): the export holds 1 in %d \
+       records of each stream%s\n%!"
+      path stride stride
+      (match format with
+      | Chrome -> "; capacity spans skipped"
+      | Csv -> "");
+  match format with
+  | Csv ->
+    let text = Export.csv jf in
+    Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc text);
+    let rows = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) (-1) text in
+    Printf.printf "csv: %d rows -> %s\n" rows out
+  | Chrome -> (
+    match Export.chrome jf with
+    | Error reason ->
+      Printf.eprintf "tracestat: %s: cannot export (%s)\n" path reason;
+      exit exit_corrupt
+    | Ok tr ->
+      Trace_event.write_json tr out;
+      Printf.printf "chrome: %d events -> %s\n" (Trace_event.event_count tr) out)
 
 let file_t =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Input file.")
@@ -118,13 +128,28 @@ let show_cmd =
     (Cmd.info "show" ~doc:"Print a journal's meta, sampling state and summary.")
     Term.(const show_run $ file_t)
 
-let trace_cmd =
+let export_cmd =
+  let format_t =
+    Arg.(
+      required
+      & pos 0 (some (enum [ ("csv", Csv); ("chrome", Chrome) ])) None
+      & info [] ~docv:"FORMAT" ~doc:"$(b,csv) or $(b,chrome).")
+  in
+  let journal_t =
+    Arg.(
+      required & pos 1 (some file) None & info [] ~docv:"JOURNAL" ~doc:"Input journal.")
+  in
+  let out_t =
+    Arg.(required & pos 2 (some string) None & info [] ~docv:"OUT" ~doc:"Output file.")
+  in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "export"
        ~doc:
-         "Recompute response-time statistics from a Chrome trace-event file \
-          (schedsim run --trace-out).")
-    Term.(const trace_run $ file_t)
+         "Render a journal as the per-job dispatch/completion CSV ($(b,csv)) \
+          or as Chrome trace-event JSON with job spans, drops and capacity \
+          spans ($(b,chrome), open in ui.perfetto.dev).  A stride-1 journal \
+          exports every record of its run.")
+    Term.(const export_run $ format_t $ journal_t $ out_t)
 
 let () =
   let info =
@@ -133,4 +158,4 @@ let () =
         "Cross-validate a statsched run journal against its collector \
          summary (differential observability)."
   in
-  exit (Cmd.eval (Cmd.group info [ check_cmd; show_cmd; trace_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ check_cmd; show_cmd; export_cmd ]))
