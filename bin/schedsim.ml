@@ -5,7 +5,8 @@
      dispatch   show a dispatch sequence for given fractions
      run        simulate one cluster/scheduler combination
      compare    simulate all five schedulers on one configuration
-     experiment regenerate a paper table/figure (table1 fig2 ... all) *)
+     experiment regenerate a paper table/figure, or run an ablation or
+                extension study (table1 fig2 ... ablation-dispatch ... all) *)
 
 open Cmdliner
 module Core = Statsched_core
@@ -676,19 +677,207 @@ let compare_cmd =
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
 
+(* What every study runs with: the command line's scale, seed and
+   replication fan-out, and the --csv directory, if any. *)
+type study = {
+  scale : E.Config.scale;
+  seed : int64;
+  jobs : int option;
+  csv_dir : string option;
+}
+
+let write_csv st file contents =
+  match st.csv_dir with
+  | None -> ()
+  | Some dir ->
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    let path = Filename.concat dir file in
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc contents);
+    Printf.printf "wrote %s\n" path
+
+let write_sweeps st name sweeps =
+  List.iteri
+    (fun i sweep ->
+      write_csv st (Printf.sprintf "%s-%d.csv" name i) (E.Report.sweep_to_csv sweep))
+    sweeps
+
+(* Every reproduction study, in the order the vocabulary lists them.
+   Each prints its section banner before it starts computing. *)
+let studies =
+  [
+    ( "table1",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Table 1";
+        print_string (E.Table1.to_report (E.Table1.run ~scale ~seed ?jobs ())) );
+    ( "table2",
+      fun _ ->
+        E.Report.print_section "Table 2: policy matrix (definitional)";
+        let row = List.map (fun s -> E.Report.Text s) in
+        print_string
+          (E.Report.render
+             ~header:[ "dispatching \\ allocation"; "weighted"; "optimized" ]
+             ~rows:
+               [
+                 row [ "random"; "WRAN"; "ORAN" ]; row [ "round-robin"; "WRR"; "ORR" ];
+               ])
+    );
+    ( "table3",
+      fun _ ->
+        E.Report.print_section "Table 3: base system configuration";
+        let speeds = Core.Speeds.table3 in
+        let count s =
+          Array.fold_left (fun n x -> if Float.equal x s then n + 1 else n) 0 speeds
+        in
+        let rows =
+          List.map
+            (fun s -> [ E.Report.Float s; E.Report.Int (count s) ])
+            (List.sort_uniq Float.compare (Array.to_list speeds))
+        in
+        print_string (E.Report.render ~header:[ "speed"; "number" ] ~rows);
+        Printf.printf "aggregate speed: %g\n" (Core.Speeds.total speeds) );
+    ( "fig2",
+      fun { seed; jobs; _ } ->
+        E.Report.print_section "Figure 2";
+        print_string (E.Fig2.to_report (E.Fig2.run ~seed ?jobs ())) );
+    ( "fig3",
+      fun ({ scale; seed; jobs; _ } as st) ->
+        E.Report.print_section "Figure 3";
+        let rows = E.Fig3.run ~scale ~seed ?jobs () in
+        print_string (E.Fig3.to_report rows);
+        write_sweeps st "fig3" (E.Fig3.sweeps rows) );
+    ( "fig4",
+      fun ({ scale; seed; jobs; _ } as st) ->
+        E.Report.print_section "Figure 4";
+        let rows = E.Fig4.run ~scale ~seed ?jobs () in
+        print_string (E.Fig4.to_report rows);
+        write_sweeps st "fig4" (E.Fig4.sweeps rows) );
+    ( "fig5",
+      fun ({ scale; seed; jobs; _ } as st) ->
+        E.Report.print_section "Figure 5";
+        let rows = E.Fig5.run ~scale ~seed ?jobs () in
+        print_string (E.Fig5.to_report rows);
+        write_sweeps st "fig5" (E.Fig5.sweeps rows) );
+    ( "fig6",
+      fun ({ scale; seed; jobs; _ } as st) ->
+        E.Report.print_section "Figure 6";
+        let run errors = E.Fig6.run ~scale ~seed ?jobs ~errors () in
+        let under = run E.Fig6.default_errors_under in
+        let over = run E.Fig6.default_errors_over in
+        print_string (E.Fig6.to_report ~under ~over);
+        write_sweeps st "fig6" (E.Fig6.sweeps ~under ~over) );
+    ( "ext-burstiness",
+      fun ({ scale; seed; jobs; _ } as st) ->
+        E.Report.print_section "Extension: arrival burstiness";
+        let rows = E.Ext_burstiness.run ~scale ~seed ?jobs () in
+        print_string (E.Ext_burstiness.to_report rows);
+        write_sweeps st "ext-burstiness" (E.Ext_burstiness.sweeps rows) );
+    ( "ext-sizes",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Extension: size-distribution sensitivity";
+        print_string (E.Ext_sizes.to_report (E.Ext_sizes.run ~scale ~seed ?jobs ())) );
+    ( "ext-faults",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Extension: fault injection";
+        print_string
+          (E.Ext_faults.to_report (E.Ext_faults.run ~scale ~seed ?jobs ())) );
+    ( "ext-staleness",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section
+          "Extension: load-information staleness (when does ORR beat polling?)";
+        print_string
+          (E.Ext_staleness.to_report (E.Ext_staleness.run ~scale ~seed ?jobs ())) );
+    ( "ext-partial-information",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section
+          "Extension: partial-information dynamic baselines (Table 3, rho=0.7)";
+        print_string
+          (E.Ext_staleness.partial_information_report
+             (E.Ext_staleness.partial_information ~scale ~seed ?jobs ())) );
+    ( "ext-diurnal",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Extension: diurnal (non-stationary) load";
+        print_string
+          (E.Ext_diurnal.to_report (E.Ext_diurnal.run ~scale ~seed ?jobs ())) );
+    ( "ext-adaptive",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section
+          "Extension: self-tuning ORR (online load estimation, Table 3)";
+        print_string
+          (E.Ext_diurnal.adaptive_report
+             (E.Ext_diurnal.adaptive ~scale ~seed ?jobs ())) );
+    ( "ext-sita",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Extension: size-aware SITA-E vs size-blind policies";
+        print_string (E.Ext_sita.to_report (E.Ext_sita.run ~scale ~seed ?jobs ())) );
+    ( "ext-convergence",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Extension: convergence with run length";
+        print_string
+          (E.Ext_convergence.to_report
+             (E.Ext_convergence.run ~seed ?jobs ~reps:scale.E.Config.reps ())) );
+    ( "scale-sweep",
+      fun ({ scale; seed; jobs; _ } as st) ->
+        E.Report.print_section "Extension: many-server scale sweep";
+        (* The time knob here is jobs per cell, not simulated seconds:
+           quick = n <= 10^3 smoke (CI), default = the full grid at 10^6
+           jobs, paper = the 10^7-job headline runs. *)
+        let ns, jobs_target =
+          if E.Config.equal_scale scale E.Config.paper then
+            (E.Ext_scale.default_ns, E.Ext_scale.default_jobs_target)
+          else if E.Config.equal_scale scale E.Config.quick then ([ 100; 1_000 ], 5.0e4)
+          else (E.Ext_scale.default_ns, 1.0e6)
+        in
+        let t = E.Ext_scale.run ~seed ?jobs ~ns ~jobs_target () in
+        print_string (E.Ext_scale.to_report t);
+        write_csv st "scale-sweep.csv" (E.Ext_scale.to_csv t) );
+    ( "ablation-dispatch",
+      fun { seed; _ } ->
+        E.Report.print_section "Ablation: Algorithm 2 design choices";
+        print_string
+          (E.Ablations.dispatch_smoothness_report
+             (E.Ablations.dispatch_smoothness ~seed ())) );
+    ( "ablation-end-to-end",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Ablation: end-to-end scheduler variants";
+        print_string
+          (E.Ablations.end_to_end_report
+             (E.Ablations.end_to_end ~seed ?jobs ~scale ())) );
+    ( "ablation-disciplines",
+      fun { scale; seed; jobs; _ } ->
+        E.Report.print_section "Ablation: service disciplines";
+        print_string
+          (E.Ablations.disciplines_report
+             (E.Ablations.disciplines ~seed ?jobs ~scale ())) );
+    ( "ablation-intervals",
+      fun { seed; _ } ->
+        E.Report.print_section "Ablation: deviation metric vs interval length";
+        print_string
+          (E.Ablations.interval_lengths_report
+             (E.Ablations.interval_lengths ~seed ())) );
+  ]
+
+(* The studies [all] runs, in list order. *)
+let in_all =
+  [ "table1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "ext-burstiness"; "ext-sizes";
+    "ext-faults" ]
+
+let experiments =
+  let all st =
+    List.iter (fun (name, run) -> if List.mem name in_all then run st) studies
+  in
+  studies @ [ ("all", all) ]
+
 let experiment_cmd =
   let which_t =
-    let names =
-      [ "table1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "ext-burstiness";
-        "ext-sizes"; "ext-faults"; "scale-sweep"; "all" ]
-    in
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
+      & pos 0 (some (enum experiments)) None
       & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "One of table1, fig2..fig6, ext-burstiness, ext-sizes, \
-             ext-faults, scale-sweep, all.")
+            (Printf.sprintf "One of %s." (String.concat ", " (List.map fst experiments))))
   in
   let csv_t =
     Arg.(
@@ -699,123 +888,19 @@ let experiment_cmd =
             "Also write each figure's series (with half-width columns) as \
              CSV files into $(docv).")
   in
-  let run which scale seed jobs csv_dir =
-    let write_sweeps name sweeps =
-      match csv_dir with
-      | None -> ()
-      | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        List.iteri
-          (fun i sweep ->
-            let path = Filename.concat dir (Printf.sprintf "%s-%d.csv" name i) in
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc (E.Report.sweep_to_csv sweep));
-            Printf.printf "wrote %s\n" path)
-          sweeps
-    in
-    let table1 () =
-      E.Report.print_section "Table 1";
-      print_string (E.Table1.to_report (E.Table1.run ~scale ~seed ?jobs ()))
-    in
-    let fig2 () =
-      E.Report.print_section "Figure 2";
-      print_string (E.Fig2.to_report (E.Fig2.run ~seed ?jobs ()))
-    in
-    let fig3 () =
-      E.Report.print_section "Figure 3";
-      let rows = E.Fig3.run ~scale ~seed ?jobs () in
-      print_string (E.Fig3.to_report rows);
-      write_sweeps "fig3" (E.Fig3.sweeps rows)
-    in
-    let fig4 () =
-      E.Report.print_section "Figure 4";
-      let rows = E.Fig4.run ~scale ~seed ?jobs () in
-      print_string (E.Fig4.to_report rows);
-      write_sweeps "fig4" (E.Fig4.sweeps rows)
-    in
-    let fig5 () =
-      E.Report.print_section "Figure 5";
-      let rows = E.Fig5.run ~scale ~seed ?jobs () in
-      print_string (E.Fig5.to_report rows);
-      write_sweeps "fig5" (E.Fig5.sweeps rows)
-    in
-    let fig6 () =
-      E.Report.print_section "Figure 6";
-      let under = E.Fig6.run ~scale ~seed ?jobs ~errors:E.Fig6.default_errors_under () in
-      let over = E.Fig6.run ~scale ~seed ?jobs ~errors:E.Fig6.default_errors_over () in
-      print_string (E.Fig6.to_report ~under ~over);
-      write_sweeps "fig6" (E.Fig6.sweeps ~under ~over)
-    in
-    let ext_burstiness () =
-      E.Report.print_section "Extension: arrival burstiness";
-      let rows = E.Ext_burstiness.run ~scale ~seed ?jobs () in
-      print_string (E.Ext_burstiness.to_report rows);
-      write_sweeps "ext-burstiness" (E.Ext_burstiness.sweeps rows)
-    in
-    let ext_sizes () =
-      E.Report.print_section "Extension: size-distribution sensitivity";
-      print_string (E.Ext_sizes.to_report (E.Ext_sizes.run ~scale ~seed ?jobs ()))
-    in
-    let ext_faults () =
-      E.Report.print_section "Extension: fault injection";
-      print_string (E.Ext_faults.to_report (E.Ext_faults.run ~scale ~seed ?jobs ()))
-    in
-    let scale_sweep () =
-      E.Report.print_section "Extension: many-server scale sweep";
-      (* The time knob here is jobs per cell, not simulated seconds:
-         quick = n <= 10^3 smoke (CI), default = the full grid at 10^6
-         jobs, paper = the 10^7-job headline runs. *)
-      let ns, jobs_target =
-        if E.Config.equal_scale scale E.Config.paper then
-          (E.Ext_scale.default_ns, E.Ext_scale.default_jobs_target)
-        else if E.Config.equal_scale scale E.Config.quick then
-          ([ 100; 1_000 ], 5.0e4)
-        else (E.Ext_scale.default_ns, 1.0e6)
-      in
-      let t = E.Ext_scale.run ~seed ?jobs ~ns ~jobs_target () in
-      print_string (E.Ext_scale.to_report t);
-      match csv_dir with
-      | None -> ()
-      | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let path = Filename.concat dir "scale-sweep.csv" in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (E.Ext_scale.to_csv t));
-        Printf.printf "wrote %s\n" path
-    in
+  let run study scale seed jobs csv_dir =
     try
       validate_jobs ();
-      (match which with
-      | "table1" -> table1 ()
-      | "fig2" -> fig2 ()
-      | "fig3" -> fig3 ()
-      | "fig4" -> fig4 ()
-      | "fig5" -> fig5 ()
-      | "fig6" -> fig6 ()
-      | "ext-burstiness" -> ext_burstiness ()
-      | "ext-sizes" -> ext_sizes ()
-      | "ext-faults" -> ext_faults ()
-      | "scale-sweep" -> scale_sweep ()
-      | _ ->
-        table1 ();
-        fig2 ();
-        fig3 ();
-        fig4 ();
-        fig5 ();
-        fig6 ();
-        ext_burstiness ();
-        ext_sizes ();
-        ext_faults ());
+      study { scale; seed; jobs; csv_dir };
       `Ok ()
     with Invalid_argument m | Sys_error m -> `Error (false, m)
   in
   let term = Term.(ret (const run $ which_t $ scale_t $ seed_t $ jobs_t $ csv_t)) in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper.")
+    (Cmd.info "experiment"
+       ~doc:
+         "Regenerate a table or figure from the paper, or run an ablation or \
+          extension study.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -877,61 +962,6 @@ let theory_cmd =
        ~doc:
          "Print the analytical M/M/1-PS predictions (per-computer utilisation \
           and response times) for a configuration, without simulating.")
-    term
-
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* ablation                                                            *)
-
-let ablation_cmd =
-  let which_t =
-    let names = [ "dispatch"; "end-to-end"; "disciplines"; "intervals"; "all" ] in
-    Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
-      & info [] ~docv:"ABLATION"
-          ~doc:"One of dispatch, end-to-end, disciplines, intervals, all.")
-  in
-  let run which scale seed =
-    let dispatch () =
-      E.Report.print_section "Ablation: Algorithm 2 design choices";
-      print_string
-        (E.Ablations.dispatch_smoothness_report
-           (E.Ablations.dispatch_smoothness ~seed ()))
-    in
-    let end_to_end () =
-      E.Report.print_section "Ablation: end-to-end scheduler variants";
-      print_string (E.Ablations.end_to_end_report (E.Ablations.end_to_end ~seed ~scale ()))
-    in
-    let disciplines () =
-      E.Report.print_section "Ablation: service disciplines";
-      print_string
-        (E.Ablations.disciplines_report (E.Ablations.disciplines ~seed ~scale ()))
-    in
-    let intervals () =
-      E.Report.print_section "Ablation: deviation metric vs interval length";
-      print_string
-        (E.Ablations.interval_lengths_report (E.Ablations.interval_lengths ~seed ()))
-    in
-    try
-      validate_jobs ();
-      (match which with
-      | "dispatch" -> dispatch ()
-      | "end-to-end" -> end_to_end ()
-      | "disciplines" -> disciplines ()
-      | "intervals" -> intervals ()
-      | _ ->
-        dispatch ();
-        end_to_end ();
-        disciplines ();
-        intervals ());
-      `Ok ()
-    with Invalid_argument m -> `Error (false, m)
-  in
-  let term = Term.(ret (const run $ which_t $ scale_t $ seed_t)) in
-  Cmd.v
-    (Cmd.info "ablation" ~doc:"Run an ablation study of the design choices.")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -1039,4 +1069,4 @@ let () =
   exit
     (Cmd.eval ~argv
        (Cmd.group info [ alloc_cmd; dispatch_cmd; run_cmd; compare_cmd; experiment_cmd;
-           theory_cmd; report_cmd; claims_cmd; table_cmd; ablation_cmd ]))
+           theory_cmd; report_cmd; claims_cmd; table_cmd ]))

@@ -302,18 +302,3 @@ let golden_ratio alpha =
     select_fn;
     reset_fn = (fun () -> u := 0.0);
   }
-
-let strict_cycle n =
-  if n <= 0 then invalid_arg "Dispatch.strict_cycle: n <= 0";
-  let pos = ref 0 in
-  let select_fn () =
-    let s = !pos in
-    pos := (!pos + 1) mod n;
-    s
-  in
-  {
-    name = "cycle";
-    fractions = Array.make n (1.0 /. float_of_int n);
-    select_fn;
-    reset_fn = (fun () -> pos := 0);
-  }

@@ -79,11 +79,6 @@ val smooth_weighted : float array -> t
     arrival; the maximal one is chosen and decreased by 1.  Included as an
     independent deterministic comparator for the dispatching bench. *)
 
-val strict_cycle : int -> t
-(** Traditional round-robin over [n] computers (uniform fractions);
-    Algorithm 2 degenerates to this when all [α_i] are equal — a property
-    the tests verify. *)
-
 val golden_ratio : float array -> t
 (** Quasi-random dispatching: like {!random} but driven by the Weyl
     sequence [u_t = frac(t·φ⁻¹)] instead of a PRNG.  The sequence is

@@ -22,7 +22,6 @@ type t = {
   pos : int array;  (* computer -> offset within its segment, -1 = not idle *)
   mutable idle_total : int;
   alias : Walker_alias.t;  (* speed-weighted fallback sampler *)
-  n_classes : int;
 }
 
 let[@inline] push_idle t i =
@@ -86,7 +85,6 @@ let create speeds =
       pos = Array.make n (-1);
       idle_total = 0;
       alias;
-      n_classes;
     }
   in
   (* Everything starts empty, hence idle: push in ascending index order
@@ -150,19 +148,3 @@ let set_available t i up =
     if not up then remove_idle t i
     else if t.queue.(i) = 0 then push_idle t i
   end
-
-let is_available t i = t.available.(i)
-
-let load_index t i = t.queue.(i)
-
-let idle_count t = t.idle_total
-
-let reset t =
-  let n = Array.length t.speeds in
-  Array.fill t.queue 0 n 0;
-  Array.fill t.pos 0 n (-1);
-  Array.fill t.stack_len 0 t.n_classes 0;
-  t.idle_total <- 0;
-  for i = 0 to n - 1 do
-    if t.available.(i) then push_idle t i
-  done

@@ -41,14 +41,3 @@ val set_available : t -> int -> bool -> unit
 (** Availability for fault runs: a down computer leaves the idle stacks
     and stops being a fallback candidate; on recovery it re-joins the
     idle stack if its queue is empty. *)
-
-val is_available : t -> int -> bool
-
-val load_index : t -> int -> int
-(** Believed queue length of computer [i]. *)
-
-val idle_count : t -> int
-(** Computers currently on an idle stack. *)
-
-val reset : t -> unit
-(** Queues to zero, every available computer back to idle. *)

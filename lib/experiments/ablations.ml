@@ -114,6 +114,8 @@ let disciplines_report rows =
              Report.Interval r.response_ratio;
            ])
          rows)
+  ^ "PS and small-quantum RR agree (the paper's model is faithful); FCFS pays\n\
+     for size-blind queueing; SRPT bounds what size knowledge could buy.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Interval-length sensitivity                                         *)

@@ -1,8 +1,8 @@
 (** Ablation studies of the design choices called out in DESIGN.md §5.
 
     Each ablation isolates one design decision of the paper's algorithms
-    (or of our substrate) and measures what it buys.  The bench harness
-    prints all of them; `schedsim ablation` runs one. *)
+    (or of our substrate) and measures what it buys.
+    `schedsim experiment ablation-NAME` runs one. *)
 
 type dispatch_row = {
   dispatcher : string;
@@ -37,6 +37,7 @@ val disciplines :
     the PS-model validation plus the discipline contrast. *)
 
 val disciplines_report : discipline_row list -> string
+(** The table, then two lines reading it. *)
 
 type interval_row = {
   interval_length : float;

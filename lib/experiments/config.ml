@@ -6,10 +6,6 @@ let default_scale = { horizon = 4.0e5; warmup = 1.0e5; reps = 5 }
 
 let paper = { horizon = 4.0e6; warmup = 1.0e6; reps = 10 }
 
-let of_env () =
-  let set v = match Sys.getenv_opt v with Some "" | None -> false | Some _ -> true in
-  if set "FULL" then paper else if set "QUICK" then quick else default_scale
-
 let equal_scale a b =
   Float.equal a.horizon b.horizon
   && Float.equal a.warmup b.warmup

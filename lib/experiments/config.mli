@@ -17,15 +17,11 @@ val quick : scale
 (** 10⁵ s, 2 replications — seconds of wall time; CI smoke tests. *)
 
 val default_scale : scale
-(** 4·10⁵ s, 5 replications — the default for `bench/main.exe`; the
-    paper's curves are already clearly separated at this scale. *)
+(** 4·10⁵ s, 5 replications — the default for `schedsim experiment`;
+    the paper's curves are already clearly separated at this scale. *)
 
 val paper : scale
 (** 4·10⁶ s, 10 replications — the paper's exact methodology. *)
-
-val of_env : unit -> scale
-(** [paper] when the environment variable [FULL] is set to a non-empty
-    value, [quick] when [QUICK] is set, otherwise {!default_scale}. *)
 
 val equal_scale : scale -> scale -> bool
 (** Structural equality on scales (float fields compared with

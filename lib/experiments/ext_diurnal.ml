@@ -31,3 +31,23 @@ let to_report t =
     (Sweep.sweep_of_rows
        ~title:"Extension: diurnal load swings around the mean utilisation"
        ~xlabel:"amplitude" ~metric:`Ratio t)
+
+let adaptive ?(scale = Config.default_scale) ?seed ?jobs () =
+  let speeds = Core.Speeds.table3 in
+  List.map
+    (fun rho ->
+      let workload = Cluster.Workload.paper_default ~rho ~speeds in
+      let schedulers =
+        [
+          ("ORR (oracle rho)", Cluster.Scheduler.Static Core.Policy.orr);
+          ("AdaptiveORR", Cluster.Scheduler.adaptive_orr ());
+          ("WRR", Cluster.Scheduler.Static Core.Policy.wrr);
+        ]
+      in
+      (rho, Sweep.over_schedulers ?seed ?jobs ~scale ~schedulers ~speeds ~workload ()))
+    [ 0.3; 0.5; 0.7; 0.9 ]
+
+let adaptive_report t =
+  Report.render_sweep
+    (Sweep.sweep_of_rows ~title:"AdaptiveORR vs oracle ORR" ~xlabel:"utilization"
+       ~metric:`Ratio t)

@@ -25,3 +25,11 @@ val run :
 (** Defaults: Table 3 speeds, mean ρ = 0.7, day length 86 400 s. *)
 
 val to_report : t -> string
+
+val adaptive : ?scale:Config.scale -> ?seed:int64 -> ?jobs:int -> unit -> t
+(** The stationary control for the diurnal sweep: cumulative AdaptiveORR,
+    which learns ρ online, against ORR told the true ρ (the oracle) and
+    WRR, on the paper's workload on the Table 3 cluster at ρ = 0.3, 0.5,
+    0.7 and 0.9.  Rows are keyed by ρ. *)
+
+val adaptive_report : t -> string

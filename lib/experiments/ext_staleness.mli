@@ -28,3 +28,12 @@ val run :
   t
 
 val to_report : t -> string
+
+val partial_information :
+  ?scale:Config.scale -> ?seed:int64 -> ?jobs:int -> unit -> (string * Runner.point) list
+(** The other axis of partial information: fresh load, but only [d]
+    probed computers per decision.  ORR, Least-Load over [d = 2] and
+    [d = 4] random probes, and full Least-Load on the Table 3 cluster at
+    ρ = 0.7. *)
+
+val partial_information_report : (string * Runner.point) list -> string

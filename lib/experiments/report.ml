@@ -65,82 +65,6 @@ let render_sweep s =
 
 let pp_sweep fmt s = Format.pp_print_string fmt (render_sweep s)
 
-let ascii_chart ?(width = 72) ?(height = 20) ~title ~xlabel series =
-  if width < 20 then invalid_arg "Report.ascii_chart: width < 20";
-  if height < 5 then invalid_arg "Report.ascii_chart: height < 5";
-  let points =
-    List.concat_map
-      (fun (_, pts) ->
-        List.filter (fun (x, y) -> Float.is_finite x && Float.is_finite y) pts)
-      series
-  in
-  match points with
-  | [] -> Printf.sprintf "%s\n(no finite data to plot)\n" title
-  | _ :: _ ->
-    let xs = List.map fst points and ys = List.map snd points in
-    let xmin = List.fold_left min infinity xs in
-    let xmax = List.fold_left max neg_infinity xs in
-    let ymin = min 0.0 (List.fold_left min infinity ys) in
-    let ymax = List.fold_left max neg_infinity ys in
-    let xspan = if xmax > xmin then xmax -. xmin else 1.0 in
-    let yspan = if ymax > ymin then ymax -. ymin else 1.0 in
-    let canvas = Array.make_matrix height width ' ' in
-    let col_of x =
-      let c = int_of_float (Float.round ((x -. xmin) /. xspan *. float_of_int (width - 1))) in
-      max 0 (min (width - 1) c)
-    in
-    let row_of y =
-      let r =
-        int_of_float (Float.round ((y -. ymin) /. yspan *. float_of_int (height - 1)))
-      in
-      (* row 0 is the top of the canvas *)
-      height - 1 - max 0 (min (height - 1) r)
-    in
-    List.iteri
-      (fun k (_, pts) ->
-        let marker = Char.chr (Char.code 'a' + (k mod 26)) in
-        List.iter
-          (fun (x, y) ->
-            if Float.is_finite x && Float.is_finite y then
-              canvas.(row_of y).(col_of x) <- marker)
-          pts)
-      series;
-    let buf = Buffer.create ((height + 6) * (width + 12)) in
-    Buffer.add_string buf title;
-    Buffer.add_char buf '\n';
-    let ylab_width = 10 in
-    Array.iteri
-      (fun r row ->
-        (* y-axis labels on first, middle and last rows *)
-        let label =
-          if r = 0 then Printf.sprintf "%*.3g " (ylab_width - 1) ymax
-          else if r = height - 1 then Printf.sprintf "%*.3g " (ylab_width - 1) ymin
-          else if r = height / 2 then
-            Printf.sprintf "%*.3g " (ylab_width - 1) ((ymax +. ymin) /. 2.0)
-          else String.make ylab_width ' '
-        in
-        Buffer.add_string buf label;
-        Buffer.add_char buf '|';
-        Buffer.add_string buf (String.init width (fun c -> row.(c)));
-        Buffer.add_char buf '\n')
-      canvas;
-    Buffer.add_string buf (String.make ylab_width ' ');
-    Buffer.add_char buf '+';
-    Buffer.add_string buf (String.make width '-');
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf
-      (Printf.sprintf "%s%-*.4g%*.4g   (%s)\n" (String.make (ylab_width + 1) ' ')
-         (width / 2) xmin (width - (width / 2)) xmax xlabel);
-    List.iteri
-      (fun k (name, _) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s%c = %s\n"
-             (String.make (ylab_width + 1) ' ')
-             (Char.chr (Char.code 'a' + (k mod 26)))
-             name))
-      series;
-    Buffer.contents buf
-
 let csv_escape s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then begin
     let buf = Buffer.create (String.length s + 2) in
@@ -204,23 +128,3 @@ let sweep_to_csv s =
       Buffer.add_char buf '\n')
     s.rows;
   Buffer.contents buf
-
-let chart_of_sweep ?width ?height s =
-  let series =
-    List.mapi
-      (fun k name ->
-        let pts =
-          List.filter_map
-            (fun (x, cells) ->
-              match List.nth_opt cells k with
-              | Some (Interval i) -> Some (x, i.Confidence.mean)
-              | Some (Float f) -> Some (x, f)
-              | Some (Int i) -> Some (x, float_of_int i)
-              | Some (Percent p) -> Some (x, p)
-              | Some (Text _) | None -> None)
-            s.rows
-        in
-        (name, pts))
-      s.columns
-  in
-  ascii_chart ?width ?height ~title:s.title ~xlabel:s.xlabel series

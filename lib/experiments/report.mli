@@ -32,25 +32,6 @@ val render_sweep : sweep -> string
 
 val pp_sweep : Format.formatter -> sweep -> unit
 
-val ascii_chart :
-  ?width:int ->
-  ?height:int ->
-  title:string ->
-  xlabel:string ->
-  (string * (float * float) list) list ->
-  string
-(** [ascii_chart ~title ~xlabel series] renders an ASCII scatter/line plot
-    of the given [(name, points)] series on shared axes — a terminal
-    rendition of a paper figure.  Each series is drawn with its own marker
-    character (a, b, c, …) listed in the legend; collisions show the later
-    series.  Default canvas 72×20.  Non-finite points are skipped; an
-    empty plot renders a note instead.
-
-    @raise Invalid_argument if [width < 20] or [height < 5]. *)
-
-val chart_of_sweep : ?width:int -> ?height:int -> sweep -> string
-(** Render a {!sweep}'s interval means as an {!ascii_chart}. *)
-
 val render_csv : header:string list -> rows:cell list list -> string
 (** The same table as {!render} in RFC-4180-ish CSV: header line, one line
     per row, commas and double quotes in text cells escaped by quoting.

@@ -283,7 +283,9 @@ let smooth_wrr_exact_cycles () =
   Alcotest.(check (array int)) "one smooth cycle" [| 2; 1; 1 |] c
 
 let strict_cycle_order () =
-  let d = Dispatch.strict_cycle 3 in
+  (* The strict cycle 0, 1, ..., n-1 is Algorithm 2 with equal fractions;
+     reset must restart it from computer 0. *)
+  let d = Dispatch.round_robin (Array.make 3 (1.0 /. 3.0)) in
   let seq = List.init 7 (fun _ -> Dispatch.select d) in
   Alcotest.(check (list int)) "cycling" [ 0; 1; 2; 0; 1; 2; 0 ] seq;
   Dispatch.reset d;
@@ -297,9 +299,8 @@ let validation_errors () =
       ignore (Dispatch.round_robin [| 1.5; -0.5 |]));
   Alcotest.check_raises "empty" (Invalid_argument "Dispatch: empty fractions") (fun () ->
       ignore (Dispatch.random ~rng:(rng ()) [||]));
-  Alcotest.check_raises "strict cycle n=0"
-    (Invalid_argument "Dispatch.strict_cycle: n <= 0") (fun () ->
-      ignore (Dispatch.strict_cycle 0))
+  Alcotest.check_raises "empty round-robin" (Invalid_argument "Dispatch: empty fractions")
+    (fun () -> ignore (Dispatch.round_robin [||]))
 
 let fractions_copied () =
   let alpha = [| 0.5; 0.5 |] in

@@ -184,63 +184,6 @@ let report_cells () =
        (List.nth (String.split_on_char '\n' (E.Report.render ~header:[ "x" ]
                                                ~rows:[ [ E.Report.Percent 0.1234 ] ])) 2))
 
-let ascii_chart_renders () =
-  let chart =
-    E.Report.ascii_chart ~title:"demo" ~xlabel:"x"
-      [ ("ORR", [ (1.0, 2.0); (10.0, 1.0); (20.0, 0.5) ]);
-        ("WRR", [ (1.0, 2.7); (10.0, 1.4); (20.0, 0.9) ]) ]
-  in
-  let lines = String.split_on_char '\n' chart in
-  Alcotest.(check bool) "has title" true (List.hd lines = "demo");
-  (* default canvas: title + 20 rows + axis + x labels + 2 legend lines *)
-  Alcotest.(check bool) "enough lines" true (List.length lines >= 24);
-  Alcotest.(check bool) "contains markers" true
-    (String.contains chart 'a' && String.contains chart 'b');
-  Alcotest.(check bool) "legend mentions series" true
-    (let re_found needle =
-       let n = String.length needle and h = String.length chart in
-       let rec scan i = i + n <= h && (String.sub chart i n = needle || scan (i + 1)) in
-       scan 0
-     in
-     re_found "a = ORR" && re_found "b = WRR")
-
-let ascii_chart_marker_positions () =
-  (* A single increasing series: the marker on the last column must sit on
-     the top row, the first column on the bottom row. *)
-  let chart =
-    E.Report.ascii_chart ~width:20 ~height:5 ~title:"t" ~xlabel:"x"
-      [ ("s", [ (0.0, 0.0); (1.0, 1.0) ]) ]
-  in
-  let lines = String.split_on_char '\n' chart in
-  let top = List.nth lines 1 and bottom = List.nth lines 5 in
-  Alcotest.(check bool) "max at top right" true
-    (String.length top > 0 && top.[String.length top - 1] = 'a');
-  Alcotest.(check bool) "min at bottom left" true (String.contains bottom 'a')
-
-let ascii_chart_degenerate () =
-  let chart = E.Report.ascii_chart ~title:"t" ~xlabel:"x" [ ("s", []) ] in
-  Alcotest.(check bool) "empty note" true
-    (String.length chart > 0
-    && String.split_on_char '\n' chart |> List.length >= 2);
-  Alcotest.check_raises "tiny canvas" (Invalid_argument "Report.ascii_chart: width < 20")
-    (fun () -> ignore (E.Report.ascii_chart ~width:5 ~title:"t" ~xlabel:"x" []))
-
-let chart_of_sweep_works () =
-  let sweep =
-    {
-      E.Report.title = "sweep";
-      xlabel = "x";
-      columns = [ "A"; "B" ];
-      rows =
-        [
-          (1.0, [ E.Report.Float 3.0; E.Report.Float 1.0 ]);
-          (2.0, [ E.Report.Float 2.0; E.Report.Float 2.0 ]);
-        ];
-    }
-  in
-  let chart = E.Report.chart_of_sweep sweep in
-  Alcotest.(check bool) "renders" true (String.length chart > 100)
-
 (* Regression: the batch-means point has no fairness half-width (nan by
    design); any rendering of it must omit the ± term instead of printing
    "± nan". *)
@@ -299,8 +242,4 @@ let suite =
     slow_test "figure 6: overestimation is mild" fig6_overestimation_mild;
     test "report: table rendering" report_rendering;
     test "report: cell formats" report_cells;
-    test "report: ascii chart renders" ascii_chart_renders;
-    test "report: ascii chart marker positions" ascii_chart_marker_positions;
-    test "report: ascii chart degenerate inputs" ascii_chart_degenerate;
-    test "report: chart of sweep" chart_of_sweep_works;
   ]
