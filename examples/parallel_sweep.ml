@@ -24,7 +24,7 @@ let () =
       (fun rho ->
         let workload = Cluster.Workload.paper_default ~rho ~speeds in
         let point policy =
-          E.Runner.measure_parallel ~scale
+          E.Runner.measure ~scale
             (E.Runner.make_spec ~speeds ~workload
                ~scheduler:(Cluster.Scheduler.static policy) ())
         in

@@ -1,5 +1,4 @@
 module Welford = Statsched_stats.Welford
-module P2 = Statsched_stats.P2_quantile
 module Hdr = Statsched_obs.Hdr_histogram
 module Job = Statsched_queueing.Job
 
@@ -7,8 +6,6 @@ type t = {
   warmup : float;
   response_time : Welford.t;
   response_ratio : Welford.t;
-  median : P2.t;
-  p99 : P2.t;
   rt_hist : Hdr.t;
   rr_hist : Hdr.t;
 }
@@ -32,8 +29,6 @@ let create ?rt_hist ?rr_hist ~warmup () =
     warmup;
     response_time = Welford.create ();
     response_ratio = Welford.create ();
-    median = P2.create 0.5;
-    p99 = P2.create 0.99;
     rt_hist = pick make_rt_hist rt_hist;
     rr_hist = pick make_rr_hist rr_hist;
   }
@@ -44,8 +39,6 @@ let on_departure t job =
     let rr = Job.response_ratio job in
     Welford.add t.response_time rt;
     Welford.add t.response_ratio rr;
-    P2.add t.median rr;
-    P2.add t.p99 rr;
     Hdr.add t.rt_hist rt;
     Hdr.add t.rr_hist rr
   end
@@ -66,9 +59,5 @@ let metrics ?(availability = 1.0) ?(goodput = nan) ?(lost_jobs = 0) t =
         lost_jobs;
       }
 
-let response_time_stats t = t.response_time
-let response_ratio_stats t = t.response_ratio
-let median_ratio t = P2.estimate t.median
-let p99_ratio t = P2.estimate t.p99
 let response_time_histogram t = t.rt_hist
 let response_ratio_histogram t = t.rr_hist

@@ -3,9 +3,13 @@
     Accumulates the paper's three job metrics over completions whose
     arrival falls inside the measurement window (jobs arriving during
     warm-up are excluded even if they complete later, matching
-    Section 4.1), in O(1) space via {!Statsched_stats.Welford} and
-    {!Statsched_stats.P2_quantile}, plus bounded-size
-    {!Statsched_obs.Hdr_histogram} tail distributions. *)
+    Section 4.1): the means and fairness in O(1) space via
+    {!Statsched_stats.Welford}, and the response time and ratio
+    distributions in bounded-size {!Statsched_obs.Hdr_histogram}s, which
+    are the one source of every reported quantile.  At the default
+    [sub_count] of 32 each histogram bucket is at most 1/32 (~3.1 %) of
+    its values wide, and {!Statsched_obs.Hdr_histogram.quantile}
+    interpolates to within one bucket of the exact quantile. *)
 
 type t
 
@@ -44,15 +48,6 @@ val metrics :
     Returns [Error `No_jobs_measured] when no completion fell inside the
     measurement window (e.g. the warm-up swallowed the whole horizon) —
     callers should surface a clear message rather than divide by zero. *)
-
-val response_time_stats : t -> Statsched_stats.Welford.t
-val response_ratio_stats : t -> Statsched_stats.Welford.t
-
-val median_ratio : t -> float
-(** P² estimate of the median response ratio. *)
-
-val p99_ratio : t -> float
-(** P² estimate of the 99th-percentile response ratio. *)
 
 val response_time_histogram : t -> Statsched_obs.Hdr_histogram.t
 (** Log-linear histogram of measured response times (seconds). *)

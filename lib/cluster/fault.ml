@@ -97,9 +97,3 @@ let on_failure_of_string = function
   | "requeue" -> Some Requeue
   | "resume" -> Some Resume
   | _ -> None
-
-let reaction_name = function Oblivious -> "oblivious" | Blacklist -> "blacklist"
-
-let pp_summary fmt s =
-  Format.fprintf fmt "availability=%.4f failures=%d lost=%d" s.availability
-    s.failures s.lost_jobs

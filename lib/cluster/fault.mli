@@ -106,5 +106,3 @@ val validate : n:int -> plan -> unit
 
 val on_failure_name : on_failure -> string
 val on_failure_of_string : string -> on_failure option
-val reaction_name : reaction -> string
-val pp_summary : Format.formatter -> summary -> unit

@@ -702,13 +702,14 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
           "Simulation.run: no job completed within the measurement window; \
            lengthen the horizon or shorten the warm-up"
     in
+    let rr_hist = Collector.response_ratio_histogram collector in
     {
       scheduler_name = Scheduler.name !current_kind;
       metrics;
-      median_response_ratio = Collector.median_ratio collector;
-      p99_response_ratio = Collector.p99_ratio collector;
+      median_response_ratio = Statsched_obs.Hdr_histogram.quantile rr_hist 0.5;
+      p99_response_ratio = Statsched_obs.Hdr_histogram.quantile rr_hist 0.99;
       response_time_histogram = Collector.response_time_histogram collector;
-      response_ratio_histogram = Collector.response_ratio_histogram collector;
+      response_ratio_histogram = rr_hist;
       per_computer;
       dispatch_fractions = Core.Metrics.actual_fractions dispatched;
       intended_fractions = (!sched).sf_intended ();

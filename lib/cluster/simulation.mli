@@ -72,7 +72,11 @@ type result = {
   scheduler_name : string;
   metrics : Statsched_core.Metrics.t;
   median_response_ratio : float;
+      (** [Hdr_histogram.quantile response_ratio_histogram 0.5]: within
+          one bucket (at most 1/32 ~ 3.1 % of the value) of the exact
+          median of the measured ratios *)
   p99_response_ratio : float;
+      (** [Hdr_histogram.quantile response_ratio_histogram 0.99] *)
   response_time_histogram : Statsched_obs.Hdr_histogram.t;
       (** full response-time distribution of the measurement window
           (~3 % relative resolution); layouts are identical across runs,

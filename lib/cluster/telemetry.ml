@@ -1,6 +1,5 @@
 module Job = Statsched_queueing.Job
 module Registry = Statsched_obs.Registry
-module Hdr = Statsched_obs.Hdr_histogram
 module Clock = Statsched_obs.Clock
 module Journal = Statsched_obs.Journal
 module Http = Statsched_obs.Http
@@ -20,17 +19,11 @@ type t = {
   disp_n : int array;
   comp_n : int array;
   drop_n : int array;
-  (* Copies of [config] fields the hooks touch per event, hoisted out of
-     the nested record chain. *)
+  (* Hoisted out of [config]: the hooks read it per event. *)
   n_computers : int;
-  warmup : float;
   rate_changes : Registry.counter;
   rt_hist : Registry.histogram;
   rr_hist : Registry.histogram;
-  (* Set once [histograms] hands rt/rr to a run's collector: the
-     collector then feeds them and [on_completion] must not add a
-     second copy of each observation. *)
-  mutable hists_shared : bool;
   (* Current effective rate of each computer and when it last changed;
      integrates into capacity-weighted down-seconds. *)
   rate : float array;
@@ -68,7 +61,6 @@ let create ?journal (config : Simulation.config) =
     comp_n = Array.make n 0;
     drop_n = Array.make n 0;
     n_computers = n;
-    warmup = config.Simulation.warmup;
     rate_changes =
       Registry.counter registry "statsched_fault_rate_changes_total"
         ~help:"Effective-speed changes applied by the fault plan";
@@ -80,7 +72,6 @@ let create ?journal (config : Simulation.config) =
     rr_hist =
       Registry.histogram registry "statsched_response_ratio" ~lo:1e-3 ~hi:1e5
         ~help:"Response ratio (response time / service demand) of measured jobs";
-    hists_shared = false;
     rate = Array.make n 1.0;
     rate_since = Array.make n 0.0;
     down_seconds = Array.make n 0.0;
@@ -91,9 +82,7 @@ let create ?journal (config : Simulation.config) =
 let registry t = t.registry
 let metric_count t = Registry.metric_count t.registry
 
-let histograms t =
-  t.hists_shared <- true;
-  (t.rt_hist, t.rr_hist)
+let histograms t = (t.rt_hist, t.rr_hist)
 
 (* The hot hooks count dispatches/completions/drops only in the flat
    integer shadows; [sync_counters] brings the exported counter cells up
@@ -132,14 +121,6 @@ let on_completion t job =
   if i >= 0 && i < t.n_computers then begin
     Array.unsafe_set t.comp_n i (Array.unsafe_get t.comp_n i + 1);
     Float.Array.unsafe_set t.work i (Float.Array.unsafe_get t.work i +. job.Job.size)
-  end;
-  let measured = job.Job.arrival >= t.warmup in
-  (* When the run's collector owns the histograms it has already added
-     this completion; the fallback below only covers hook-only use. *)
-  if measured && not t.hists_shared then begin
-    let rt = Job.response_time job in
-    Hdr.add t.rt_hist rt;
-    Hdr.add t.rr_hist (rt /. job.Job.size)
   end;
   match t.journal with
   | Some j when i >= 0 && i < t.n_computers ->

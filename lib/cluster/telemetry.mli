@@ -47,9 +47,9 @@ val histograms :
 (** The registered response-time and response-ratio exporter histograms,
     for [Simulation.run ~metric_histograms:(Telemetry.histograms t)]:
     the run's collector then accumulates straight into the exported
-    series (live scrapes read the collector's own tail distributions)
-    and {!on_completion} skips its fallback per-completion update.
-    Without this wiring the hooks fill the histograms themselves. *)
+    series, so live scrapes read the collector's own distributions.  The
+    collector is the only writer of these histograms; without this
+    wiring they stay empty. *)
 
 val metric_count : t -> int
 

@@ -48,49 +48,18 @@ let random ~rng alpha =
   in
   { name = "random"; fractions = alpha; select_fn; reset_fn = (fun () -> ()) }
 
-(* Walker's alias method: split each probability cell into at most two
-   donors so that a uniform cell index plus one biased coin reproduces the
-   target distribution exactly. *)
+(* Walker's alias method: a uniform cell index plus one biased coin
+   reproduces the target distribution exactly. *)
 let random_alias ~rng alpha =
   validate_fractions alpha;
   let alpha = Array.copy alpha in
-  let n = Array.length alpha in
-  let prob = Array.make n 1.0 in
-  let alias = Array.make n 0 in
-  let scaled = Array.map (fun a -> a *. float_of_int n) alpha in
-  let small = ref [] and large = ref [] in
-  Array.iteri
-    (fun i p -> if p < 1.0 then small := i :: !small else large := i :: !large)
-    scaled;
-  let rec pair () =
-    match (!small, !large) with
-    | s :: srest, l :: lrest ->
-      prob.(s) <- scaled.(s);
-      alias.(s) <- l;
-      scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
-      small := srest;
-      if scaled.(l) < 1.0 then begin
-        large := lrest;
-        small := l :: !small
-      end;
-      pair ()
-    | s :: rest, [] ->
-      (* numerical leftovers: cell keeps itself *)
-      prob.(s) <- 1.0;
-      small := rest;
-      pair ()
-    | [], l :: rest ->
-      prob.(l) <- 1.0;
-      large := rest;
-      pair ()
-    | [], [] -> ()
-  in
-  pair ();
-  let select_fn () =
-    let i = Rng.int rng n in
-    if Rng.float rng < prob.(i) then i else alias.(i)
-  in
-  { name = "random-alias"; fractions = alpha; select_fn; reset_fn = (fun () -> ()) }
+  let table = Walker_alias.create alpha in
+  {
+    name = "random-alias";
+    fractions = alpha;
+    select_fn = (fun () -> Walker_alias.draw table rng);
+    reset_fn = (fun () -> ());
+  }
 
 (* Algorithm 2, parameterised for the ablation variants. *)
 let round_robin_impl ~variant_name ~guard ~tie_by_norassign alpha =

@@ -27,10 +27,10 @@ val random : rng:Statsched_prng.Rng.t -> float array -> t
     to 1 (within 1e-9). *)
 
 val random_alias : rng:Statsched_prng.Rng.t -> float array -> t
-(** {!random} with Walker's alias method: O(1) per decision after O(n)
-    setup, at the price of one extra uniform draw.  Statistically
-    identical to {!random} (same marginal probabilities, different
-    stream consumption); the micro-bench compares the two.
+(** {!random} with Walker's alias method ({!Walker_alias}): O(1) per
+    decision after O(n) setup, at the price of one extra uniform draw.
+    Statistically identical to {!random} (same marginal probabilities,
+    different stream consumption); the micro-bench compares the two.
 
     @raise Invalid_argument as for {!random}. *)
 

@@ -93,9 +93,6 @@ let[@inline] [@schedsim.hot] set t i ~prim ~sec =
   Float.Array.unsafe_set t.sec (t.cap + i) sec;
   refresh t i
 
-let[@inline] get_prim t i = Float.Array.unsafe_get t.prim (t.cap + i)
-let[@inline] get_sec t i = Float.Array.unsafe_get t.sec (t.cap + i)
-
 let fill t ~prim ~sec =
   for i = 0 to t.n - 1 do
     Float.Array.unsafe_set t.prim (t.cap + i) prim;

@@ -37,9 +37,6 @@ val leaf_pos : t -> int -> int
 val refresh : t -> int -> unit
 (** Recompute the spine above leaf [i] after direct writes; O(log n). *)
 
-val get_prim : t -> int -> float
-val get_sec : t -> int -> float
-
 val fill : t -> prim:float -> sec:float -> unit
 (** Set every leaf to the same pair and rebuild in O(n). *)
 

@@ -5,9 +5,6 @@ let server_mean_response_time ~mu ~lambda ~speed ~alpha =
   let denom = (speed *. mu) -. (alpha *. lambda) in
   if denom <= 0.0 then infinity else 1.0 /. denom
 
-let server_mean_response_ratio ~mu ~lambda ~speed ~alpha =
-  mu *. server_mean_response_time ~mu ~lambda ~speed ~alpha
-
 let server_utilization ~mu ~lambda ~speed ~alpha = alpha *. lambda /. (speed *. mu)
 
 let mean_response_time ~mu ~lambda ~speeds ~alloc =

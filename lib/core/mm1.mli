@@ -9,9 +9,6 @@
 val server_mean_response_time : mu:float -> lambda:float -> speed:float -> alpha:float -> float
 (** [T̄_i = 1 / (s_i·μ − α_i·λ)]; [infinity] when saturated. *)
 
-val server_mean_response_ratio : mu:float -> lambda:float -> speed:float -> alpha:float -> float
-(** [R̄_i = μ / (s_i·μ − α_i·λ)]. *)
-
 val server_utilization : mu:float -> lambda:float -> speed:float -> alpha:float -> float
 (** [ρ_i = α_i·λ / (s_i·μ)]. *)
 

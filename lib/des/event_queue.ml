@@ -16,8 +16,6 @@ type handle = int
 
 let no_handle = -1
 
-let[@inline] is_handle h = h >= 0
-
 type 'a t = {
   mutable times : Float.Array.t;
   mutable seqs : int array;

@@ -28,9 +28,6 @@ val no_handle : handle
     plain mutable field instead of a [handle option] (an allocation per
     reschedule on hot paths). *)
 
-val is_handle : handle -> bool
-(** [is_handle h] is [false] exactly for {!no_handle}. *)
-
 val create : unit -> 'a t
 (** An empty queue. *)
 

@@ -108,22 +108,30 @@ let run ?(seed = Config.default_seed) ?jobs ?(ns = default_ns)
   in
   { rho; jobs_target; ns; d; cells }
 
-let csv_header =
-  "policy,n,mean_response_ratio,p99_response_ratio,jobs,events,wall_seconds,events_per_sec,jobs_per_sec,heap_high_water"
-
 let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf csv_header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun c ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%.6g,%.6g,%d,%d,%.3f,%.6g,%.6g,%d\n" c.policy c.n
-           c.mean_response_ratio c.p99_response_ratio c.jobs_completed
-           c.events_executed c.wall_seconds c.events_per_sec c.jobs_per_sec
-           c.heap_high_water))
-    t.cells;
-  Buffer.contents buf
+  let g x = Report.Text (Printf.sprintf "%.6g" x) in
+  let row c =
+    Report.
+      [
+        Text c.policy;
+        Int c.n;
+        g c.mean_response_ratio;
+        g c.p99_response_ratio;
+        Int c.jobs_completed;
+        Int c.events_executed;
+        Text (Printf.sprintf "%.3f" c.wall_seconds);
+        g c.events_per_sec;
+        g c.jobs_per_sec;
+        Int c.heap_high_water;
+      ]
+  in
+  Report.render_csv
+    ~header:
+      [
+        "policy"; "n"; "mean_response_ratio"; "p99_response_ratio"; "jobs"; "events";
+        "wall_seconds"; "events_per_sec"; "jobs_per_sec"; "heap_high_water";
+      ]
+    ~rows:(List.map row t.cells)
 
 let cells_at t n = List.filter (fun c -> c.n = n) t.cells
 

@@ -66,7 +66,8 @@ val cells_at : t -> int -> cell list
 (** The cells of one cluster size, in policy order. *)
 
 val to_csv : t -> string
-(** One row per cell; header
+(** One row per cell via {!Report.render_csv} (so a policy name with a
+    comma, such as [JSQ(d=2,uniform)], is quoted); header
     [policy,n,mean_response_ratio,p99_response_ratio,jobs,events,wall_seconds,events_per_sec,jobs_per_sec,heap_high_water]. *)
 
 val to_report : t -> string

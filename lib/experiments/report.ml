@@ -63,8 +63,6 @@ let render_sweep s =
   let rows = List.map (fun (x, cells) -> Float x :: cells) s.rows in
   Printf.sprintf "%s\n%s" s.title (render ~header ~rows)
 
-let pp_sweep fmt s = Format.pp_print_string fmt (render_sweep s)
-
 let csv_escape s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then begin
     let buf = Buffer.create (String.length s + 2) in

@@ -30,8 +30,6 @@ type sweep = {
 
 val render_sweep : sweep -> string
 
-val pp_sweep : Format.formatter -> sweep -> unit
-
 val render_csv : header:string list -> rows:cell list list -> string
 (** The same table as {!render} in RFC-4180-ish CSV: header line, one line
     per row, commas and double quotes in text cells escaped by quoting.

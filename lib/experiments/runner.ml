@@ -25,8 +25,6 @@ type point = {
   p99_ratio : float;
   response_time_histogram : Hdr.t;
   response_ratio_histogram : Hdr.t;
-  pooled_median_ratio : float;
-  pooled_p99_ratio : float;
   dispatch_fractions : float array;
   jobs_per_rep : float;
   availability : float;
@@ -49,12 +47,6 @@ let replicate ?(seed = Config.default_seed) ?jobs ~scale spec =
   Par.map ?jobs scale.Config.reps
     (run_replication ~seed ~horizon:scale.Config.horizon ~warmup:scale.Config.warmup
        spec)
-
-let replicate_parallel ?seed ?domains ~scale spec =
-  (match domains with
-  | Some d when d < 1 -> invalid_arg "Runner.replicate_parallel: domains < 1"
-  | Some _ | None -> ());
-  replicate ?seed ?jobs:domains ~scale spec
 
 let point_of_results results =
   match results with
@@ -93,12 +85,10 @@ let point_of_results results =
       mean_response_time = Stats.Confidence.of_samples times;
       mean_response_ratio = Stats.Confidence.of_samples ratios;
       fairness = Stats.Confidence.of_samples fairnesses;
-      median_ratio = avg (fun r -> r.median_response_ratio);
-      p99_ratio = avg (fun r -> r.p99_response_ratio);
+      median_ratio = Hdr.quantile rr_hist 0.5;
+      p99_ratio = Hdr.quantile rr_hist 0.99;
       response_time_histogram = rt_hist;
       response_ratio_histogram = rr_hist;
-      pooled_median_ratio = Hdr.quantile rr_hist 0.5;
-      pooled_p99_ratio = Hdr.quantile rr_hist 0.99;
       dispatch_fractions = fractions;
       jobs_per_rep = jobs;
       availability = avg (fun r -> r.metrics.Metrics.availability);
@@ -206,8 +196,6 @@ let measure_single_run ?(seed = Config.default_seed) ?(batch_size = 10_000) ~hor
     p99_ratio = result.p99_response_ratio;
     response_time_histogram = Hdr.copy result.response_time_histogram;
     response_ratio_histogram = Hdr.copy result.response_ratio_histogram;
-    pooled_median_ratio = Hdr.quantile result.response_ratio_histogram 0.5;
-    pooled_p99_ratio = Hdr.quantile result.response_ratio_histogram 0.99;
     fairness =
       (* One replication: no width estimate.  [Confidence.pp] renders a
          nan half-width without the "±" term. *)
@@ -222,9 +210,6 @@ let measure_single_run ?(seed = Config.default_seed) ?(batch_size = 10_000) ~hor
     availability = result.metrics.Metrics.availability;
     lost_jobs_per_rep = float_of_int result.metrics.Metrics.lost_jobs;
   }
-
-let measure_parallel ?seed ?domains ~scale spec =
-  point_of_results (replicate_parallel ?seed ?domains ~scale spec)
 
 let measure_wall ?seed ?jobs ~scale spec =
   (* Wall-clock the replication batch (monotonic clock; the single

@@ -30,18 +30,15 @@ type point = {
   mean_response_time : Statsched_stats.Confidence.interval;
   mean_response_ratio : Statsched_stats.Confidence.interval;
   fairness : Statsched_stats.Confidence.interval;
-  median_ratio : float;  (** replication average of the per-run P² median *)
-  p99_ratio : float;  (** replication average of the per-run P² p99 *)
+  median_ratio : float;
+      (** median of [response_ratio_histogram]: the quantile of every
+          measured job of every replication at once *)
+  p99_ratio : float;  (** p99 of [response_ratio_histogram] *)
   response_time_histogram : Statsched_obs.Hdr_histogram.t;
       (** per-replication response-time histograms pooled with the exact
           bucket-wise merge (identical layouts across replications) *)
   response_ratio_histogram : Statsched_obs.Hdr_histogram.t;
       (** same, for the response ratio *)
-  pooled_median_ratio : float;
-      (** median of the pooled ratio histogram — the quantile of all
-          measured jobs at once, as opposed to [median_ratio]'s average
-          of per-run point estimates *)
-  pooled_p99_ratio : float;  (** p99 of the pooled ratio histogram *)
   dispatch_fractions : float array;  (** averaged over replications *)
   jobs_per_rep : float;
   availability : float;
@@ -67,20 +64,6 @@ val replicate :
     fault plans), just faster on multicore.
 
     @raise Invalid_argument if [jobs < 1]. *)
-
-val replicate_parallel :
-  ?seed:int64 ->
-  ?domains:int ->
-  scale:Config.scale ->
-  spec ->
-  Statsched_cluster.Simulation.result list
-(** [replicate ?jobs:domains] under its historical name.
-
-    @raise Invalid_argument if [domains < 1]. *)
-
-val measure_parallel :
-  ?seed:int64 -> ?domains:int -> scale:Config.scale -> spec -> point
-(** [point_of_results (replicate_parallel ...)]. *)
 
 val point_of_results : Statsched_cluster.Simulation.result list -> point
 (** Aggregate replication results into a data point with 95 % Student-t

@@ -6,14 +6,13 @@
     any recorded observation is bounded by [1 / sub_count] everywhere in
     the range.  With the default [sub_count = 32] that is ~3% relative
     resolution across arbitrarily many orders of magnitude, which is what
-    tail quantiles of heavy-tailed response-time distributions need and
-    what the P² point estimators of {!Statsched_stats.P2_quantile} cannot
-    provide (they track exactly one pre-chosen quantile, approximately).
+    tail quantiles of heavy-tailed response-time distributions need, and
+    any quantile can be read afterwards.
 
     Observations below [lo] or at/above [hi] are counted in underflow /
     overflow (and still contribute to [count], [sum], [min]/[max]).
     Histograms with identical layouts merge exactly: merging per-shard
-    histograms loses nothing, unlike merging P² states. *)
+    histograms loses nothing. *)
 
 type t
 

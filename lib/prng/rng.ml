@@ -4,8 +4,6 @@ let default_seed = 0x5EEDFACE5EEDL
 
 let create ?(seed = default_seed) () = Xoshiro256.create seed
 
-let of_xoshiro g = g
-
 let copy = Xoshiro256.copy
 
 let split g =

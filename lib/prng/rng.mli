@@ -13,9 +13,6 @@ val create : ?seed:int64 -> unit -> t
 (** [create ~seed ()] makes a fresh stream.  Default seed is a fixed
     constant so that unseeded programs are still deterministic. *)
 
-val of_xoshiro : Xoshiro256.t -> t
-(** Wrap an existing generator (shares state). *)
-
 val copy : t -> t
 (** Independent snapshot of the current state. *)
 

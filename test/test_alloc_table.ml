@@ -412,7 +412,7 @@ let parallel_equals_sequential () =
       ~scheduler:(Cluster.Scheduler.static Core.Policy.orr) ()
   in
   let seq = E.Runner.replicate ~scale spec in
-  let par = E.Runner.replicate_parallel ~domains:3 ~scale spec in
+  let par = E.Runner.replicate ~jobs:3 ~scale spec in
   Alcotest.(check int) "same count" (List.length seq) (List.length par);
   List.iter2
     (fun a b ->
@@ -424,7 +424,7 @@ let parallel_equals_sequential () =
     seq par;
   (* the aggregated points agree too *)
   let p_seq = E.Runner.point_of_results seq in
-  let p_par = E.Runner.measure_parallel ~domains:2 ~scale spec in
+  let p_par = E.Runner.measure ~jobs:2 ~scale spec in
   check_float "aggregated mean equal"
     p_seq.E.Runner.mean_response_ratio.Statsched_stats.Confidence.mean
     p_par.E.Runner.mean_response_ratio.Statsched_stats.Confidence.mean
@@ -436,10 +436,10 @@ let parallel_validation () =
     E.Runner.make_spec ~speeds ~workload
       ~scheduler:(Cluster.Scheduler.static Core.Policy.wrr) ()
   in
-  Alcotest.check_raises "domains < 1"
-    (Invalid_argument "Runner.replicate_parallel: domains < 1") (fun () ->
+  Alcotest.check_raises "jobs < 1" (Invalid_argument "Par.map: jobs < 1")
+    (fun () ->
       ignore
-        (E.Runner.replicate_parallel ~domains:0
+        (E.Runner.replicate ~jobs:0
            ~scale:{ E.Config.horizon = 1_000.0; warmup = 0.0; reps = 2 }
            spec))
 

@@ -267,6 +267,68 @@ let single_run_too_short () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Scale-sweep CSV                                                     *)
+
+(* RFC 4180 fields of one line: commas split, except inside double
+   quotes, where a doubled quote stands for one quote. *)
+let csv_fields line =
+  let fields = ref [] and cur = Buffer.create 16 and quoted = ref false in
+  let n = String.length line in
+  let i = ref 0 in
+  while !i < n do
+    let c = line.[!i] in
+    if !quoted then
+      if c = '"' && !i + 1 < n && line.[!i + 1] = '"' then begin
+        Buffer.add_char cur '"';
+        incr i
+      end
+      else if c = '"' then quoted := false
+      else Buffer.add_char cur c
+    else if c = '"' then quoted := true
+    else if c = ',' then begin
+      fields := Buffer.contents cur :: !fields;
+      Buffer.clear cur
+    end
+    else Buffer.add_char cur c;
+    incr i
+  done;
+  List.rev (Buffer.contents cur :: !fields)
+
+let scale_sweep_csv_parses () =
+  let t = E.Ext_scale.run ~jobs:1 ~ns:[ 20 ] ~jobs_target:2_000.0 () in
+  let lines = String.split_on_char '\n' (String.trim (E.Ext_scale.to_csv t)) in
+  let header, rows =
+    match List.map csv_fields lines with
+    | h :: rs -> (h, rs)
+    | [] -> Alcotest.fail "empty CSV"
+  in
+  Alcotest.(check int) "one row per cell" (List.length t.E.Ext_scale.cells)
+    (List.length rows);
+  List.iter
+    (fun row ->
+      Alcotest.(check int)
+        (Printf.sprintf "fields of %s" (String.concat "|" row))
+        (List.length header) (List.length row))
+    rows;
+  let column name =
+    let rec find i = function
+      | h :: _ when h = name -> i
+      | _ :: rest -> find (i + 1) rest
+      | [] -> Alcotest.failf "no column %s" name
+    in
+    let i = find 0 header in
+    List.map (fun row -> List.nth row i) rows
+  in
+  Alcotest.(check (list string)) "policy cells"
+    [ "ORR"; "LeastLoad"; "JSQ(d=2)"; "JSQ(d=2,uniform)"; "JIQ" ]
+    (column "policy");
+  Alcotest.(check (list string)) "heap high-water cells"
+    (List.map
+       (fun c -> string_of_int c.E.Ext_scale.heap_high_water)
+       t.E.Ext_scale.cells)
+    (column "heap_high_water")
+
 let suite =
   [
     test "theory: P-K reduces to M/M/1 at scv=1" theory_mm1_consistency;
@@ -285,6 +347,7 @@ let suite =
     test "jain index: optimized allocation unbalances" jain_optimized_less_balanced;
     test "trace: records round-trip from simulation" trace_records_roundtrip;
     test "trace: CSV output" trace_csv_output;
+    test "scale sweep: CSV fields match the header" scale_sweep_csv_parses;
     slow_test "batch means: single-run point" single_run_point;
     test "batch means: too-short run rejected" single_run_too_short;
   ]

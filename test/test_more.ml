@@ -123,19 +123,6 @@ let prop_variants_reset_replay =
 (* ------------------------------------------------------------------ *)
 (* Stats: cross-validation                                             *)
 
-let p2_matches_exact_quantile () =
-  (* Compare the P2 estimate with the exact sample quantile on a stored
-     sample. *)
-  let g = rng () in
-  let n = 50_000 in
-  let xs = Array.init n (fun _ -> Rng.float g ** 2.0) in
-  let p = Stats.P2_quantile.create 0.9 in
-  Array.iter (Stats.P2_quantile.add p) xs;
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let exact = Stats.Summary.quantile_of_sorted sorted 0.9 in
-  check_close ~rel:0.02 "P2 vs exact p90" exact (Stats.P2_quantile.estimate p)
-
 let confidence_width_shrinks () =
   (* Quadrupling the replications roughly halves the half-width. *)
   let g = rng () in
@@ -215,6 +202,37 @@ let simulation_quantile_accessors () =
   Alcotest.(check bool) "events executed counted" true
     (r.Cluster.Simulation.events_executed > r.Cluster.Simulation.total_arrivals)
 
+(* Every reported quantile comes from the collector's ratio histogram:
+   a run's pair is that histogram's quantiles, bit for bit, and a
+   point's pair is the quantiles of its replications' merged histograms. *)
+let quantiles_single_source () =
+  let module Hdr = Statsched_obs.Hdr_histogram in
+  let speeds = [| 1.0; 4.0 |] in
+  let workload = Cluster.Workload.paper_default ~rho:0.6 ~speeds in
+  let run replication =
+    Cluster.Simulation.run
+      (Cluster.Simulation.default_config ~horizon:20_000.0 ~replication ~speeds
+         ~workload ~scheduler:(Cluster.Scheduler.static Core.Policy.orr) ())
+  in
+  let bits what expected actual =
+    Alcotest.(check int64) what (Int64.bits_of_float expected) (Int64.bits_of_float actual)
+  in
+  let results = List.init 3 run in
+  List.iter
+    (fun r ->
+      let h = r.Cluster.Simulation.response_ratio_histogram in
+      bits "run median" (Hdr.quantile h 0.5) r.Cluster.Simulation.median_response_ratio;
+      bits "run p99" (Hdr.quantile h 0.99) r.Cluster.Simulation.p99_response_ratio)
+    results;
+  let merged = Hdr.copy (List.hd results).Cluster.Simulation.response_ratio_histogram in
+  List.iter
+    (fun r -> Hdr.merge ~into:merged r.Cluster.Simulation.response_ratio_histogram)
+    (List.tl results);
+  let module Runner = Statsched_experiments.Runner in
+  let p = Runner.point_of_results results in
+  bits "point median" (Hdr.quantile merged 0.5) p.Runner.median_ratio;
+  bits "point p99" (Hdr.quantile merged 0.99) p.Runner.p99_ratio
+
 let workload_unmodulated_rate_constant () =
   let speeds = [| 1.0; 1.0 |] in
   let w = Cluster.Workload.poisson_exponential ~rho:0.4 ~mean_size:1.0 ~speeds in
@@ -255,13 +273,13 @@ let suite =
     test "dispatch: three-computer cycle trace" dispatch_three_computer_trace;
     test "dispatch: extreme 1%/99% fractions" dispatch_extreme_fractions;
     prop_variants_reset_replay;
-    slow_test "stats: P2 matches exact quantile" p2_matches_exact_quantile;
     test "stats: CI width shrinks with replications" confidence_width_shrinks;
     test "stats: tally same-instant updates" tally_same_time_updates;
     test "queueing: PS with thousands of simultaneous tiny jobs" ps_many_tiny_jobs;
     test "queueing: theory utilization helper" theory_utilization_helper;
     slow_test "cluster: least-load update delays cost little" least_load_delay_cost_small;
     test "cluster: quantile accessors ordered" simulation_quantile_accessors;
+    test "cluster: quantiles come from the ratio histogram" quantiles_single_source;
     test "cluster: unmodulated rate constant" workload_unmodulated_rate_constant;
     test "prng: pinned stream regression" prng_pinned_stream;
     test "prng: substream stability" prng_substream_stability;

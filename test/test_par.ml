@@ -254,9 +254,8 @@ let merged_point_identical () =
           f (msg "point half-width")
             p1.E.Runner.mean_response_ratio.Confidence.half_width
             pn.E.Runner.mean_response_ratio.Confidence.half_width;
-          f (msg "pooled median") p1.E.Runner.pooled_median_ratio
-            pn.E.Runner.pooled_median_ratio;
-          f (msg "pooled p99") p1.E.Runner.pooled_p99_ratio pn.E.Runner.pooled_p99_ratio;
+          f (msg "pooled median") p1.E.Runner.median_ratio pn.E.Runner.median_ratio;
+          f (msg "pooled p99") p1.E.Runner.p99_ratio pn.E.Runner.p99_ratio;
           f (msg "pooled histogram sum")
             (Hdr.sum p1.E.Runner.response_ratio_histogram)
             (Hdr.sum pn.E.Runner.response_ratio_histogram);

@@ -2,7 +2,6 @@ open Test_util
 module S = Statsched_stats
 module Welford = S.Welford
 module Tally = S.Tally
-module P2 = S.P2_quantile
 module Student_t = S.Student_t
 module Confidence = S.Confidence
 module Batch_means = S.Batch_means
@@ -109,52 +108,6 @@ let tally_backwards_time () =
 let tally_empty_nan () =
   let t = Tally.create () in
   Alcotest.(check bool) "no elapsed time -> nan" true (Float.is_nan (Tally.time_average t))
-
-let p2_exact_small () =
-  let p = P2.create 0.5 in
-  List.iter (P2.add p) [ 5.0; 1.0; 3.0 ];
-  check_float "exact median of 3" 3.0 (P2.estimate p)
-
-let p2_uniform_median () =
-  let p = P2.create 0.5 in
-  let g = rng () in
-  for _ = 1 to 100_000 do
-    P2.add p (Statsched_prng.Rng.float g)
-  done;
-  check_close ~rel:0.02 "median of U(0,1)" 0.5 (P2.estimate p)
-
-let p2_exponential_p99 () =
-  let p = P2.create 0.99 in
-  let g = rng () in
-  for _ = 1 to 200_000 do
-    P2.add p (Statsched_dist.Exponential.sample ~rate:1.0 g)
-  done;
-  (* p99 of Exp(1) = ln 100 ≈ 4.605 *)
-  check_close ~rel:0.05 "p99 of Exp(1)" (log 100.0) (P2.estimate p)
-
-let p2_empty_nan () =
-  let p = P2.create 0.5 in
-  Alcotest.(check bool) "empty" true (Float.is_nan (P2.estimate p));
-  Alcotest.check_raises "q out of range" (Invalid_argument "P2_quantile.create: q outside (0,1)")
-    (fun () -> ignore (P2.create 1.0))
-
-(* Regression: before five observations the estimate must use the
-   nearest-rank quantile of the sorted sample, not a truncated index. *)
-let p2_small_sample_nearest_rank () =
-  let estimate_of q xs =
-    let p = P2.create q in
-    List.iter (P2.add p) xs;
-    P2.estimate p
-  in
-  check_float "single observation, extreme q" 42.0 (estimate_of 0.99 [ 42.0 ]);
-  check_float "single observation, low q" 42.0 (estimate_of 0.01 [ 42.0 ]);
-  (* n=2: rank ceil(0.5*2)=1 -> the lower value *)
-  check_float "median of two is the lower" 1.0 (estimate_of 0.5 [ 2.0; 1.0 ]);
-  check_float "p90 of two is the upper" 2.0 (estimate_of 0.9 [ 2.0; 1.0 ]);
-  (* n=4: rank ceil(0.1*4)=1 -> minimum; ceil(0.9*4)=4 -> maximum *)
-  check_float "p10 of four" 3.0 (estimate_of 0.1 [ 5.0; 4.0; 6.0; 3.0 ]);
-  check_float "p90 of four" 6.0 (estimate_of 0.9 [ 5.0; 4.0; 6.0; 3.0 ]);
-  check_float "median of four" 4.0 (estimate_of 0.5 [ 5.0; 4.0; 6.0; 3.0 ])
 
 let student_t_table () =
   check_float ~eps:1e-9 "df=9, 95%" 2.262 (Student_t.critical ~df:9 ~confidence:0.95);
@@ -306,17 +259,6 @@ let summary_quantile_interpolation () =
   Alcotest.check_raises "empty" (Invalid_argument "Summary.quantile_of_sorted: empty")
     (fun () -> ignore (Summary.quantile_of_sorted [||] 0.5))
 
-let prop_p2_between_min_max =
-  qcheck ~count:100 "P2 estimate within sample range"
-    QCheck2.Gen.(list_size (int_range 5 500) (float_bound_inclusive 100.0))
-    (fun xs ->
-      let p = P2.create 0.9 in
-      List.iter (P2.add p) xs;
-      let mn = List.fold_left min infinity xs in
-      let mx = List.fold_left max neg_infinity xs in
-      let e = P2.estimate p in
-      mn -. 1e-9 <= e && e <= mx +. 1e-9)
-
 let prop_summary_ordered =
   qcheck ~count:100 "summary quantiles are ordered"
     QCheck2.Gen.(list_size (int_range 1 200) (float_bound_inclusive 1000.0))
@@ -341,11 +283,6 @@ let suite =
     test "tally: warm-up reset" tally_reset;
     test "tally: time monotonicity enforced" tally_backwards_time;
     test "tally: empty is nan" tally_empty_nan;
-    test "p2: exact before 5 samples" p2_exact_small;
-    slow_test "p2: median of uniform" p2_uniform_median;
-    slow_test "p2: p99 of exponential" p2_exponential_p99;
-    test "p2: empty and invalid q" p2_empty_nan;
-    test "p2: nearest-rank for small samples" p2_small_sample_nearest_rank;
     test "confidence: nan half-width rendering" confidence_pp_nan;
     test "student-t: table values" student_t_table;
     test "student-t: monotonicity" student_t_monotone;
@@ -359,6 +296,5 @@ let suite =
     prop_batch_means_grand_mean_exact;
     test "summary: known values" summary_known;
     test "summary: quantile interpolation" summary_quantile_interpolation;
-    prop_p2_between_min_max;
     prop_summary_ordered;
   ]
