@@ -74,14 +74,15 @@ let modulated_rate t time =
 (* The arrival loop consumes one inter-arrival gap per job.  Sampling
    them one at a time pays an indirect call into the distribution
    closure plus a boxed-float return per arrival; the source below
-   refills a flat [floatarray] a batch at a time instead, so the common
-   case is an unboxed array read.  Draw order from the arrivals stream
-   is identical — the same samples in the same order, just taken ahead
-   of time — and the stream is dedicated to gaps, so results are
-   bit-identical to unbatched sampling.  Rate modulation must still be
-   applied at the *scheduling* instant, never at refill time; that is
-   why the source yields base gaps and leaves division by the
-   modulation factor to the caller. *)
+   refills a flat [floatarray] a batch at a time instead, through
+   {!Distribution.fill} (which for the paper's H2 stores raw doubles),
+   so the common case is an unboxed array read.  Draw order from the
+   arrivals stream is identical — the same samples in the same order,
+   just taken ahead of time — and the stream is dedicated to gaps, so
+   results are bit-identical to unbatched sampling.  Rate modulation
+   must still be applied at the *scheduling* instant, never at refill
+   time; that is why the source yields base gaps and leaves division by
+   the modulation factor to the caller. *)
 type gap_source = {
   gap_dist : Distribution.t;
   gap_rng : Statsched_prng.Rng.t;
@@ -99,9 +100,7 @@ let gap_source ?(batch = 256) t ~rng =
   }
 
 let refill src =
-  for i = 0 to Float.Array.length src.buf - 1 do
-    Float.Array.unsafe_set src.buf i (Distribution.sample src.gap_dist src.gap_rng)
-  done;
+  Distribution.fill src.gap_dist src.gap_rng src.buf;
   src.pos <- 0
 
 let[@inline] next_gap src =

@@ -137,7 +137,7 @@ let slot e f =
    touching memory. *)
 let[@inline] armed e s = Float.Array.get e.slot_times s < infinity
 
-let[@schedsim.hot] arm e s ~delay =
+let[@inline] [@schedsim.hot] arm e s ~delay =
   if delay < 0.0 then
     raise (Schedule_in_past { now = now e; requested = now e +. delay });
   let time = now e +. delay in

@@ -8,13 +8,15 @@ let validate { k; p; alpha } =
 
 let paper_default = { k = 10.0; p = 21600.0; alpha = 1.0 }
 
+let[@inline] truncation { k; p; alpha } = 1.0 -. ((k /. p) ** alpha)
+
 (* E[X^j] = alpha k^alpha (p^{j-alpha} - k^{j-alpha}) / ((j-alpha)(1-(k/p)^alpha))
    with the limit alpha k^alpha ln(p/k) / (1-(k/p)^alpha) when alpha = j. *)
 let raw_moment ({ k; p; alpha } as prm) j =
   validate prm;
   if j < 0 then invalid_arg "Bounded_pareto.raw_moment: negative order";
   let j = float_of_int j in
-  let trunc = 1.0 -. ((k /. p) ** alpha) in
+  let trunc = truncation prm in
   if abs_float (alpha -. j) < 1e-12 then
     alpha *. (k ** alpha) *. log (p /. k) /. trunc
     /. (k ** (alpha -. j))
@@ -22,18 +24,21 @@ let raw_moment ({ k; p; alpha } as prm) j =
     alpha *. (k ** alpha) *. ((p ** (j -. alpha)) -. (k ** (j -. alpha)))
     /. ((j -. alpha) *. trunc)
 
-let quantile ({ k; p; alpha } as prm) u =
+(* The inverse CDF with its constants taken apart, so [create]'s sampler
+   computes them once and keeps the draw and the result unboxed. *)
+let[@inline] invert ~k ~trunc ~inv_alpha u = k /. ((1.0 -. (u *. trunc)) ** inv_alpha)
+
+let quantile ({ k; alpha; _ } as prm) u =
   validate prm;
   if not (0.0 <= u && u < 1.0) then invalid_arg "Bounded_pareto.quantile: u outside [0,1)";
-  let trunc = 1.0 -. ((k /. p) ** alpha) in
-  k /. ((1.0 -. (u *. trunc)) ** (1.0 /. alpha))
+  invert ~k ~trunc:(truncation prm) ~inv_alpha:(1.0 /. alpha) u
 
 let cdf ({ k; p; alpha } as prm) x =
   validate prm;
   if x <= k then 0.0
   else if x >= p then 1.0
   else begin
-    let trunc = 1.0 -. ((k /. p) ** alpha) in
+    let trunc = truncation prm in
     (1.0 -. ((k /. x) ** alpha)) /. trunc
   end
 
@@ -45,7 +50,7 @@ let partial_mean ({ k; p; alpha } as prm) ~lo ~hi =
   let lo = max k lo and hi = min p hi in
   if lo >= hi then 0.0
   else begin
-    let trunc = 1.0 -. ((k /. p) ** alpha) in
+    let trunc = truncation prm in
     let c = alpha *. (k ** alpha) /. trunc in
     if abs_float (alpha -. 1.0) < 1e-12 then c *. log (hi /. lo)
     else c /. (1.0 -. alpha) *. ((hi ** (1.0 -. alpha)) -. (lo ** (1.0 -. alpha)))
@@ -61,6 +66,7 @@ let create ({ k; p; alpha } as prm) =
     ~name:(Printf.sprintf "BP(%g,%g,%g)" k p alpha)
     ~mean
     ~variance:(second -. (mean *. mean))
-    (fun g -> sample prm g)
+    (let trunc = truncation prm and inv_alpha = 1.0 /. alpha in
+     fun g -> invert ~k ~trunc ~inv_alpha (Rng.float g))
 
 let create_paper_default () = create paper_default

@@ -10,6 +10,11 @@ type t = {
   mean : float;  (** Analytic mean. *)
   variance : float;  (** Analytic variance ([infinity] allowed). *)
   sample : Statsched_prng.Rng.t -> float;  (** Draw one variate. *)
+  fill : Statsched_prng.Rng.t -> Float.Array.t -> unit;
+      (** Overwrite every slot with a fresh variate, drawing exactly as
+          [Float.Array.length] calls of [sample] would; a constructor may
+          specialise it to store raw doubles, where [sample] must box
+          each result. *)
 }
 
 val name : t -> string
@@ -28,12 +33,20 @@ val scv : t -> float
 val sample : t -> Statsched_prng.Rng.t -> float
 (** [sample t g] draws one variate using stream [g]. *)
 
+val fill : t -> Statsched_prng.Rng.t -> Float.Array.t -> unit
+(** [fill t g a] sets [a.(0)], [a.(1)], … to successive draws from [g]:
+    the same values, in the same order, as that many calls of {!sample}. *)
+
 val sample_array : t -> Statsched_prng.Rng.t -> int -> float array
 (** [sample_array t g n] draws [n] variates. *)
 
 val scaled : t -> float -> t
 (** [scaled t c] is the distribution of [c·X] for [X ~ t].  [c > 0]. *)
 
-val make : name:string -> mean:float -> variance:float ->
+val make :
+  ?fill:(Statsched_prng.Rng.t -> Float.Array.t -> unit) ->
+  name:string -> mean:float -> variance:float ->
   (Statsched_prng.Rng.t -> float) -> t
-(** Escape hatch for user-defined distributions. *)
+(** Escape hatch for user-defined distributions.  [fill] defaults to
+    calling the sampler once per slot; a specialised one must draw the
+    same values. *)

@@ -41,25 +41,30 @@ let create ~probs ~rates =
     cum.(i) <- !acc
   done;
   cum.(n - 1) <- 1.0;
-  (* The workhorse case is the two-branch H2 (every [fit_cv] call):
-     specialise it so the branch draw stays an unboxed local — the
-     generic path boxes [u] to pass it to [branch]. *)
-  let sample =
-    if n = 2 then begin
-      let c0 = cum.(0) and r0 = rates.(0) and r1 = rates.(1) in
-      fun g ->
-        let u = Rng.float g in
-        Exponential.sample ~rate:(if u < c0 then r0 else r1) g
-    end
-    else
-      fun g ->
+  let name = Printf.sprintf "H%d(mean=%g)" n mean in
+  (* The workhorse case is the two-branch H2 (every [fit_cv] call, so
+     every paper inter-arrival gap): specialise it so the branch draw
+     stays an unboxed local — the generic path boxes [u] to pass it to
+     [branch] — and give it a [fill] that stores raw doubles into the
+     arrival process's gap buffer instead of boxing each gap. *)
+  if n = 2 then begin
+    let c0 = cum.(0) and r0 = rates.(0) and r1 = rates.(1) in
+    let[@inline] draw g =
+      let u = Rng.float g in
+      Exponential.sample ~rate:(if u < c0 then r0 else r1) g
+    in
+    Distribution.make ~name ~mean ~variance
+      ~fill:(fun g a ->
+        for i = 0 to Float.Array.length a - 1 do
+          Float.Array.unsafe_set a i (draw g)
+        done)
+      (fun g -> draw g)
+  end
+  else
+    Distribution.make ~name ~mean ~variance (fun g ->
         let u = Rng.float g in
         let i = branch cum n u 0 in
-        Exponential.sample ~rate:rates.(i) g
-  in
-  Distribution.make
-    ~name:(Printf.sprintf "H%d(mean=%g)" n mean)
-    ~mean ~variance sample
+        Exponential.sample ~rate:rates.(i) g)
 
 let branch_params ~mean ~cv =
   if mean <= 0.0 then invalid_arg "Hyperexponential.fit_cv: mean <= 0";

@@ -12,25 +12,30 @@ let kind_index = function
 let kind_tag = [| 'D'; 'Q'; 'C'; 'X'; 'R' |]
 let kind_name = [| "dispatch"; "queue"; "completion"; "drop"; "rate" |]
 
-(* Record storage: one 8-double-wide slot per record (64 bytes, about
-   one cache line — recording a sample touches one line where per-field
-   columns would touch six or seven).  Slots live in fixed blocks of
+(* Record storage: one 6-double-wide slot per record (48 bytes, within
+   one or two cache lines — recording a sample touches one slot where
+   per-field columns would touch six).  Slots live in fixed blocks of
    [block_records] that are allocated the first time a record lands in
    them and never copied or resized, so a journal costs memory for the
    records it keeps, up to [capacity], rather than for [capacity] up
-   front.  Integer fields, the kind included, ride in doubles; every
-   value stored is far below 2^53, so the round-trip through
+   front.  Integer fields ride in doubles; the computer and the kind
+   share one, as [computer * 8 + kind] ([kind_bits] low bits; an
+   arithmetic shift decodes a negative computer too).  Every value
+   stored is far below 2^53, so the round-trip through
    [float_of_int]/[int_of_float] is exact.  Field use per kind (unused
    fields are never decoded):
 
-     kind        +0 (i0)  +1 (i1)   +2 (f0)  +3 (f1)  +4 (f2)     +5 (f3)  +6
-     Dispatch    id       computer  time     size                          kind
-     Queue       depth    computer  time                                   kind
-     Completion  id       computer  arrival  start    completion  size     kind
-     Drop        id       computer  time                                   kind
-     Rate        0        computer  time     rate                          kind *)
-let slot_width = 8
-let kind_field = 6
+     kind        +0 (i0)  +1        +2 (f0)  +3 (f1)  +4 (f2)     +5 (f3)
+     Dispatch    id       ck        time     size
+     Queue       depth    ck        time
+     Completion  id       ck        arrival  start    completion  size
+     Drop        id       ck        time
+     Rate        0        ck        time     rate
+
+   where ck = computer * 8 + kind. *)
+let slot_width = 6
+let kind_field = 1
+let kind_bits = 3
 let block_shift = 12
 let block_records = 1 lsl block_shift
 let block_mask = block_records - 1
@@ -68,7 +73,10 @@ let[@inline] block t r = Array.unsafe_get t.blocks (r lsr block_shift)
 let[@inline] base r = (r land block_mask) * slot_width
 
 let[@inline] field t r f = Float.Array.get (block t r) (base r + f)
-let[@inline] kind_at t r = int_of_float (field t r kind_field)
+
+let[@inline] kind_of_ck ck = ck land ((1 lsl kind_bits) - 1)
+let[@inline] kind_at t r = kind_of_ck (int_of_float (field t r kind_field))
+let[@inline] computer_at t r = int_of_float (field t r kind_field) asr kind_bits
 
 (* First record into block [b]: allocate it, sized to the capacity it
    covers.  Left uninitialised: every field a record's kind uses is
@@ -88,7 +96,7 @@ let[@schedsim.cold] compact t =
   let w = ref 0 in
   for r = 0 to t.len - 1 do
     let src = block t r and sb = base r in
-    let k = int_of_float (Float.Array.unsafe_get src (sb + kind_field)) in
+    let k = kind_of_ck (int_of_float (Float.Array.unsafe_get src (sb + kind_field))) in
     let p = Array.unsafe_get parity k in
     Array.unsafe_set parity k (p + 1);
     if p land 1 = 0 then begin
@@ -98,7 +106,7 @@ let[@schedsim.cold] compact t =
            and at the default capacity compaction runs every few
            thousand records. *)
         let dst = block t d and db = base d in
-        for f = 0 to kind_field do
+        for f = 0 to slot_width - 1 do
           Float.Array.unsafe_set dst (db + f) (Float.Array.unsafe_get src (sb + f))
         done
       end;
@@ -142,15 +150,15 @@ let[@inline] [@schedsim.hot] claim t k =
   Array.unsafe_set t.seen k (c + 1);
   if c <> Array.unsafe_get t.next_due k then -1 else claim_due t k c
 
-(* Write the kind and the four leading fields of the slot at [b] in
-   [blk]; [f1] is unused (and never decoded) for queue and drop
-   records. *)
-let[@inline] [@schedsim.hot] fill blk b k i0 i1 f0 f1 =
+(* Write the four leading fields of the slot at [b] in [blk]: [i0], the
+   packed computer and kind, [f0] and [f1]; [f1] is unused (and never
+   decoded) for queue and drop records. *)
+let[@inline] [@schedsim.hot] fill blk b k i0 computer f0 f1 =
   Float.Array.unsafe_set blk b (float_of_int i0);
-  Float.Array.unsafe_set blk (b + 1) (float_of_int i1);
+  Float.Array.unsafe_set blk (b + kind_field)
+    (float_of_int ((computer lsl kind_bits) lor k));
   Float.Array.unsafe_set blk (b + 2) f0;
-  Float.Array.unsafe_set blk (b + 3) f1;
-  Float.Array.unsafe_set blk (b + kind_field) (float_of_int k)
+  Float.Array.unsafe_set blk (b + 3) f1
 
 let[@inline] [@schedsim.hot] record_dispatch t ~id ~computer ~time ~size =
   let slot = claim t 0 in
@@ -207,7 +215,7 @@ type record =
 
 let record_at t r =
   if r < 0 || r >= t.len then invalid_arg "Journal.record_at: index";
-  let i0 = int_of_float (field t r 0) and i1 = int_of_float (field t r 1) in
+  let i0 = int_of_float (field t r 0) and i1 = computer_at t r in
   let f0 = field t r 2 and f1 = field t r 3 in
   match kind_at t r with
   | 0 -> Dispatch_r { id = i0; computer = i1; time = f0; size = f1 }
@@ -227,15 +235,18 @@ let iter t f =
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+let fnv_offset = 0xcbf29ce484222325L
+
+(* FNV-1a over [s], continuing from hash [h]. *)
+let fnv1a64_from h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+  done;
   !h
+
+let fnv1a64 s = fnv1a64_from fnv_offset s
 
 (* Round-trippable float text: shortest form that parses back exactly. *)
 let fmt_float x =
@@ -248,35 +259,38 @@ let check_key k =
     || String.exists (function ' ' | '\n' | '\t' | '\r' -> true | _ -> false) k
   then invalid_arg (Printf.sprintf "Journal: malformed key %S" k)
 
-let to_string ?(meta = []) ?(summary = []) t =
-  let buf = Buffer.create (4096 + (t.len * 48)) in
-  Buffer.add_string buf "statsched-journal v2\n";
-  List.iter
-    (fun (k, v) ->
-      check_key k;
-      Buffer.add_string buf (Printf.sprintf "meta %s %s\n" k v))
-    meta;
-  Buffer.add_string buf (Printf.sprintf "stride %d\n" t.stride);
-  Array.iteri
-    (fun k c -> Buffer.add_string buf (Printf.sprintf "seen %s %d\n" kind_name.(k) c))
-    t.seen;
-  List.iter
-    (fun (k, v) ->
-      check_key k;
-      Buffer.add_string buf (Printf.sprintf "summary %s %s\n" k v))
-    summary;
-  Buffer.add_string buf (Printf.sprintf "records %d\n" t.len);
+let check_keys meta summary =
+  List.iter (fun (k, _) -> check_key k) meta;
+  List.iter (fun (k, _) -> check_key k) summary
+
+(* The one serialiser: hands the file to [emit] a line at a time, folding
+   each line into the checksum that ends the file, so [write] never holds
+   more of the text than one line.  Keys must already be checked. *)
+let serialise ~meta ~summary t emit =
+  let h = ref fnv_offset in
+  let line s =
+    h := fnv1a64_from !h s;
+    emit s
+  in
+  line "statsched-journal v2\n";
+  List.iter (fun (k, v) -> line (Printf.sprintf "meta %s %s\n" k v)) meta;
+  line (Printf.sprintf "stride %d\n" t.stride);
+  Array.iteri (fun k c -> line (Printf.sprintf "seen %s %d\n" kind_name.(k) c)) t.seen;
+  List.iter (fun (k, v) -> line (Printf.sprintf "summary %s %s\n" k v)) summary;
+  line (Printf.sprintf "records %d\n" t.len);
+  let buf = Buffer.create 128 in
   for r = 0 to t.len - 1 do
     let k = kind_at t r in
     let num f =
       Buffer.add_char buf ' ';
       Buffer.add_string buf (fmt_float (field t r f))
     in
+    Buffer.clear buf;
     Buffer.add_char buf kind_tag.(k);
     Buffer.add_char buf ' ';
     Buffer.add_string buf (string_of_int (int_of_float (field t r 0)));
     Buffer.add_char buf ' ';
-    Buffer.add_string buf (string_of_int (int_of_float (field t r 1)));
+    Buffer.add_string buf (string_of_int (computer_at t r));
     num 2;
     (match k with
     | 0 | 4 -> num 3
@@ -285,16 +299,22 @@ let to_string ?(meta = []) ?(summary = []) t =
       num 4;
       num 5
     | _ -> ());
-    Buffer.add_char buf '\n'
+    Buffer.add_char buf '\n';
+    line (Buffer.contents buf)
   done;
-  let body = Buffer.contents buf in
-  Printf.sprintf "%schecksum fnv1a64 %016Lx\n" body (fnv1a64 body)
+  emit (Printf.sprintf "checksum fnv1a64 %016Lx\n" !h)
 
-let write ?meta ?summary t path =
-  let text = to_string ?meta ?summary t in
+let to_string ?(meta = []) ?(summary = []) t =
+  check_keys meta summary;
+  let buf = Buffer.create (4096 + (t.len * 48)) in
+  serialise ~meta ~summary t (Buffer.add_string buf);
+  Buffer.contents buf
+
+let write ?(meta = []) ?(summary = []) t path =
+  check_keys meta summary;
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc text);
+    (fun () -> serialise ~meta ~summary t (output_string oc));
   Sys.rename tmp path

@@ -31,7 +31,7 @@ type kind = Dispatch | Queue | Completion | Drop | Rate
 
 val create : ?capacity:int -> ?sample_every:int -> unit -> t
 (** [capacity] (default 4096, one block) bounds the number of retained
-    records; memory grows with the records kept, 64 bytes each, up to
+    records; memory grows with the records kept, 48 bytes each, up to
     [capacity] of them;
     [sample_every] (default 1) is the initial sampling stride [k].
 
@@ -115,6 +115,10 @@ val write :
   t ->
   string ->
   unit
-(** [write t path] writes {!to_string} to [path] atomically (temp file
-    and rename), so a concurrent reader or a crash never observes a
-    half-written journal. *)
+(** [write t path] writes the text of {!to_string} to [path] atomically
+    (temp file and rename), so a concurrent reader or a crash never
+    observes a half-written journal.  The text is streamed a line at a
+    time with a running checksum, never held whole in memory.
+
+    @raise Invalid_argument on a malformed key, before [path] or its
+    temp file is touched. *)

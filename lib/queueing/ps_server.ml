@@ -63,8 +63,10 @@ let reschedule t =
     if eff > 0.0 then begin
       Tally.update t.busy ~time:(Engine.now t.engine) ~value:1.0;
       let n = float_of_int (in_system t) in
-      let delay = max 0.0 ((v_min -. t.hot.vclock) *. n /. eff) in
-      Engine.arm t.engine t.completion ~delay
+      (* [Stdlib.max 0.0 d], spelled out: the polymorphic [max] takes
+         both floats boxed. *)
+      let d = (v_min -. t.hot.vclock) *. n /. eff in
+      Engine.arm t.engine t.completion ~delay:(if 0.0 >= d then 0.0 else d)
     end
     else begin
       (* Suspended: virtual time is frozen, no completion can occur. *)
@@ -73,28 +75,31 @@ let reschedule t =
     end
   end
 
-(* Top-level rather than nested in [on_completion]: a [let rec] there
-   would capture [t]/[tol] and allocate a closure per completion event. *)
-let[@schedsim.hot] rec drain_due t tol forced =
-  let v_min = Event_queue.next_time t.active in
-  (* NaN (empty queue) fails the comparison; [pop_step] guards the
-     forced case. *)
-  if forced || v_min <= t.hot.vclock +. tol then
-    if Event_queue.pop_step t.active then begin
-      let job = Event_queue.last_payload t.active in
-      job.Job.completion <- Engine.now t.engine;
-      t.completed <- t.completed + 1;
-      t.on_departure job;
-      drain_due t tol false
-    end
-
-let on_completion t =
+(* Every job whose virtual finish time is due leaves.  A loop rather
+   than a recursive helper, so [tol] stays an unboxed local instead of a
+   boxed argument on every departure. *)
+let[@schedsim.hot] on_completion t =
   advance t;
   let tol = eps t in
   (* Float round-off can leave the head a hair beyond the virtual clock;
-     force at least one departure so the simulation always progresses. *)
-  let head_ready = Event_queue.next_time t.active <= t.hot.vclock +. tol in
-  drain_due t tol (not head_ready);
+     force at least one departure so the simulation always progresses.
+     NaN (empty queue) fails the comparison; [pop_step] guards the
+     forced case. *)
+  let forced = ref (not (Event_queue.next_time t.active <= t.hot.vclock +. tol)) in
+  let draining = ref true in
+  while !draining do
+    if
+      (!forced || Event_queue.next_time t.active <= t.hot.vclock +. tol)
+      && Event_queue.pop_step t.active
+    then begin
+      forced := false;
+      let job = Event_queue.last_payload t.active in
+      job.Job.completion <- Engine.now t.engine;
+      t.completed <- t.completed + 1;
+      t.on_departure job
+    end
+    else draining := false
+  done;
   reschedule t
 
 let create ~engine ~speed ~on_departure () =
@@ -118,7 +123,10 @@ let create ~engine ~speed ~on_departure () =
 let submit t job =
   advance t;
   let now = Engine.now t.engine in
-  if job.Job.start < 0.0 then job.Job.start <- now;
+  (* A job served from its arrival instant shares the arrival's box
+     instead of allocating one for the same value. *)
+  if job.Job.start < 0.0 then
+    job.Job.start <- (if Float.equal job.Job.arrival now then job.Job.arrival else now);
   ignore (Event_queue.add t.active ~time:(t.hot.vclock +. job.Job.size) job);
   Tally.update t.busy ~time:now ~value:1.0;
   reschedule t

@@ -16,8 +16,14 @@ type left = { mutable remaining : float }
 
 type entry = { job : Job.t; left : left }
 
+(* A FIFO of entries in a growable ring buffer (capacity a power of
+   two): [Queue.push] allocates a cell per push, and RR pushes once per
+   slice.  Vacated slots hold the server's [vacant] entry, so the ring
+   keeps no finished job alive. *)
+type ring = { mutable slots : entry array; mutable head : int; mutable len : int }
+
 type ready =
-  | Fifo of entry Queue.t  (* FCFS and RR *)
+  | Fifo of ring  (* FCFS and RR *)
   | By_remaining of entry Event_queue.t  (* SRPT: keyed by remaining work, ties FIFO *)
 
 (* The running slice's float state, in an all-float record so updates
@@ -35,7 +41,10 @@ type t = {
   quantum : float;  (* infinite for FCFS and SRPT: a slice runs the job to completion *)
   on_departure : Job.t -> unit;
   ready : ready;
-  mutable runner : entry option;
+  vacant : entry;
+      (* placeholder, never served: [runner] holds it while no slice runs
+         (an [entry option] would allocate a [Some] per slice) *)
+  mutable runner : entry;
   mutable slice_end : Engine.slot;
       (* registered in [create] once the record exists; armed while a
          slice runs, disarmed while idle or suspended *)
@@ -53,20 +62,40 @@ let note_occupancy t = Tally.update t.occupancy ~time:(now t) ~value:(float_of_i
 let note_busy t =
   Tally.update t.busy ~time:(now t) ~value:(if t.hot.rate > 0.0 then 1.0 else 0.0)
 
+(* schedlint: allow R3 — [vacant] is a sentinel, compared by identity *)
+let[@inline] running t = t.runner != t.vacant
+
+let[@schedsim.cold] grow_ring t r =
+  let cap = Array.length r.slots in
+  let slots = Array.make (2 * cap) t.vacant in
+  for i = 0 to r.len - 1 do
+    slots.(i) <- r.slots.((r.head + i) land (cap - 1))
+  done;
+  r.slots <- slots;
+  r.head <- 0
+
 let push_ready t e =
   match t.ready with
-  | Fifo q -> Queue.push e q
+  | Fifo r ->
+    if r.len = Array.length r.slots then grow_ring t r;
+    r.slots.((r.head + r.len) land (Array.length r.slots - 1)) <- e;
+    r.len <- r.len + 1
   | By_remaining q -> ignore (Event_queue.add q ~time:e.left.remaining e)
 
 let ready_is_empty t =
   match t.ready with
-  | Fifo q -> Queue.is_empty q
+  | Fifo r -> r.len = 0
   | By_remaining q -> Event_queue.is_empty q
 
 (* Only called on a non-empty ready list. *)
 let take_ready t =
   match t.ready with
-  | Fifo q -> Queue.take q
+  | Fifo r ->
+    let e = r.slots.(r.head) in
+    r.slots.(r.head) <- t.vacant;
+    r.head <- (r.head + 1) land (Array.length r.slots - 1);
+    r.len <- r.len - 1;
+    e
   | By_remaining q ->
     ignore (Event_queue.pop_step q);
     Event_queue.last_payload q
@@ -102,7 +131,7 @@ let start_slice t e =
 
 let run t e =
   if e.job.Job.start < 0.0 then e.job.Job.start <- now t;
-  t.runner <- Some e;
+  t.runner <- e;
   note_busy t;
   start_slice t e
 
@@ -111,10 +140,9 @@ let start_next t =
   else run t (take_ready t)
 
 let end_slice t =
-  match t.runner with
-  | None -> ()
-  | Some e ->
-    t.runner <- None;
+  if running t then begin
+    let e = t.runner in
+    t.runner <- t.vacant;
     t.hot.work <- t.hot.work +. t.hot.slice;
     let left = e.left.remaining -. t.hot.slice in
     (* Relative tolerance: RR slices can leave a round-off residue. *)
@@ -130,40 +158,45 @@ let end_slice t =
       push_ready t e
     end;
     start_next t
+  end
 
 let submit t job =
   let e = { job; left = { remaining = job.Job.size } } in
   t.n <- t.n + 1;
   note_occupancy t;
-  match (t.runner, t.ready) with
-  | None, _ -> run t e
-  | Some r, By_remaining _ when job.Job.size < r.left.remaining -. served t ->
-    interrupt t r;
-    push_ready t r;
-    run t e
-  | Some _, _ -> push_ready t e
+  if not (running t) then run t e
+  else
+    match t.ready with
+    | By_remaining _ when job.Job.size < t.runner.left.remaining -. served t ->
+      let r = t.runner in
+      interrupt t r;
+      push_ready t r;
+      run t e
+    | By_remaining _ | Fifo _ -> push_ready t e
 
 let set_rate t rate =
   if rate < 0.0 then invalid_arg "Serial_server.set_rate: rate < 0";
-  match t.runner with
-  | None -> t.hot.rate <- rate
-  | Some e ->
+  if not (running t) then t.hot.rate <- rate
+  else begin
+    let e = t.runner in
     interrupt t e;
     t.hot.rate <- rate;
     note_busy t;
     start_slice t e
+  end
 
 let drain t =
   let rec waiting acc =
     if ready_is_empty t then List.rev acc else waiting ((take_ready t).job :: acc)
   in
   let jobs =
-    match t.runner with
-    | Some e ->
+    if running t then begin
+      let e = t.runner in
       interrupt t e;
-      t.runner <- None;
+      t.runner <- t.vacant;
       e.job :: waiting []
-    | None -> waiting []
+    end
+    else waiting []
   in
   t.n <- 0;
   note_occupancy t;
@@ -186,12 +219,16 @@ let reset_stats t =
 
 let create ~engine ~speed ~order ~on_departure () =
   if speed <= 0.0 then invalid_arg "Serial_server.create: speed <= 0";
+  let vacant =
+    { job = Job.create ~id:(-1) ~size:1.0 ~arrival:0.0; left = { remaining = 0.0 } }
+  in
+  let fifo () = Fifo { slots = Array.make 16 vacant; head = 0; len = 0 } in
   let quantum, ready, discipline =
     match order with
-    | Fcfs -> (infinity, Fifo (Queue.create ()), "FCFS")
+    | Fcfs -> (infinity, fifo (), "FCFS")
     | Rr q ->
       if q <= 0.0 then invalid_arg "Serial_server.create: quantum <= 0";
-      (q, Fifo (Queue.create ()), Printf.sprintf "RR(q=%g)" q)
+      (q, fifo (), Printf.sprintf "RR(q=%g)" q)
     | Srpt -> (infinity, By_remaining (Event_queue.create ()), "SRPT")
   in
   let t =
@@ -201,7 +238,8 @@ let create ~engine ~speed ~order ~on_departure () =
       quantum;
       on_departure;
       ready;
-      runner = None;
+      vacant;
+      runner = vacant;
       slice_end = Engine.no_slot;
       hot = { rate = 1.0; slice = 0.0; slice_start = Engine.now engine; work = 0.0 };
       busy = Tally.create ~start_time:(Engine.now engine) ();

@@ -22,7 +22,7 @@ let reset t =
   t.minv <- infinity;
   t.maxv <- neg_infinity
 
-let[@schedsim.hot] add t x =
+let[@inline] [@schedsim.hot] add t x =
   let n = t.n +. 1.0 in
   t.n <- n;
   let delta = x -. t.mean in

@@ -575,9 +575,11 @@ let gap_source_matches_direct () =
 let per_job_allocation_bounded () =
   (* The dispatch -> service -> departure cycle recycles job records and
      pre-samples gaps, so steady-state allocation per job is a small
-     constant (measured ~78 words on the Table 3 / ORR workload).  The
-     bound below has headroom for compiler differences but fails loudly
-     if a per-job box, closure, or option creeps back into the hot path. *)
+     constant: 7.5 words on this run (4·10⁵ s: 6.1), the boxes of the
+     job's size, arrival and completion fields.  One more per-job box,
+     closure or option (2+ words) fails the bound.  So does a build with
+     -opaque (`--profile dev`), which stops cross-module inlining and
+     costs about 65 words per job. *)
   let speeds = Core.Speeds.table3 in
   let workload = Workload.paper_default ~rho:0.7 ~speeds in
   let cfg =
@@ -594,15 +596,17 @@ let per_job_allocation_bounded () =
   let jobs = float_of_int result.Simulation.total_arrivals in
   Alcotest.(check bool) "enough jobs to average over" true (jobs > 1_000.0);
   let per_job = delta /. jobs in
-  if per_job > 120.0 then
-    Alcotest.failf "hot path allocates %.1f words/job (bound: 120)" per_job
+  if per_job > 9.0 then
+    Alcotest.failf "hot path allocates %.1f words/job (bound: 9)" per_job
 
 let rr_allocation_per_arrival () =
   (* RR requeues a job at the end of every quantum, and a Table 3 job
-     takes hundreds of 0.25 s slices.  Each requeue must store the job's
-     remaining work as a raw double: a boxed float per slice (promoted
-     with the queued entry) costs about 570 more words per arrival on
-     this configuration (4930 measured with it, 4360 without). *)
+     takes hundreds of 0.25 s slices, so a slice must allocate nothing:
+     the remaining work is stored as a raw double, the ready list is a
+     ring buffer, the runner slot holds no option and the slot's delay
+     reaches the inlined [Engine.arm] unboxed.  What is left, 15.9 words
+     per arrival, is per job: its ready-list entry and its fields' boxes.
+     One word per slice would add about 300. *)
   let speeds = Core.Speeds.table3 in
   let workload = Workload.paper_default ~rho:0.7 ~speeds in
   let cfg =
@@ -617,8 +621,8 @@ let rr_allocation_per_arrival () =
   let per_arrival =
     (Gc.minor_words () -. before) /. float_of_int result.Simulation.total_arrivals
   in
-  if per_arrival > 4650.0 then
-    Alcotest.failf "RR(0.25) allocates %.1f minor words/arrival (bound: 4650)"
+  if per_arrival > 16.5 then
+    Alcotest.failf "RR(0.25) allocates %.1f minor words/arrival (bound: 16.5)"
       per_arrival
 
 let hot_path_suite =

@@ -410,8 +410,38 @@ let weibull_small_shape_empirical_mean () =
   for _ = 1 to n do sum := !sum +. D.sample d g done;
   check_close ~rel:0.05 "sample mean near analytic" 6.0 (!sum /. float_of_int n)
 
+(* [fill] and the specialised samplers must draw bit for bit what the
+   plain sampler (or the inverse CDF) draws from the same stream. *)
+let fill_matches_sample () =
+  let bits x = Int64.bits_of_float x in
+  let same name d =
+    let a = Float.Array.make 300 0.0 in
+    D.fill d (rng ~seed:11L ()) a;
+    let g = rng ~seed:11L () in
+    Float.Array.iteri
+      (fun i x ->
+        if not (Int64.equal (bits x) (bits (D.sample d g))) then
+          Alcotest.failf "%s: fill differs from sample at slot %d" name i)
+      a
+  in
+  let h2 = Dist.Hyperexponential.fit_cv ~mean:2.2 ~cv:3.0 in
+  same "H2" h2;
+  same "scaled H2" (D.scaled h2 1.7);
+  same "H3"
+    (Dist.Hyperexponential.create ~probs:[| 0.2; 0.3; 0.5 |] ~rates:[| 0.5; 1.0; 4.0 |]);
+  same "BP" (Dist.Bounded_pareto.create_paper_default ());
+  let bp = Dist.Bounded_pareto.create_paper_default () in
+  let g1 = rng ~seed:5L () and g2 = rng ~seed:5L () in
+  for i = 1 to 300 do
+    let x = D.sample bp g1
+    and y = Dist.Bounded_pareto.sample Dist.Bounded_pareto.paper_default g2 in
+    if not (Int64.equal (bits x) (bits y)) then
+      Alcotest.failf "BP: sampler differs from the inverse CDF at draw %d" i
+  done
+
 let suite =
   [
+    test "distribution: fill and samplers draw bit for bit" fill_matches_sample;
     test "exponential: analytic moments" exponential_analytic;
     test "exponential: of_mean" exponential_of_mean;
     test "exponential: parameter validation" exponential_errors;

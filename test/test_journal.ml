@@ -100,6 +100,60 @@ let per_stream_sampling_at capacity =
 let journal_per_stream_sampling () =
   List.iter per_stream_sampling_at (32 :: multi_block)
 
+(* A block is 4096 slots of six doubles: the first record of a
+   two-block journal adds exactly that block (plus its header word) to
+   what the journal holds; the other block is not allocated yet. *)
+let journal_block_footprint () =
+  let j = Journal.create ~capacity:(2 * block) () in
+  let words () = Obj.reachable_words (Obj.repr j) in
+  let empty = words () in
+  Journal.record_dispatch j ~id:0 ~computer:0 ~time:0.0 ~size:1.0;
+  Alcotest.(check int) "one block: 4096 records x 6 doubles" ((block * 6) + 1)
+    (words () - empty)
+
+(* Every kind's fields survive compaction, the computer and the kind
+   included (they share one double), large and negative computers too. *)
+let compaction_keeps_fields_at capacity =
+  let j = Journal.create ~capacity () in
+  let n = 3 * capacity in
+  let computer i = if i mod 11 = 0 then -1 else i * 7919 mod 100_003 in
+  let t i = float_of_int i +. 0.25 in
+  for i = 0 to n - 1 do
+    Journal.record_dispatch j ~id:i ~computer:(computer i) ~time:(t i) ~size:(t (i + 1));
+    Journal.record_queue j ~depth:i ~computer:(computer i) ~time:(t i);
+    Journal.record_completion j ~id:i ~computer:(computer i) ~arrival:(t i)
+      ~start:(t (i + 1)) ~completion:(t (i + 2)) ~size:(t (i + 3));
+    Journal.record_drop j ~id:i ~computer:(computer i) ~time:(t i);
+    Journal.record_rate j ~computer:(computer i) ~time:(t i) ~rate:(t (i + 4))
+  done;
+  Alcotest.(check bool) "compacted" true (Journal.stride j > 1);
+  let seen = Array.make 5 0 in
+  let check name k i c fields =
+    seen.(k) <- seen.(k) + 1;
+    Alcotest.(check int) (name ^ " computer") (computer i) c;
+    List.iteri
+      (fun f (got, off) ->
+        check_float ~eps:0.0 (Printf.sprintf "%s field %d" name f) (t (i + off)) got)
+      fields
+  in
+  Journal.iter j (function
+    | Journal.Dispatch_r { id; computer = c; time; size } ->
+      check "dispatch" 0 id c [ (time, 0); (size, 1) ]
+    | Journal.Queue_r { depth; computer = c; time } -> check "queue" 1 depth c [ (time, 0) ]
+    | Journal.Completion_r { id; computer = c; arrival; start; completion; size } ->
+      check "completion" 2 id c [ (arrival, 0); (start, 1); (completion, 2); (size, 3) ]
+    | Journal.Drop_r { id; computer = c; time } -> check "drop" 3 id c [ (time, 0) ]
+    | Journal.Rate_r { computer = c; time; rate } ->
+      let i = int_of_float time in
+      check "rate" 4 i c [ (time, 0); (rate, 4) ]);
+  Array.iteri
+    (fun k count ->
+      Alcotest.(check bool) (Printf.sprintf "kind %d kept" k) true (count > 0))
+    seen
+
+let journal_compaction_keeps_fields () =
+  List.iter compaction_keeps_fields_at (40 :: multi_block)
+
 let journal_validation () =
   Alcotest.(check bool) "capacity < 16 rejected" true
     (match Journal.create ~capacity:8 () with
@@ -249,6 +303,17 @@ let journal_write_atomic () =
   Alcotest.(check bool) "journal written" true (Sys.file_exists path);
   Alcotest.(check bool) "no temp file left behind" true
     (not (Sys.file_exists (path ^ ".tmp")));
+  let meta = [ ("seed", "7") ] and summary = [ ("jobs", "1") ] in
+  Journal.write ~meta ~summary j path;
+  Alcotest.(check string) "the file is to_string's text"
+    (Journal.to_string ~meta ~summary j)
+    (In_channel.with_open_bin path In_channel.input_all);
+  let bad = Filename.concat dir "bad.journal" in
+  Alcotest.(check bool) "a malformed key is rejected before any file is opened" true
+    ((match Journal.write ~summary:[ ("bad key", "v") ] j bad with
+     | exception Invalid_argument _ -> true
+     | () -> false)
+    && not (Sys.file_exists bad || Sys.file_exists (bad ^ ".tmp")));
   (match Journal_file.load path with
   | Ok jf ->
     Alcotest.(check int) "written journal loads" 5
@@ -939,6 +1004,8 @@ let suite =
     test "journal: bounded capacity, systematic sampling" journal_bounded_sampling;
     test "journal: per-stream sampling survives compaction"
       journal_per_stream_sampling;
+    test "journal: a block is 4096 x 6 doubles" journal_block_footprint;
+    test "journal: compaction keeps every kind's fields" journal_compaction_keeps_fields;
     test "journal: constructor and key validation" journal_validation;
     test "journal: fnv1a64 reference vectors" journal_checksum_vectors;
     test "journal: serialisation roundtrips bit-exactly" journal_roundtrip;
