@@ -61,47 +61,106 @@ let random_alias ~rng alpha =
     reset_fn = (fun () -> ());
   }
 
-(* Algorithm 2, parameterised for the ablation variants. *)
+(* Algorithm 2, parameterised for the ablation variants, over the live
+   computers only: a computer with alpha = 0 is never selected, so
+   leaving it out of the scan is exact.  The arrays are indexed by live
+   rank, in computer-index order. *)
+type rr = {
+  computer : int array;  (* the computer behind each live rank *)
+  alpha : float array;
+  inv_alpha : float array;
+  assign : int array;
+  next : float array;
+  mutable started : int;  (* live computers with [assign > 0] *)
+  guard : bool;
+  tie_by_norassign : bool;
+}
+
+(* The tie-break of Algorithm 2: rank [i] has a smaller normalised
+   assignment count [(assign+1)/alpha] than rank [j]. *)
+let[@inline] norassign_below r i j =
+  float_of_int (r.assign.(i) + 1) /. r.alpha.(i)
+  < float_of_int (r.assign.(j) + 1) /. r.alpha.(j)
+
+(* One pass over the live ranks.  Algorithm 2 ends each select by
+   taking 1.0 from the [next] of every started computer; here that -1.0
+   is owed to the next select, which applies it to each element just
+   before comparing it, so every element still sees the same float
+   operations in the same order.  The first select after creation or
+   [reset] owes nothing, and indeed no computer has started then.  Once
+   all have started, the first loop drops the [assign] test.  The tie
+   key is computed only when [x] equals the minimum.  The loops index
+   [next] and [assign] below their common length [m], so they skip the
+   bounds checks. *)
+let[@schedsim.hot] rr_select r =
+  let next = r.next and assign = r.assign in
+  let m = Array.length next in
+  let sel = ref 0 in
+  if r.started = m then begin
+    let x0 = next.(0) -. 1.0 in
+    next.(0) <- x0;
+    let minnext = ref x0 in
+    for i = 1 to m - 1 do
+      let x = Array.unsafe_get next i -. 1.0 in
+      Array.unsafe_set next i x;
+      if x < !minnext then begin
+        sel := i;
+        minnext := x
+      end
+      else if x <= !minnext && r.tie_by_norassign && norassign_below r i !sel then sel := i
+    done
+  end
+  else begin
+    if assign.(0) <> 0 then next.(0) <- next.(0) -. 1.0;
+    let minnext = ref next.(0) in
+    for i = 1 to m - 1 do
+      if Array.unsafe_get assign i <> 0 then
+        Array.unsafe_set next i (Array.unsafe_get next i -. 1.0);
+      let x = Array.unsafe_get next i in
+      if x < !minnext then begin
+        sel := i;
+        minnext := x
+      end
+      else if x <= !minnext && r.tie_by_norassign && norassign_below r i !sel then sel := i
+    done
+  end;
+  let s = !sel in
+  if assign.(s) = 0 then begin
+    r.started <- r.started + 1;
+    if r.guard then next.(s) <- 0.0
+  end;
+  next.(s) <- next.(s) +. r.inv_alpha.(s);
+  assign.(s) <- assign.(s) + 1;
+  r.computer.(s)
+
 let round_robin_impl ~variant_name ~guard ~tie_by_norassign alpha =
   validate_fractions alpha;
   let alpha = Array.copy alpha in
-  let n = Array.length alpha in
-  let assign = Array.make n 0 in
-  let next = Array.make n (if guard then 1.0 else 0.0) in
+  let computer =
+    List.init (Array.length alpha) Fun.id
+    |> List.filter (fun i -> alpha.(i) > 0.0)
+    |> Array.of_list
+  in
+  let m = Array.length computer in
+  let guard_value = if guard then 1.0 else 0.0 in
+  let r =
+    {
+      computer;
+      alpha = Array.map (fun i -> alpha.(i)) computer;
+      inv_alpha = Array.map (fun i -> 1.0 /. alpha.(i)) computer;
+      assign = Array.make m 0;
+      next = Array.make m guard_value;
+      started = 0;
+      guard;
+      tie_by_norassign;
+    }
+  in
   let reset_fn () =
-    Array.fill assign 0 n 0;
-    Array.fill next 0 n (if guard then 1.0 else 0.0)
+    Array.fill r.assign 0 m 0;
+    Array.fill r.next 0 m guard_value;
+    r.started <- 0
   in
-  let select_fn () =
-    let sel = ref (-1) in
-    let minnext = ref infinity in
-    let norassign = ref infinity in
-    for i = 0 to n - 1 do
-      if alpha.(i) > 0.0 then begin
-        let candidate_nor = float_of_int (assign.(i) + 1) /. alpha.(i) in
-        if !sel = -1 || next.(i) < !minnext then begin
-          sel := i;
-          minnext := next.(i);
-          norassign := candidate_nor
-        end
-        else if Float.equal next.(i) !minnext && tie_by_norassign && candidate_nor < !norassign
-        then begin
-          sel := i;
-          norassign := candidate_nor
-        end
-      end
-    done;
-    let s = !sel in
-    assert (s >= 0);
-    if guard && assign.(s) = 0 then next.(s) <- 0.0;
-    next.(s) <- next.(s) +. (1.0 /. alpha.(s));
-    assign.(s) <- assign.(s) + 1;
-    for i = 0 to n - 1 do
-      if assign.(i) <> 0 then next.(i) <- next.(i) -. 1.0
-    done;
-    s
-  in
-  { name = variant_name; fractions = alpha; select_fn; reset_fn }
+  { name = variant_name; fractions = alpha; select_fn = (fun () -> rr_select r); reset_fn }
 
 let round_robin alpha =
   round_robin_impl ~variant_name:"round-robin" ~guard:true ~tie_by_norassign:true alpha
@@ -116,8 +175,8 @@ let round_robin_index_ties alpha =
 
 (* Algorithm 2 in offset form, O(log n) per decision.
 
-   The eager loop above subtracts 1.0 from every started computer's
-   [next] after each select — O(n) per arrival, prohibitive at n = 10^4
+   The scan above visits every live computer and takes 1.0 from every
+   started one's [next] — O(n) per arrival, prohibitive at n = 10^4
    over 10^7 jobs.  Store instead [stored_i = next_i + A] where [A]
    counts selects so far: the global decrement becomes "A += 1" and a
    select only touches the chosen computer, so a tournament tree over
@@ -135,8 +194,8 @@ let round_robin_index_ties alpha =
    cohort (thousands of equal-alpha computers at n = 10^4) degenerates
    to O(ties log n) per decision.
 
-   Arithmetic caveat: [stored - A] reassociates the eager version's
-   interleaved +/-1.0 updates, so with arbitrary fractions the two
+   Arithmetic caveat: [stored - A] reassociates the scan's interleaved
+   +/-1.0 updates, so with arbitrary fractions the two
    variants can round ties differently.  When every fraction is a power
    of two all values are dyadic and exact, and the decision sequences
    are bit-identical — the equivalence test pins exactly that.  [A]

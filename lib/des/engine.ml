@@ -256,7 +256,7 @@ module Testing = struct
     let a = winner e cap 2 in
     e.winners.(1) <- (if e.winners.(1) = a then winner e cap 3 else a)
 
-  let heap_stored e = Event_queue.Testing.stored e.queue
+  let heap_stored e = Event_queue.size e.queue
 
   let slot_capacity e = Array.length e.slot_seqs
 end

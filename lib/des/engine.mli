@@ -128,8 +128,8 @@ module Testing : sig
       {!heap_ordered} turns false. *)
 
   val heap_stored : t -> int
-  (** Entries physically stored in the future-event list, including
-      lazily-cancelled ones; see {!Event_queue.Testing.stored}. *)
+  (** Entries stored in the future-event list (it holds no cancelled
+      ones), leaving out the armed completion slots. *)
 
   val slot_capacity : t -> int
   (** Leaves of the slot index (16 until more slots are registered). *)

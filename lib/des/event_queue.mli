@@ -2,9 +2,9 @@
 
     Ties are broken by insertion order (FIFO), which makes simulations
     deterministic: two events scheduled for the same instant fire in the
-    order they were scheduled.  Cancellation is supported through handles
-    with lazy deletion, so cancelling is O(1) and the cost is absorbed at
-    pop time.
+    order they were scheduled.  Cancellation is supported through handles:
+    [cancel] finds the event by a scan and removes it in place, so it is
+    O(pending) and the heap never holds a cancelled entry.
 
     The engine's future-event list is one such queue; it carries
     one-shot events (arrivals, faults, warm-up, periodic ticks) but no
@@ -12,9 +12,10 @@
     ({!Engine.slot}).  Servers also keep their own queues (a PS server's
     jobs by virtual finish time, SRPT's ready list).
 
-    Handles are slot-table based: memory for cancellation bookkeeping is
-    O(maximum concurrently pending), independent of the total number of
-    events ever scheduled. *)
+    A handle is the event's sequence number, which is never reused, so a
+    stale handle cannot cancel a later event.  Memory is O(maximum
+    concurrently pending), independent of the total number of events
+    ever scheduled. *)
 
 type 'a t
 (** A queue of events carrying payloads of type ['a]. *)
@@ -34,7 +35,7 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int
-(** Number of live (non-cancelled) events. *)
+(** Number of pending events: added, not yet fired or cancelled. *)
 
 val add : 'a t -> time:float -> 'a -> handle
 (** [add q ~time x] schedules [x] at [time] and returns a cancellation
@@ -45,7 +46,8 @@ val add : 'a t -> time:float -> 'a -> handle
 val cancel : 'a t -> handle -> bool
 (** [cancel q h] removes the event identified by [h] if it is still
     pending; returns [false] if it already fired or was already
-    cancelled. *)
+    cancelled.  O(pending): it scans for the event, then removes it in
+    place. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest live event as [(time, payload)]. *)
@@ -88,8 +90,8 @@ val take_seq : 'a t -> int
 (** Draw the next sequence number, as an {!add} would. *)
 
 val top_seq : 'a t -> int
-(** Sequence number of the earliest live event.  Only meaningful right
-    after {!next_time} returned a number (it drops cancelled roots). *)
+(** Sequence number of the earliest event.  Only meaningful when the
+    queue is not empty. *)
 
 val heap_ordered : 'a t -> bool
 (** Audit the heap property: every parent precedes its children in
@@ -106,12 +108,8 @@ module Testing : sig
       Exists only so tests can prove {!heap_ordered} and the sanitizers
       actually fire; never call it elsewhere. *)
 
-  val stored : 'a t -> int
-  (** Entries physically stored in the heap, including lazily-cancelled
-      ones — the compaction tests bound this by a multiple of {!size}. *)
-
-  val slot_capacity : 'a t -> int
-  (** Capacity of the cancellation slot table — the memory-regression
-      test bounds this by a multiple of the most events ever pending at
-      once, independent of the total event count. *)
+  val capacity : 'a t -> int
+  (** Cells allocated for the heap arrays — the memory-regression test
+      bounds this by a multiple of the most events ever pending at once,
+      independent of the total event count. *)
 end

@@ -25,8 +25,12 @@ let raw_moment ({ k; p; alpha } as prm) j =
     /. ((j -. alpha) *. trunc)
 
 (* The inverse CDF with its constants taken apart, so [create]'s sampler
-   computes them once and keeps the draw and the result unboxed. *)
-let[@inline] invert ~k ~trunc ~inv_alpha u = k /. ((1.0 -. (u *. trunc)) ** inv_alpha)
+   computes them once and keeps the draw and the result unboxed.  At the
+   paper's alpha = 1 the power is the identity ([pow (x, 1.0)] returns x
+   exactly), so that case divides directly and skips the libm call. *)
+let[@inline] invert ~k ~trunc ~inv_alpha u =
+  let x = 1.0 -. (u *. trunc) in
+  if Float.equal inv_alpha 1.0 then k /. x else k /. (x ** inv_alpha)
 
 let quantile ({ k; alpha; _ } as prm) u =
   validate prm;

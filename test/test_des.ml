@@ -218,35 +218,49 @@ let eq_pop_releases_payloads () =
       (Option.is_none (Weak.get w i))
   done
 
-let eq_cancel_compacts () =
+let eq_cancel_releases_payloads () =
+  (* Cancelling removes the entry in place, so a cancelled payload is
+     unreachable at once — no dead entry waits in the heap for a pop or
+     a compaction to reach it. *)
   let n = 200 in
   let q = Event_queue.create () in
   let w = Weak.create n in
   let handles =
     Array.init n (fun i -> add_tracked q w i ~time:(float_of_int i))
   in
-  (* Cancel everything but the first ten.  Lazy deletion keeps entries
-     in the heap, but once live entries fall far below the heap length
-     the queue must compact and drop the garbage. *)
   for i = 10 to n - 1 do
     Alcotest.(check bool) "cancel succeeds" true (Event_queue.cancel q handles.(i))
   done;
-  Alcotest.(check int) "live size" 10 (Event_queue.size q);
+  Alcotest.(check int) "size" 10 (Event_queue.size q);
   Gc.full_major ();
-  let reclaimed = ref 0 in
   for i = 10 to n - 1 do
-    if Option.is_none (Weak.get w i) then incr reclaimed
+    Alcotest.(check bool)
+      (Printf.sprintf "payload %d collected after cancel" i)
+      true
+      (Option.is_none (Weak.get w i))
   done;
-  Alcotest.(check bool)
-    (Printf.sprintf "most cancelled payloads reclaimed (%d of %d)" !reclaimed
-       (n - 10))
-    true
-    (!reclaimed >= (n - 10) / 2);
-  (* Compaction must not disturb the pop order of the survivors. *)
   let popped = List.init 10 (fun _ -> fst (Option.get (Event_queue.pop q))) in
   Alcotest.(check (list (float 0.0))) "survivors pop in order"
     (List.init 10 float_of_int) popped;
   Alcotest.(check bool) "then empty" true (Option.is_none (Event_queue.pop q))
+
+let eq_stale_handles () =
+  (* A handle is its event's sequence number, never reused: once the
+     event fired or was cancelled, the handle misses for good, however
+     many events are added after it. *)
+  let q = Event_queue.create () in
+  let fired = Event_queue.add q ~time:1.0 "fired" in
+  let cancelled = Event_queue.add q ~time:2.0 "cancelled" in
+  ignore (Event_queue.pop q);
+  Alcotest.(check bool) "cancel succeeds" true (Event_queue.cancel q cancelled);
+  for i = 0 to 99 do
+    ignore (Event_queue.add q ~time:(float_of_int (i mod 7)) "later")
+  done;
+  Alcotest.(check bool) "fired handle misses" false (Event_queue.cancel q fired);
+  Alcotest.(check bool) "cancelled handle misses" false (Event_queue.cancel q cancelled);
+  Alcotest.(check bool) "no_handle misses" false
+    (Event_queue.cancel q Event_queue.no_handle);
+  Alcotest.(check int) "no later event was removed" 100 (Event_queue.size q)
 
 let engine_every () =
   let e = Engine.create () in
@@ -511,8 +525,8 @@ let eq_hot_path_no_alloc () =
   (* The SoA queue must not allocate per event once its buffers are
      sized: [add] with a statically-allocated time, [pop_step] and the
      scratch reads all work in place.  A first add/drain cycle grows the
-     heap arrays, the slot table and the scratch slots; the second is
-     measured under [Gc.minor_words]. *)
+     heap arrays and the scratch slots; the second is measured under
+     [Gc.minor_words]. *)
   let n = 512 in
   let q = Event_queue.create () in
   let cycle () =
@@ -639,13 +653,26 @@ let eq_model_many_pending () =
   Alcotest.(check bool) (Printf.sprintf "peak pending %d >= 10^4" peak) true (peak >= 10_000);
   Alcotest.(check bool) "pops, sizes and cancels match the oracle" true ok
 
-let eq_slot_table_bounded () =
-  (* Regression for the O(total-events) cancellation bitmap: with 10^4
-     events pending at all times and 2 * 10^5 scheduled over the run —
-     half of them cancelled, so lazy deletion and compaction both run —
-     the cancellation bookkeeping must stay proportional to the most
-     events ever pending at once, and the stored entries (live + not yet
-     compacted) proportional to the live count. *)
+let eq_cancel_mid_heap () =
+  (* Cancelling an entry in the middle of the heap refills its cell with
+     the last entry, which may have to move up or down: coarse times
+     (ties) and cancellations of every third event, audited after every
+     operation against the ordered-set model. *)
+  let g = rng () in
+  let ops =
+    List.init 400 (fun _ -> `Add (float_of_int (Statsched_prng.Rng.int g 40) /. 4.0))
+    @ List.init 133 (fun k -> `Cancel (3 * k))
+    @ List.concat (List.init 100 (fun k -> [ `Pop; `Cancel ((3 * k) + 1) ]))
+    @ List.init 300 (fun _ -> `Pop)
+  in
+  let ok, _ = replay_against_oracle ops in
+  Alcotest.(check bool) "pops, sizes and cancels match the oracle" true ok
+
+let eq_capacity_bounded () =
+  (* Regression for cancellation bookkeeping that grew with the total
+     event count: with 10^4 events pending at all times and 2 * 10^5
+     scheduled over the run, half of them cancelled, the heap arrays
+     must stay proportional to the most events ever pending at once. *)
   let pending = 10_000 in
   let churn = 200_000 in
   let q = Event_queue.create () in
@@ -665,17 +692,11 @@ let eq_slot_table_bounded () =
     let t = float_of_int (pending + j) +. Statsched_prng.Rng.float g in
     handles.(slot) <- add ~time:t slot
   done;
-  let cap = Event_queue.Testing.slot_capacity q in
+  let cap = Event_queue.Testing.capacity q in
   Alcotest.(check bool)
-    (Printf.sprintf "slot table O(peak pending): capacity %d vs peak %d" cap !peak)
+    (Printf.sprintf "capacity O(peak pending): %d vs peak %d" cap !peak)
     true
-    (cap <= (4 * !peak) + 64);
-  let live = Event_queue.size q in
-  let stored = Event_queue.Testing.stored q in
-  Alcotest.(check bool)
-    (Printf.sprintf "dead retention O(live): stored %d vs live %d" stored live)
-    true
-    (stored <= (4 * live) + 64);
+    (cap <= (2 * !peak) + 64);
   Alcotest.(check bool) "invariants hold after churn" true
     (Event_queue.heap_ordered q)
 
@@ -717,13 +738,15 @@ let suite =
     test "event_queue: peek" eq_peek;
     test "event_queue: non-finite time rejected" eq_nonfinite_rejected;
     test "event_queue: pop releases payloads" eq_pop_releases_payloads;
-    test "event_queue: cancellation compacts the heap" eq_cancel_compacts;
+    test "event_queue: cancel frees the payload" eq_cancel_releases_payloads;
+    test "event_queue: stale handles miss" eq_stale_handles;
+    test "event_queue: mid-heap cancel keeps order" eq_cancel_mid_heap;
     test "event_queue: random stress" eq_random_stress;
     test "event_queue: hot path does not allocate" eq_hot_path_no_alloc;
     prop_eq_sorted;
     prop_eq_model;
     test "event_queue: 10^4 pending match sorted-list oracle" eq_model_many_pending;
-    test "event_queue: slot table bounded by high-water" eq_slot_table_bounded;
+    test "event_queue: capacity bounded by high-water" eq_capacity_bounded;
     test "engine: clock advances with events" engine_clock_advances;
     test "engine: nested scheduling" engine_nested_scheduling;
     test "engine: run until horizon" engine_run_until;

@@ -104,6 +104,32 @@ let bp_quantile_monotone () =
   done;
   check_float ~eps:1e-9 "quantile 0 = k" 10.0 (Dist.Bounded_pareto.quantile prm 0.0)
 
+let bp_alpha_one_division_exact () =
+  (* At alpha = 1 the inverse CDF divides by x instead of computing
+     x ** 1.0; pow (x, 1.0) returns x exactly, so the two must agree bit
+     for bit, at the edges of [0, 1) as well as on random draws. *)
+  let ({ Dist.Bounded_pareto.k; p; alpha } as prm) = Dist.Bounded_pareto.paper_default in
+  let trunc = 1.0 -. ((k /. p) ** alpha) in
+  let check u =
+    let want = k /. ((1.0 -. (u *. trunc)) ** alpha) in
+    let got = Dist.Bounded_pareto.quantile prm u in
+    if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)) then
+      Alcotest.fail (Printf.sprintf "u = %h: %h, pow gives %h" u got want)
+  in
+  List.iter check
+    [ 0.0; Float.min_float; 1e-300; epsilon_float /. 2.0; epsilon_float; 1e-9; 0.5;
+      1.0 -. 1e-9; 1.0 -. epsilon_float; Float.pred 1.0 ];
+  let g = rng () in
+  for i = 1 to 1_000_000 do
+    let u = Rng.float g in
+    (* Every fourth draw is pushed against an edge of [0, 1). *)
+    check
+      (match i land 3 with
+      | 0 -> u *. 1e-12
+      | 1 -> Float.pred 1.0 -. (u *. 1e-12)
+      | _ -> u)
+  done
+
 let bp_errors () =
   Alcotest.check_raises "k >= p" (Invalid_argument "Bounded_pareto: need 0 < k < p")
     (fun () ->
@@ -459,6 +485,7 @@ let suite =
     test "bounded pareto: samples within bounds" bp_bounds;
     test "bounded pareto: quantile monotone" bp_quantile_monotone;
     test "bounded pareto: parameter validation" bp_errors;
+    test "bounded pareto: alpha = 1 division matches pow" bp_alpha_one_division_exact;
     slow_test "bounded pareto: heavy tail" bp_heavy_tail;
     slow_test "bounded pareto: empirical mean"
       (empirical_check ~n:400_000 ~mean_rel:0.1 ~cv_rel:0.5
