@@ -463,7 +463,7 @@ let run_cmd =
       & info [ "journal-capacity" ] ~docv:"N"
           ~doc:
             "Maximum records the journal retains; memory grows with the \
-             records kept, 64 bytes each, up to $(docv) of them.  On \
+             records kept, 48 bytes each, up to $(docv) of them.  On \
              overflow the sampling stride doubles.")
   in
   let journal_sample_t =

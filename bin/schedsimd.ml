@@ -107,7 +107,7 @@ let journal_capacity_t =
     & info [ "journal-capacity" ] ~docv:"N"
         ~doc:
           "Maximum records the journal retains; memory grows with the \
-           records kept, 64 bytes each, up to $(docv) of them.")
+           records kept, 48 bytes each, up to $(docv) of them.")
 
 let metrics_out_t =
   Arg.(

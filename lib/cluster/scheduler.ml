@@ -10,7 +10,6 @@ type kind =
   | Least_load of {
       detection : Dist.Distribution.t;
       message_delay : Dist.Distribution.t;
-      random_ties : bool;
       probe : int option;
     }
   | Sita of {
@@ -20,13 +19,7 @@ type kind =
   | Stale_least_load of { poll_period : float; count_in_flight : bool }
   | Jsq of { d : int; weighted : bool }
   | Jiq
-  | Adaptive of {
-      period : float;
-      initial_rho : float;
-      safety : float;
-      windowed : bool;
-      dispatching : Statsched_core.Policy.dispatch_strategy;
-    }
+  | Adaptive of { period : float; windowed : bool }
 
 let static p = Static p
 
@@ -37,20 +30,9 @@ let stale_least_load ?(count_in_flight = true) ~poll_period () =
   if poll_period <= 0.0 then invalid_arg "Scheduler.stale_least_load: poll_period <= 0";
   Stale_least_load { poll_period; count_in_flight }
 
-let adaptive_orr ?(period = 10_000.0) ?(initial_rho = 0.5) ?(safety = 1.05)
-    ?(windowed = false) () =
+let adaptive_orr ?(period = 10_000.0) ?(windowed = false) () =
   if period <= 0.0 then invalid_arg "Scheduler.adaptive_orr: period <= 0";
-  if not (0.0 < initial_rho && initial_rho < 1.0) then
-    invalid_arg "Scheduler.adaptive_orr: initial_rho outside (0,1)";
-  if safety <= 0.0 then invalid_arg "Scheduler.adaptive_orr: safety <= 0";
-  Adaptive
-    {
-      period;
-      initial_rho;
-      safety;
-      windowed;
-      dispatching = Statsched_core.Policy.Round_robin;
-    }
+  Adaptive { period; windowed }
 
 let paper_delays =
   ( Dist.Uniform_dist.create ~a:0.0 ~b:1.0,
@@ -58,14 +40,13 @@ let paper_delays =
 
 let least_load_paper =
   let detection, message_delay = paper_delays in
-  Least_load { detection; message_delay; random_ties = true; probe = None }
+  Least_load { detection; message_delay; probe = None }
 
 let least_load_instant =
   Least_load
     {
       detection = Dist.Deterministic.create 0.0;
       message_delay = Dist.Deterministic.create 0.0;
-      random_ties = true;
       probe = None;
     }
 
@@ -78,7 +59,7 @@ let jiq = Jiq
 let two_choices ?(d = 2) () =
   if d < 1 then invalid_arg "Scheduler.two_choices: d < 1";
   let detection, message_delay = paper_delays in
-  Least_load { detection; message_delay; random_ties = true; probe = Some d }
+  Least_load { detection; message_delay; probe = Some d }
 
 let name = function
   | Static p -> Statsched_core.Policy.name p
@@ -104,13 +85,8 @@ let name = function
   | Jsq { d; weighted } ->
     Printf.sprintf "JSQ(d=%d%s)" d (if weighted then "" else ",uniform")
   | Jiq -> "JIQ"
-  | Adaptive { period; dispatching; windowed; _ } ->
-    let d =
-      match dispatching with
-      | Statsched_core.Policy.Round_robin -> "ORR"
-      | Statsched_core.Policy.Random -> "ORAN"
-    in
-    Printf.sprintf "Adaptive%s(T=%g%s)" d period (if windowed then ",window" else "")
+  | Adaptive { period; windowed } ->
+    Printf.sprintf "AdaptiveORR(T=%g%s)" period (if windowed then ",window" else "")
 
 let names =
   [ "wran"; "oran"; "wrr"; "orr"; "least-load"; "two-choices"; "adaptive-orr";

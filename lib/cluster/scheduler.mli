@@ -19,7 +19,6 @@ type kind =
           (** time for a computer to notice a departure; paper: U(0,1) s *)
       message_delay : Statsched_dist.Distribution.t;
           (** network delay of the load-update message; paper: Exp(mean 0.05 s) *)
-      random_ties : bool;  (** break ties uniformly at random *)
       probe : int option;
           (** [Some d]: power-of-d-choices — probe only [d] random
               computers per decision; [None]: the paper's full Least-Load *)
@@ -79,32 +78,29 @@ type kind =
       period : float;
           (** seconds between re-estimations of ρ and recomputations of
               the optimized allocation *)
-      initial_rho : float;
-          (** utilisation assumed before the first re-estimation *)
-      safety : float;
-          (** multiplicative inflation of the estimate (the paper's
-              Section 5.4 advice: "conservatively overestimate system
-              load slightly"); 1.05 ≈ +5 % *)
       windowed : bool;
           (** [false] (default): cumulative averages since the start of
               the run — the paper's "long-run average is sufficient"
               regime.  [true]: estimate from the most recent period only,
               which tracks non-stationary (diurnal) load at the price of
               noisier estimates. *)
-      dispatching : Statsched_core.Policy.dispatch_strategy;
     }
       (** Self-tuning ORR: estimates λ and the mean job size from the
           stream it has seen since the start of the run (cumulative
           averages — Section 5.4 argues long-run averages suffice) and
           periodically recomputes Algorithm 1.  No oracle knowledge of
-          the offered load. *)
+          the offered load.  It assumes ρ̂ = 0.5 until the first
+          re-estimation and inflates every estimate by 5 % (the paper's
+          Section 5.4 advice: "conservatively overestimate system load
+          slightly"). *)
 
 val static : Statsched_core.Policy.t -> kind
 
-val adaptive_orr :
-  ?period:float -> ?initial_rho:float -> ?safety:float -> ?windowed:bool -> unit -> kind
-(** Adaptive ORR with defaults: recompute every 10 000 s, start from
-    ρ̂ = 0.5, +5 % safety margin, cumulative estimator. *)
+val adaptive_orr : ?period:float -> ?windowed:bool -> unit -> kind
+(** Adaptive ORR with defaults: recompute every 10 000 s, cumulative
+    estimator.
+
+    @raise Invalid_argument if [period <= 0]. *)
 
 val stale_least_load : ?count_in_flight:bool -> poll_period:float -> unit -> kind
 (** Least-Load on polled information (default [count_in_flight = true]).

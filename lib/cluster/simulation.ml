@@ -97,12 +97,12 @@ type sched_fns = {
 
 (* The Least-Load family is one selector reading one information model.
    Selectors: the tournament tree over every computer (ties broken
-   uniformly at random or toward the lowest index), or a uniform or
-   speed-weighted sample of [d] computers.  Information models: exact
-   synchronous updates, a per-departure update message that arrives
-   after a detection delay plus a network delay, or a periodic poll of
-   every queue, optionally counting the jobs sent since the last poll. *)
-type selector = Full of { random_ties : bool } | Sampled of int | Weighted of int
+   uniformly at random), or a uniform or speed-weighted sample of [d]
+   computers.  Information models: exact synchronous updates, a
+   per-departure update message that arrives after a detection delay
+   plus a network delay, or a periodic poll of every queue, optionally
+   counting the jobs sent since the last poll. *)
+type selector = Full | Sampled of int | Weighted of int
 
 type information =
   | Synchronous
@@ -298,8 +298,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
     let select _job =
       let i =
         match selector with
-        | Full { random_ties = true } -> Core.Least_load.select ?rng:some_ties_rng state
-        | Full { random_ties = false } -> Core.Least_load.select state
+        | Full -> Core.Least_load.select ?rng:some_ties_rng state
         | Sampled d -> Core.Least_load.select_sampled ~rng:ties_rng state ~d
         | Weighted d -> Core.Least_load.select_weighted ~rng:ties_rng state ~d
       in
@@ -326,22 +325,21 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
         Core.Sita.build_bounded_pareto params ~speeds ~small_to
       in
       fst (remap ~build (fun sita job -> Core.Sita.select sita ~size:job.Q.Job.size))
-    | Scheduler.Adaptive { period; initial_rho; safety; windowed; dispatching } ->
-      (* Self-tuning ORR/ORAN: λ̂ from the arrival count, E[S] from the
-         completed jobs, ρ̂ = λ̂·E[S]/Σs times the safety factor,
-         recomputed every [period] s.  ρ̂ replaces the remap's load and is
-         renormalised onto the speed vector (by exactly 1 when nominal). *)
+    | Scheduler.Adaptive { period; windowed } ->
+      (* Self-tuning ORR: λ̂ from the arrival count, E[S] from the
+         completed jobs, ρ̂ = λ̂·E[S]/Σs times a 5 % safety factor,
+         recomputed every [period] s from an initial guess of 0.5.  ρ̂
+         replaces the remap's load and is renormalised onto the speed
+         vector (by exactly 1 when nominal). *)
       let seen_completions = ref 0 and size_sum = ref 0.0 in
-      let rho_hat = ref initial_rho in
+      let rho_hat = ref 0.5 in
       let fns, refit =
         dispatch_remap ~live:true (fun ~rho:_ ~speeds ->
             let scale = total_speed /. Core.Speeds.total speeds in
-            let rho = min 0.999 (max 1e-6 (!rho_hat *. safety *. scale)) in
+            let rho = min 0.999 (max 1e-6 (!rho_hat *. 1.05 *. scale)) in
             let alloc = Core.Allocation.optimized ~rho speeds in
             check_alloc ~label:"adaptive" ~rho ~speeds alloc;
-            match dispatching with
-            | Core.Policy.Random -> Core.Dispatch.random ~rng:dispatch_rng alloc
-            | Core.Policy.Round_robin -> Core.Dispatch.round_robin alloc)
+            Core.Dispatch.round_robin alloc)
       in
       (* (time, arrivals, completions, size sum) at the window start. *)
       let last = ref (0.0, 0, 0, 0.0) in
@@ -370,21 +368,20 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
             size_sum := !size_sum +. job.Q.Job.size);
         sf_teardown = (fun () -> Engine.stop engine task);
       }
-    | Scheduler.Least_load { detection; message_delay; random_ties; probe } ->
+    | Scheduler.Least_load { detection; message_delay; probe } ->
       least_load
-        (match probe with Some d -> Sampled d | None -> Full { random_ties })
+        (match probe with Some d -> Sampled d | None -> Full)
         (Delayed { detection; message_delay })
     | Scheduler.Jsq { d; weighted } ->
       (* [d >= n] is the tournament-tree full-information case, which
          simcheck pins bit-identical to instant Least-Load. *)
       least_load
-        (if d >= n then Full { random_ties = true }
+        (if d >= n then Full
          else if weighted then Weighted d
          else Sampled d)
         Synchronous
     | Scheduler.Stale_least_load { poll_period; count_in_flight } ->
-      least_load (Full { random_ties = true })
-        (Polled { period = poll_period; count_in_flight })
+      least_load Full (Polled { period = poll_period; count_in_flight })
     | Scheduler.Jiq ->
       let state = Core.Jiq.create cfg.speeds in
       each_queue (fun i k ->

@@ -69,7 +69,7 @@ let[@schedsim.cold] ensure_capacity q payload =
   if Array.length q.last_payload = 0 then q.last_payload <- Array.make 1 payload;
   let cap = Float.Array.length q.times in
   if q.len = cap then begin
-    let ncap = max 64 (2 * cap) in
+    let ncap = max 4 (2 * cap) in
     let nt = Float.Array.make ncap 0.0 in
     Float.Array.blit q.times 0 nt 0 q.len;
     q.times <- nt;

@@ -22,8 +22,6 @@ let fill_by sample g a =
     Float.Array.unsafe_set a i (sample g)
   done
 
-let sample_array t g n = Array.init n (fun _ -> t.sample g)
-
 let scaled t c =
   if c <= 0.0 then invalid_arg "Distribution.scaled: c <= 0";
   {

@@ -37,9 +37,6 @@ val fill : t -> Statsched_prng.Rng.t -> Float.Array.t -> unit
 (** [fill t g a] sets [a.(0)], [a.(1)], … to successive draws from [g]:
     the same values, in the same order, as that many calls of {!sample}. *)
 
-val sample_array : t -> Statsched_prng.Rng.t -> int -> float array
-(** [sample_array t g n] draws [n] variates. *)
-
 val scaled : t -> float -> t
 (** [scaled t c] is the distribution of [c·X] for [X ~ t].  [c > 0]. *)
 

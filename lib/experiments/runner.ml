@@ -98,119 +98,6 @@ let point_of_results results =
 let measure ?seed ?jobs ~scale spec =
   point_of_results (replicate ?seed ?jobs ~scale spec)
 
-type comparison = {
-  label_a : string;
-  label_b : string;
-  ratio_diff : Stats.Confidence.interval;
-  relative_improvement : float;
-  significant : bool;
-}
-
-let compare_paired ?seed ~scale ~a ~b ~speeds ~workload () =
-  if scale.Config.reps < 2 then
-    invalid_arg "Runner.compare_paired: need at least 2 replications";
-  let results scheduler =
-    replicate ?seed ~scale
-      { speeds; workload; scheduler; discipline = Cluster.Simulation.Ps; faults = None }
-  in
-  let ra = results a and rb = results b in
-  let ratio r =
-    r.Cluster.Simulation.metrics.Metrics.mean_response_ratio
-  in
-  let diffs =
-    Array.of_list (List.map2 (fun x y -> ratio x -. ratio y) ra rb)
-  in
-  let mean_of rs =
-    List.fold_left (fun acc r -> acc +. ratio r) 0.0 rs
-    /. float_of_int (List.length rs)
-  in
-  let interval = Stats.Confidence.of_samples diffs in
-  let label_of = function
-    | r :: _ -> r.Cluster.Simulation.scheduler_name
-    | [] -> invalid_arg "Runner.compare_schedulers: no replications"
-  in
-  {
-    label_a = label_of ra;
-    label_b = label_of rb;
-    ratio_diff = interval;
-    relative_improvement = 1.0 -. (mean_of ra /. mean_of rb);
-    significant =
-      (let lo = Stats.Confidence.lower interval
-       and hi = Stats.Confidence.upper interval in
-       Float.is_finite lo && Float.is_finite hi && (hi < 0.0 || lo > 0.0));
-  }
-
-let pp_comparison fmt c =
-  Format.fprintf fmt "%s vs %s: diff %a (%s), %.1f%% %s" c.label_a c.label_b
-    Stats.Confidence.pp c.ratio_diff
-    (if c.significant then "significant" else "not significant")
-    (100.0 *. abs_float c.relative_improvement)
-    (if c.relative_improvement > 0.0 then "better" else "worse")
-
-let measure_to_precision ?(seed = Config.default_seed) ?(horizon = 4.0e5)
-    ?(warmup = 1.0e5) ?(min_reps = 3) ?(max_reps = 30) ?jobs ~target spec =
-  if target <= 0.0 then invalid_arg "Runner.measure_to_precision: target <= 0";
-  if min_reps < 2 || min_reps > max_reps then
-    invalid_arg "Runner.measure_to_precision: need 2 <= min_reps <= max_reps";
-  let run = run_replication ~seed ~horizon ~warmup spec in
-  let rec grow results k =
-    let point = point_of_results (List.rev results) in
-    let rhw = Stats.Confidence.relative_half_width point.mean_response_ratio in
-    if (Float.is_finite rhw && rhw <= target) || k >= max_reps then point
-    else grow (run k :: results) (k + 1)
-  in
-  (* The mandatory first [min_reps] replications can fan out; the
-     sequential-stopping tail inspects the interval after every added
-     replication, so it stays one-at-a-time (results are identical either
-     way — replication [k] is a pure function of [k]). *)
-  let initial = Par.map ?jobs min_reps run in
-  grow (List.rev initial) min_reps
-
-let measure_single_run ?(seed = Config.default_seed) ?(batch_size = 10_000) ~horizon
-    ~warmup spec =
-  let time_batches = Stats.Batch_means.create ~batch_size in
-  let ratio_batches = Stats.Batch_means.create ~batch_size in
-  let cfg =
-    Cluster.Simulation.default_config ~discipline:spec.discipline ~horizon ~warmup
-      ~seed ?faults:spec.faults ~speeds:spec.speeds ~workload:spec.workload
-      ~scheduler:spec.scheduler ()
-  in
-  let module Job = Statsched_queueing.Job in
-  let on_completion job =
-    if job.Job.arrival >= warmup then begin
-      Stats.Batch_means.add time_batches (Job.response_time job);
-      Stats.Batch_means.add ratio_batches (Job.response_ratio job)
-    end
-  in
-  let result = Cluster.Simulation.run ~on_completion cfg in
-  if Stats.Batch_means.completed_batches time_batches < 2 then
-    invalid_arg
-      "Runner.measure_single_run: fewer than two completed batches; lengthen the \
-       horizon or shrink batch_size";
-  let open Cluster.Simulation in
-  {
-    label = result.scheduler_name;
-    mean_response_time = Stats.Batch_means.interval time_batches;
-    mean_response_ratio = Stats.Batch_means.interval ratio_batches;
-    median_ratio = result.median_response_ratio;
-    p99_ratio = result.p99_response_ratio;
-    response_time_histogram = Hdr.copy result.response_time_histogram;
-    response_ratio_histogram = Hdr.copy result.response_ratio_histogram;
-    fairness =
-      (* One replication: no width estimate.  [Confidence.pp] renders a
-         nan half-width without the "±" term. *)
-      {
-        Stats.Confidence.mean = result.metrics.Metrics.fairness;
-        half_width = nan;
-        confidence = 0.95;
-        replications = 1;
-      };
-    dispatch_fractions = result.dispatch_fractions;
-    jobs_per_rep = float_of_int result.metrics.Metrics.jobs;
-    availability = result.metrics.Metrics.availability;
-    lost_jobs_per_rep = float_of_int result.metrics.Metrics.lost_jobs;
-  }
-
 let measure_wall ?seed ?jobs ~scale spec =
   (* Wall-clock the replication batch (monotonic clock; the single
      schedlint-allowed wall-clock site) — the macro benchmark's

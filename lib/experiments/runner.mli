@@ -80,69 +80,3 @@ val measure_wall :
 (** {!measure} plus the wall-clock seconds the replication batch took
     (monotonic instrumentation clock) — the macro benchmark's
     reps-per-second probe. *)
-
-type comparison = {
-  label_a : string;
-  label_b : string;
-  ratio_diff : Statsched_stats.Confidence.interval;
-      (** per-replication paired differences of the mean response ratio
-          (A − B); negative means A is better *)
-  relative_improvement : float;
-      (** [1 − mean_A / mean_B] over all replications *)
-  significant : bool;
-      (** 0 lies outside the 95 % interval of the paired differences *)
-}
-
-val compare_paired :
-  ?seed:int64 ->
-  scale:Config.scale ->
-  a:Statsched_cluster.Scheduler.kind ->
-  b:Statsched_cluster.Scheduler.kind ->
-  speeds:float array ->
-  workload:Statsched_cluster.Workload.t ->
-  unit ->
-  comparison
-(** Paired comparison under common random numbers: both schedulers see
-    the identical arrival and size streams in each replication, so the
-    per-replication differences cancel the workload noise — much tighter
-    than comparing two independent confidence intervals.
-
-    @raise Invalid_argument if [scale.reps < 2]. *)
-
-val pp_comparison : Format.formatter -> comparison -> unit
-
-val measure_to_precision :
-  ?seed:int64 ->
-  ?horizon:float ->
-  ?warmup:float ->
-  ?min_reps:int ->
-  ?max_reps:int ->
-  ?jobs:int ->
-  target:float ->
-  spec ->
-  point
-(** Sequential stopping: run replications (from [min_reps], default 3)
-    until the mean response ratio's relative 95 % half-width falls below
-    [target] (e.g. 0.05), or [max_reps] (default 30) is reached.  Uses
-    substreams like {!replicate}, so the result for a given count is
-    identical to a fixed-replication run.
-
-    @raise Invalid_argument unless [0 < target] and
-    [2 <= min_reps <= max_reps]. *)
-
-val measure_single_run :
-  ?seed:int64 ->
-  ?batch_size:int ->
-  horizon:float ->
-  warmup:float ->
-  spec ->
-  point
-(** Alternative methodology: one long run analysed by the method of batch
-    means instead of independent replications ({!Statsched_stats.Batch_means}).
-    Post-warm-up jobs are grouped into batches of [batch_size] (default
-    10 000) consecutive completions; the confidence intervals for mean
-    response time and ratio come from the batch means.  The fairness
-    interval has a [nan] half-width (a population standard deviation has
-    no batch-means analogue).  Cheaper than replications for a quick
-    point estimate; the headline experiments keep the paper's
-    replication methodology. *)

@@ -41,10 +41,6 @@ let complete t ?(cat = "") ?(args = []) ~name ~ts ~dur ~pid ~tid () =
 let instant t ?(cat = "") ?(args = []) ~name ~ts ~pid ~tid () =
   push t { name; cat; ph = "i"; ts = us ts; dur = None; pid; tid = Some tid; args }
 
-let counter t ?(cat = "") ~name ~ts ~pid values =
-  let args = List.map (fun (k, v) -> (k, Num v)) values in
-  push t { name; cat; ph = "C"; ts = us ts; dur = None; pid; tid = None; args }
-
 let process_name t ~pid name =
   push t
     {

@@ -47,12 +47,6 @@ val instant :
   unit
 (** A zero-duration marker ([ph = "i"], thread scope). *)
 
-val counter :
-  t -> ?cat:string -> name:string -> ts:float -> pid:int ->
-  (string * float) list -> unit
-(** A counter sample ([ph = "C"]); each pair becomes one series in the
-    viewer's stacked counter track. *)
-
 val process_name : t -> pid:int -> string -> unit
 (** Metadata: label the [pid] lane group. *)
 

@@ -29,8 +29,8 @@ val of_samples :
     @raise Invalid_argument on an empty sample array. *)
 
 val of_interval : ?bias:float -> name:string -> theory:float -> Statsched_stats.Confidence.interval -> t
-(** Band from an already-computed interval (e.g. batch means from one
-    long run, {!Statsched_stats.Batch_means.interval}). *)
+(** Band from an already-computed interval (e.g. a binomial interval
+    around a dispatch fraction counted from a journal). *)
 
 val pp : Format.formatter -> t -> unit
 

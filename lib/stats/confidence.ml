@@ -24,14 +24,6 @@ let lower i = i.mean -. i.half_width
 
 let upper i = i.mean +. i.half_width
 
-let relative_half_width i =
-  (* An exact [= 0.0] test misses means that are merely negligible
-     (e.g. 1e-300, or noise many orders below the half-width), where the
-     ratio is just as meaningless; guard on near-zero instead, both
-     absolutely and relative to the interval's own width. *)
-  let m = abs_float i.mean in
-  if m < 1e-12 *. (1.0 +. abs_float i.half_width) then nan else i.half_width /. m
-
 let pp fmt i =
   (* A single replication has no width estimate ([half_width = nan]);
      print the point estimate alone rather than "m ± nan". *)

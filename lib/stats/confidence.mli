@@ -20,9 +20,6 @@ val of_samples : ?confidence:float -> float array -> interval
 val lower : interval -> float
 val upper : interval -> float
 
-val relative_half_width : interval -> float
-(** [half_width / |mean|]; [nan] for zero mean. *)
-
 val pp : Format.formatter -> interval -> unit
 (** Renders as ["m ± h"], or just ["m"] when the half-width is [nan]
     (single replication). *)

@@ -257,106 +257,8 @@ let claims_structure () =
         (find id).E.Paper_claims.pass)
     [ "T1/slow-starved"; "F2/rr-smoother"; "F3/optimized-wins-at-skew" ]
 
-let precision_runner_converges () =
-  let speeds = [| 1.0; 2.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
-  let spec =
-    E.Runner.make_spec ~speeds ~workload
-      ~scheduler:(Cluster.Scheduler.static Core.Policy.wrr) ()
-  in
-  let point =
-    E.Runner.measure_to_precision ~horizon:30_000.0 ~warmup:7_500.0 ~target:0.1
-      ~max_reps:12 spec
-  in
-  let rhw =
-    Statsched_stats.Confidence.relative_half_width point.E.Runner.mean_response_ratio
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "rhw %.3f <= 0.1 or capped at 12 reps (%d)" rhw
-       point.E.Runner.mean_response_ratio.Statsched_stats.Confidence.replications)
-    true
-    (rhw <= 0.1
-    || point.E.Runner.mean_response_ratio.Statsched_stats.Confidence.replications = 12)
-
-let precision_runner_validation () =
-  let speeds = [| 1.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
-  let spec =
-    E.Runner.make_spec ~speeds ~workload
-      ~scheduler:(Cluster.Scheduler.static Core.Policy.wrr) ()
-  in
-  Alcotest.check_raises "target <= 0"
-    (Invalid_argument "Runner.measure_to_precision: target <= 0") (fun () ->
-      ignore (E.Runner.measure_to_precision ~target:0.0 spec));
-  Alcotest.check_raises "min reps"
-    (Invalid_argument "Runner.measure_to_precision: need 2 <= min_reps <= max_reps")
-    (fun () -> ignore (E.Runner.measure_to_precision ~min_reps:1 ~target:0.1 spec))
-
-let late_suite =
-  [
-    slow_test "paper claims: structure and robust subset" claims_structure;
-    slow_test "precision runner: converges or caps" precision_runner_converges;
-    test "precision runner: validation" precision_runner_validation;
-  ]
-
-let suite = suite @ late_suite
-
-(* ------------------------------------------------------------------ *)
-(* Paired comparison                                                   *)
-
-let paired_self_comparison_is_zero () =
-  let speeds = [| 1.0; 2.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
-  let scale = { E.Config.horizon = 20_000.0; warmup = 5_000.0; reps = 3 } in
-  let c =
-    E.Runner.compare_paired ~scale
-      ~a:(Cluster.Scheduler.static Core.Policy.wrr)
-      ~b:(Cluster.Scheduler.static Core.Policy.wrr)
-      ~speeds ~workload ()
-  in
-  check_float ~eps:1e-12 "identical schedulers: zero difference" 0.0
-    c.E.Runner.ratio_diff.Statsched_stats.Confidence.mean;
-  Alcotest.(check bool) "not significant" false c.E.Runner.significant
-
-let paired_orr_beats_wrr_significantly () =
-  (* CRN makes even a modest horizon decisive on a skewed cluster. *)
-  let speeds = [| 1.0; 1.0; 8.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
-  let scale = { E.Config.horizon = 60_000.0; warmup = 15_000.0; reps = 5 } in
-  let c =
-    E.Runner.compare_paired ~scale
-      ~a:(Cluster.Scheduler.static Core.Policy.orr)
-      ~b:(Cluster.Scheduler.static Core.Policy.wrr)
-      ~speeds ~workload ()
-  in
-  Alcotest.(check string) "labels" "ORR" c.E.Runner.label_a;
-  Alcotest.(check bool)
-    (Format.asprintf "significant improvement: %a" E.Runner.pp_comparison c)
-    true
-    (c.E.Runner.significant && c.E.Runner.relative_improvement > 0.0)
-
-let paired_validation () =
-  let speeds = [| 1.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
-  Alcotest.check_raises "reps < 2"
-    (Invalid_argument "Runner.compare_paired: need at least 2 replications") (fun () ->
-      ignore
-        (E.Runner.compare_paired
-           ~scale:{ E.Config.horizon = 1_000.0; warmup = 0.0; reps = 1 }
-           ~a:(Cluster.Scheduler.static Core.Policy.wrr)
-           ~b:(Cluster.Scheduler.static Core.Policy.orr)
-           ~speeds ~workload ()))
-
-let paired_suite =
-  [
-    slow_test "paired comparison: self-difference is exactly zero"
-      paired_self_comparison_is_zero;
-    slow_test "paired comparison: ORR beats WRR significantly"
-      paired_orr_beats_wrr_significantly;
-    test "paired comparison: validation" paired_validation;
-  ]
-
-let suite = suite @ paired_suite
+let suite =
+  suite @ [ slow_test "paper claims: structure and robust subset" claims_structure ]
 
 (* ------------------------------------------------------------------ *)
 (* Markdown report                                                     *)

@@ -228,27 +228,6 @@ let quantile_table_unsorted () =
     (Invalid_argument "Empirical.of_sorted_quantiles: not sorted") (fun () ->
       ignore (Dist.Empirical.of_sorted_quantiles [| 2.0; 1.0 |]))
 
-let gamma_analytic () =
-  let d = Dist.Gamma.create ~shape:3.0 ~scale:2.0 in
-  check_float "mean" 6.0 (D.mean d);
-  check_float "variance" 12.0 (D.variance d)
-
-let gamma_of_mean_cv () =
-  let d = Dist.Gamma.of_mean_cv ~mean:10.0 ~cv:0.7 in
-  check_close ~rel:1e-9 "mean" 10.0 (D.mean d);
-  check_close ~rel:1e-9 "cv" 0.7 (D.cv d)
-
-let gamma_matches_erlang () =
-  (* Integer shape: Gamma = Erlang, so the analytic moments coincide. *)
-  let g = Dist.Gamma.create ~shape:4.0 ~scale:0.5 in
-  let e = Dist.Erlang.create ~k:4 ~rate:2.0 in
-  check_float ~eps:1e-12 "means equal" (D.mean e) (D.mean g);
-  check_float ~eps:1e-12 "variances equal" (D.variance e) (D.variance g)
-
-let gamma_errors () =
-  Alcotest.check_raises "shape <= 0" (Invalid_argument "Gamma.create: shape <= 0")
-    (fun () -> ignore (Dist.Gamma.create ~shape:0.0 ~scale:1.0))
-
 let pareto_moments () =
   let d = Dist.Pareto.create ~k:2.0 ~alpha:3.0 in
   check_float ~eps:1e-12 "mean" 3.0 (D.mean d);
@@ -266,65 +245,12 @@ let pareto_support () =
     Alcotest.(check bool) "x >= k" true (D.sample d g >= 5.0)
   done
 
-let mixture_moments () =
-  (* 50/50 mix of Det(2) and Det(6): mean 4, variance = E[X^2]-16 = (4+36)/2-16 = 4. *)
-  let d =
-    Dist.Mixture.create
-      [ (1.0, Dist.Deterministic.create 2.0); (1.0, Dist.Deterministic.create 6.0) ]
-  in
-  check_float ~eps:1e-12 "mean" 4.0 (D.mean d);
-  check_float ~eps:1e-12 "variance" 4.0 (D.variance d)
-
-let mixture_recovers_hyperexponential () =
-  (* A mixture of exponentials must match the H2 closed form. *)
-  let (p1, r1), (p2, r2) = Dist.Hyperexponential.branch_params ~mean:2.2 ~cv:3.0 in
-  let mix =
-    Dist.Mixture.create
-      [ (p1, Dist.Exponential.create ~rate:r1); (p2, Dist.Exponential.create ~rate:r2) ]
-  in
-  let h2 = Dist.Hyperexponential.fit_cv ~mean:2.2 ~cv:3.0 in
-  check_close ~rel:1e-9 "means agree" (D.mean h2) (D.mean mix);
-  check_close ~rel:1e-9 "variances agree" (D.variance h2) (D.variance mix)
-
-let mixture_sampling () =
-  let d =
-    Dist.Mixture.bimodal ~p_small:0.9
-      ~small:(Dist.Deterministic.create 1.0)
-      ~large:(Dist.Deterministic.create 100.0)
-  in
-  check_close ~rel:1e-9 "bimodal mean" 10.9 (D.mean d);
-  let g = rng () in
-  let n = 50_000 in
-  let small = ref 0 in
-  for _ = 1 to n do
-    if D.sample d g = 1.0 then incr small
-  done;
-  check_close ~rel:0.02 "small fraction" 0.9 (float_of_int !small /. float_of_int n)
-
-let mixture_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Mixture.create: empty mixture")
-    (fun () -> ignore (Dist.Mixture.create []));
-  Alcotest.check_raises "negative weight"
-    (Invalid_argument "Mixture.create: negative weight") (fun () ->
-      ignore (Dist.Mixture.create [ (-1.0, Dist.Deterministic.create 1.0) ]));
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Mixture.bimodal: p_small outside [0,1]") (fun () ->
-      ignore
-        (Dist.Mixture.bimodal ~p_small:1.5
-           ~small:(Dist.Deterministic.create 1.0)
-           ~large:(Dist.Deterministic.create 2.0)))
-
 let scaled_distribution () =
   let d = D.scaled (Dist.Exponential.of_mean 2.0) 3.0 in
   check_float ~eps:1e-12 "scaled mean" 6.0 (D.mean d);
   check_float ~eps:1e-12 "scaled variance" 36.0 (D.variance d);
   Alcotest.check_raises "c <= 0" (Invalid_argument "Distribution.scaled: c <= 0")
     (fun () -> ignore (D.scaled d 0.0))
-
-let sample_array_length () =
-  let d = Dist.Exponential.of_mean 1.0 in
-  let g = rng () in
-  Alcotest.(check int) "length" 17 (Array.length (D.sample_array d g 17))
 
 let prop_hyper_moments =
   qcheck ~count:50 "H2 fit hits requested mean and cv"
@@ -512,24 +438,11 @@ let suite =
     test "empirical: validation" empirical_errors;
     test "empirical: quantile table interpolation" quantile_table_interpolates;
     test "empirical: quantile table sorted check" quantile_table_unsorted;
-    test "gamma: analytic moments" gamma_analytic;
-    test "gamma: of_mean_cv" gamma_of_mean_cv;
-    test "gamma: integer shape equals erlang" gamma_matches_erlang;
-    test "gamma: validation" gamma_errors;
-    slow_test "gamma: empirical moments (shape > 1)"
-      (empirical_check (Dist.Gamma.create ~shape:2.5 ~scale:1.4));
-    slow_test "gamma: empirical moments (shape < 1)"
-      (empirical_check ~cv_rel:0.15 (Dist.Gamma.create ~shape:0.5 ~scale:2.0));
     test "pareto: moments incl. heavy regimes" pareto_moments;
     test "pareto: support" pareto_support;
     slow_test "pareto: empirical mean (alpha=3)"
       (empirical_check ~mean_rel:0.05 ~cv_rel:0.5 (Dist.Pareto.create ~k:2.0 ~alpha:3.0));
-    test "mixture: moments by hand" mixture_moments;
-    test "mixture: recovers hyperexponential" mixture_recovers_hyperexponential;
-    test "mixture: bimodal sampling" mixture_sampling;
-    test "mixture: validation" mixture_validation;
     test "distribution: scaled" scaled_distribution;
-    test "distribution: sample_array" sample_array_length;
     prop_hyper_moments;
     prop_bp_moment_positive;
   ]

@@ -184,9 +184,9 @@ let report_cells () =
        (List.nth (String.split_on_char '\n' (E.Report.render ~header:[ "x" ]
                                                ~rows:[ [ E.Report.Percent 0.1234 ] ])) 2))
 
-(* Regression: the batch-means point has no fairness half-width (nan by
-   design); any rendering of it must omit the ± term instead of printing
-   "± nan". *)
+(* Regression: a one-replication point has no fairness half-width (nan
+   by design); any rendering of it must omit the ± term instead of
+   printing "± nan". *)
 let single_run_fairness_renders () =
   let speeds = [| 1.0; 2.0 |] in
   let workload =
@@ -197,7 +197,8 @@ let single_run_fairness_renders () =
       ~scheduler:(Cluster.Scheduler.static Core.Policy.orr) ()
   in
   let p =
-    Runner.measure_single_run ~horizon:20_000.0 ~warmup:5_000.0 ~batch_size:200
+    Runner.measure ~jobs:1
+      ~scale:{ Config.horizon = 20_000.0; warmup = 5_000.0; reps = 1 }
       spec
   in
   let fairness = p.Runner.fairness in

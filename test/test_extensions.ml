@@ -232,42 +232,6 @@ let trace_csv_output () =
       (List.hd lines)
 
 (* ------------------------------------------------------------------ *)
-(* Batch means runner                                                  *)
-
-let single_run_point () =
-  let speeds = [| 1.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.7 ~mean_size:1.0 ~speeds in
-  let spec =
-    E.Runner.make_spec ~speeds ~workload
-      ~scheduler:(Cluster.Scheduler.static Core.Policy.wrr) ()
-  in
-  let point =
-    E.Runner.measure_single_run ~batch_size:2_000 ~horizon:100_000.0 ~warmup:20_000.0
-      spec
-  in
-  (* M/M/1-PS: T = 1/(1 - 0.7) *)
-  check_close ~rel:0.1 "batch means point estimate" (1.0 /. 0.3)
-    point.E.Runner.mean_response_time.Statsched_stats.Confidence.mean;
-  Alcotest.(check bool) "CI present" true
-    (point.E.Runner.mean_response_time.Statsched_stats.Confidence.half_width > 0.0);
-  Alcotest.(check bool) "fairness half-width is nan (single run)" true
-    (Float.is_nan point.E.Runner.fairness.Statsched_stats.Confidence.half_width)
-
-let single_run_too_short () =
-  let speeds = [| 1.0 |] in
-  let workload = Cluster.Workload.poisson_exponential ~rho:0.5 ~mean_size:1.0 ~speeds in
-  let spec =
-    E.Runner.make_spec ~speeds ~workload
-      ~scheduler:(Cluster.Scheduler.static Core.Policy.wrr) ()
-  in
-  try
-    ignore
-      (E.Runner.measure_single_run ~batch_size:1_000_000 ~horizon:5_000.0 ~warmup:1_000.0
-         spec);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Scale-sweep CSV                                                     *)
 
 (* RFC 4180 fields of one line: commas split, except inside double
@@ -348,6 +312,4 @@ let suite =
     test "trace: records round-trip from simulation" trace_records_roundtrip;
     test "trace: CSV output" trace_csv_output;
     test "scale sweep: CSV fields match the header" scale_sweep_csv_parses;
-    slow_test "batch means: single-run point" single_run_point;
-    test "batch means: too-short run rejected" single_run_too_short;
   ]

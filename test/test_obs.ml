@@ -566,14 +566,12 @@ let trace_event_golden () =
     ~args:[ ("id", Trace_event.Int 7); ("size", Trace_event.Num 2.5) ]
     ();
   Trace_event.instant tr ~name:"drop" ~ts:2.0 ~pid:1 ~tid:0 ();
-  Trace_event.counter tr ~name:"queue" ~ts:3.0 ~pid:1 [ ("c0", 4.0) ];
-  Alcotest.(check int) "event count" 4 (Trace_event.event_count tr);
+  Alcotest.(check int) "event count" 3 (Trace_event.event_count tr);
   let expected =
     "{\"traceEvents\":[\
      {\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"args\":{\"name\":\"jobs\"}},\n\
      {\"name\":\"job\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":1000000,\"dur\":500000,\"pid\":0,\"tid\":2,\"args\":{\"id\":7,\"size\":2.5}},\n\
-     {\"name\":\"drop\",\"ph\":\"i\",\"ts\":2000000,\"pid\":1,\"tid\":0,\"s\":\"t\"},\n\
-     {\"name\":\"queue\",\"ph\":\"C\",\"ts\":3000000,\"pid\":1,\"args\":{\"c0\":4}}\
+     {\"name\":\"drop\",\"ph\":\"i\",\"ts\":2000000,\"pid\":1,\"tid\":0,\"s\":\"t\"}\
      ],\"displayTimeUnit\":\"ms\"}\n"
   in
   Alcotest.(check string) "trace JSON" expected (Trace_event.to_string tr)

@@ -4,7 +4,6 @@ module Welford = S.Welford
 module Tally = S.Tally
 module Student_t = S.Student_t
 module Confidence = S.Confidence
-module Batch_means = S.Batch_means
 module Summary = S.Summary
 
 let welford_known_values () =
@@ -170,8 +169,8 @@ let confidence_coverage () =
     true
     (0.90 <= coverage && coverage <= 0.99)
 
-(* Regression: a nan half-width (single replication, or batch-means
-   fairness) must render as a bare mean, never as "m ± nan". *)
+(* Regression: a nan half-width (a single replication) must render as
+   a bare mean, never as "m ± nan". *)
 let confidence_pp_nan () =
   let render i = Format.asprintf "%a" Confidence.pp i in
   let nan_interval =
@@ -186,61 +185,6 @@ let confidence_pp_nan () =
   in
   Alcotest.(check string) "finite half-width keeps the ± term" "1.5 ± 0.25"
     (render normal)
-
-let batch_means_basic () =
-  let b = Batch_means.create ~batch_size:3 in
-  List.iter (Batch_means.add b) [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0 ];
-  Alcotest.(check int) "two complete batches" 2 (Batch_means.completed_batches b);
-  Alcotest.(check int) "one pending observation" 1 (Batch_means.pending b);
-  Alcotest.(check int) "seven observations" 7 (Batch_means.count b);
-  check_array ~eps:1e-12 "batch means" [| 2.0; 5.0 |] (Batch_means.batch_means b);
-  (* Regression: the grand mean is the exact sample mean 28/7 = 4.0; the
-     pre-fix code discarded the trailing partial batch (the 7.0) and
-     returned (2+5)/2 = 3.5. *)
-  check_float ~eps:1e-12 "grand mean includes the partial batch" 4.0
-    (Batch_means.grand_mean b)
-
-let batch_means_partial_batch () =
-  (* batch_size dividing n: pending = 0 and the weighted grand mean
-     coincides with the unweighted mean of the batch means. *)
-  let b = Batch_means.create ~batch_size:2 in
-  List.iter (Batch_means.add b) [ 1.0; 3.0; 5.0; 7.0 ];
-  Alcotest.(check int) "no pending" 0 (Batch_means.pending b);
-  check_float ~eps:1e-12 "exact division" 4.0 (Batch_means.grand_mean b);
-  (* Only a partial batch: no interval possible, but the grand mean is
-     already the sample mean. *)
-  let p = Batch_means.create ~batch_size:10 in
-  List.iter (Batch_means.add p) [ 2.0; 4.0 ];
-  Alcotest.(check int) "all pending" 2 (Batch_means.pending p);
-  Alcotest.(check int) "no completed batch" 0 (Batch_means.completed_batches p);
-  check_float ~eps:1e-12 "partial-only grand mean" 3.0 (Batch_means.grand_mean p);
-  Alcotest.(check bool) "empty grand mean is nan" true
-    (Float.is_nan (Batch_means.grand_mean (Batch_means.create ~batch_size:4)))
-
-let prop_batch_means_grand_mean_exact =
-  qcheck ~count:200 "batch means: grand mean = sample mean for any batch_size"
-    QCheck2.Gen.(
-      pair (int_range 1 17)
-        (list_size (int_range 1 100) (float_bound_inclusive 50.0)))
-    (fun (batch_size, xs) ->
-      let b = Batch_means.create ~batch_size in
-      List.iter (Batch_means.add b) xs;
-      let n = List.length xs in
-      let exact = List.fold_left ( +. ) 0.0 xs /. float_of_int n in
-      Alcotest.(check int) "count" n (Batch_means.count b);
-      Alcotest.(check int) "pending"
-        (n - (Batch_means.completed_batches b * batch_size))
-        (Batch_means.pending b);
-      abs_float (Batch_means.grand_mean b -. exact)
-      <= 1e-9 *. (1.0 +. abs_float exact))
-
-let batch_means_interval () =
-  let b = Batch_means.create ~batch_size:2 in
-  List.iter (Batch_means.add b) [ 1.0; 3.0; 2.0; 4.0; 3.0; 5.0 ];
-  let i = Batch_means.interval b in
-  check_float ~eps:1e-12 "interval mean" 3.0 i.Confidence.mean;
-  Alcotest.check_raises "no batch" (Invalid_argument "Batch_means.interval: no completed batch")
-    (fun () -> ignore (Batch_means.interval (Batch_means.create ~batch_size:5)))
 
 let summary_known () =
   let s = Summary.of_array [| 4.0; 1.0; 3.0; 2.0; 5.0 |] in
@@ -290,10 +234,6 @@ let suite =
     test "confidence: known sample" confidence_known;
     test "confidence: single sample" confidence_single_sample;
     slow_test "confidence: empirical coverage" confidence_coverage;
-    test "batch means: batching" batch_means_basic;
-    test "batch means: partial batches" batch_means_partial_batch;
-    test "batch means: interval" batch_means_interval;
-    prop_batch_means_grand_mean_exact;
     test "summary: known values" summary_known;
     test "summary: quantile interpolation" summary_quantile_interpolation;
     prop_summary_ordered;
