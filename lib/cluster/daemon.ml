@@ -88,8 +88,6 @@ let drain_locked t =
        (Simulation.Driver.completions t.driver)
        (Simulation.Driver.measured t.driver))
 
-let prometheus_content_type = "text/plain; version=0.0.4; charset=utf-8"
-
 let submit_locked t body =
   if t.draining then Http.text ~status:503 "draining, not accepting jobs\n"
   else if backlog t >= t.backlog_limit then
@@ -125,25 +123,24 @@ let set_policy_locked t body =
       | exception Invalid_argument msg -> Http.text ~status:400 (msg ^ "\n"))
 
 let handle_locked t (req : Http.request) =
-  match (req.Http.meth, req.Http.path) with
-  | "GET", "/healthz" -> Http.text "ok\n"
-  | "GET", "/metrics" ->
-    {
-      Http.status = 200;
-      content_type = prometheus_content_type;
-      body = Telemetry.metrics_exposition t.telemetry;
-    }
-  | "GET", "/state" ->
-    advance_locked t;
-    Http.json (Telemetry.state_json t.telemetry)
-  | "GET", "/policy" ->
+  let scraped =
+    if String.equal req.Http.meth "GET" then
+      Telemetry.scrape
+        ~before_state:(fun () -> advance_locked t)
+        t.telemetry req.Http.path
+    else None
+  in
+  match (scraped, req.Http.meth, req.Http.path) with
+  | Some response, _, _ -> response
+  | None, "GET", "/policy" ->
     Http.text (Scheduler.name (Simulation.Driver.scheduler t.driver) ^ "\n")
-  | "POST", "/jobs" -> submit_locked t req.Http.body
-  | "PUT", "/policy" -> set_policy_locked t req.Http.body
-  | "POST", "/drain" -> drain_locked t
-  | _, ("/healthz" | "/metrics" | "/state" | "/policy" | "/jobs" | "/drain") ->
+  | None, "POST", "/jobs" -> submit_locked t req.Http.body
+  | None, "PUT", "/policy" -> set_policy_locked t req.Http.body
+  | None, "POST", "/drain" -> drain_locked t
+  | None, _, ("/healthz" | "/metrics" | "/state" | "/policy" | "/jobs" | "/drain")
+    ->
     Http.text ~status:405 "method not allowed\n"
-  | _, _ -> Http.text ~status:404 "not found\n"
+  | None, _, _ -> Http.text ~status:404 "not found\n"
 
 let handle_request t req =
   Mutex.lock t.mutex;

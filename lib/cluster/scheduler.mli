@@ -70,10 +70,11 @@ type kind =
           (scenario name ["jsq-d-uniform"]) so old recorded runs stay
           replayable. *)
   | Jiq
-      (** Join-Idle-Queue (see {!Statsched_core.Jiq}): idle computers
-          report themselves, a decision pops the fastest idle stack in
-          O(1) and falls back to speed-weighted random (alias table)
-          when nothing is idle.  Synchronous updates, like {!Jsq}. *)
+      (** Join-Idle-Queue ({!Statsched_core.Least_load.select_idle}):
+          idle computers report themselves, a decision pops the fastest
+          idle stack in O(1) and falls back to speed-weighted random
+          (alias table) when nothing is idle.  Synchronous updates, like
+          {!Jsq}. *)
   | Adaptive of {
       period : float;
           (** seconds between re-estimations of ρ and recomputations of

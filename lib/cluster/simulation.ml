@@ -97,12 +97,13 @@ type sched_fns = {
 
 (* The Least-Load family is one selector reading one information model.
    Selectors: the tournament tree over every computer (ties broken
-   uniformly at random), or a uniform or speed-weighted sample of [d]
-   computers.  Information models: exact synchronous updates, a
-   per-departure update message that arrives after a detection delay
-   plus a network delay, or a periodic poll of every queue, optionally
-   counting the jobs sent since the last poll. *)
-type selector = Full | Sampled of int | Weighted of int
+   uniformly at random), a uniform or speed-weighted sample of [d]
+   computers, or Join-Idle-Queue's idle stacks.  Information models:
+   exact synchronous updates, a per-departure update message that
+   arrives after a detection delay plus a network delay, or a periodic
+   poll of every queue, optionally counting the jobs sent since the
+   last poll. *)
+type selector = Full | Sampled of int | Weighted of int | Idle
 
 type information =
   | Synchronous
@@ -267,8 +268,9 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
     check_alloc ~saturation ~label:"static" ~rho ~speeds alloc;
     Core.Policy.dispatcher_of policy ~rng alloc
   in
-  (* Draws: the ties stream per decision, and under [Delayed] the
-     detection and delay streams per departure. *)
+  (* Draws: the ties stream per decision (the dispatch stream for
+     [Idle]), and under [Delayed] the detection and delay streams per
+     departure. *)
   let least_load selector information =
     let state = Core.Least_load.create cfg.speeds in
     let poll () = each_queue (Core.Least_load.set_load_index state) in
@@ -301,6 +303,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
         | Full -> Core.Least_load.select ?rng:some_ties_rng state
         | Sampled d -> Core.Least_load.select_sampled ~rng:ties_rng state ~d
         | Weighted d -> Core.Least_load.select_weighted ~rng:ties_rng state ~d
+        | Idle -> Core.Least_load.select_idle ~rng:dispatch_rng state
       in
       if counts then Core.Least_load.job_sent state i;
       i
@@ -373,33 +376,12 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
         (match probe with Some d -> Sampled d | None -> Full)
         (Delayed { detection; message_delay })
     | Scheduler.Jsq { d; weighted } ->
-      (* [d >= n] is the tournament-tree full-information case, which
-         simcheck pins bit-identical to instant Least-Load. *)
-      least_load
-        (if d >= n then Full
-         else if weighted then Weighted d
-         else Sampled d)
-        Synchronous
+      (* [d >= n] falls back to the tournament tree inside the sampler,
+         which simcheck pins bit-identical to instant Least-Load. *)
+      least_load (if weighted then Weighted d else Sampled d) Synchronous
     | Scheduler.Stale_least_load { poll_period; count_in_flight } ->
       least_load Full (Polled { period = poll_period; count_in_flight })
-    | Scheduler.Jiq ->
-      let state = Core.Jiq.create cfg.speeds in
-      each_queue (fun i k ->
-          for _ = 1 to k do
-            Core.Jiq.job_sent state i
-          done);
-      let recorded job = Core.Jiq.departure_recorded state job.Q.Job.computer in
-      let select _job =
-        let i = Core.Jiq.select ~rng:dispatch_rng state in
-        Core.Jiq.job_sent state i;
-        i
-      in
-      {
-        (passive select) with
-        sf_on_departure = recorded;
-        sf_on_capacity = mask_down (Core.Jiq.set_available state);
-        sf_on_drained = recorded;
-      }
+    | Scheduler.Jiq -> least_load Idle Synchronous
   in
   let sched = ref (make_sched cfg.scheduler) in
   let current_kind = ref cfg.scheduler in

@@ -289,19 +289,22 @@ let metrics_exposition t =
   sync_counters t;
   Registry.to_prometheus t.registry
 
-let serve ?addr t ~port =
-  Http.serve ?addr ~port (fun path ->
-      match path with
-      | "/metrics" ->
-        Some
-          {
-            Http.status = 200;
-            content_type = prometheus_content_type;
-            body = metrics_exposition t;
-          }
-      | "/healthz" -> Some (Http.text "ok\n")
-      | "/state" -> Some (Http.json (state_json t))
-      | _ -> None)
+let scrape ?(before_state = ignore) t path =
+  match path with
+  | "/metrics" ->
+    Some
+      {
+        Http.status = 200;
+        content_type = prometheus_content_type;
+        body = metrics_exposition t;
+      }
+  | "/healthz" -> Some (Http.text "ok\n")
+  | "/state" ->
+    before_state ();
+    Some (Http.json (state_json t))
+  | _ -> None
+
+let serve ?addr t ~port = Http.serve ?addr ~port (scrape t)
 
 (* ------------------------------------------------------------------ *)
 (* Journal persistence                                                 *)

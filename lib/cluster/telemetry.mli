@@ -73,9 +73,7 @@ val journal : t -> Statsched_obs.Journal.t option
 
 val metrics_exposition : t -> string
 (** Prometheus text exposition of {!registry}, with the counter shadows
-    synced first — what {!serve}'s [/metrics] returns, exposed for
-    servers (the [schedsimd] daemon) that mount it under their own
-    routing. *)
+    synced first — what {!scrape}'s [/metrics] returns. *)
 
 val state_json : t -> string
 (** One JSON object with run progress ([sim_time], [events_executed],
@@ -85,11 +83,22 @@ val state_json : t -> string
     drop counts, [busy_seconds] (completed work over nominal speed) and
     the derived whole-run [utilization], plus journal occupancy. *)
 
+val scrape :
+  ?before_state:(unit -> unit) ->
+  t ->
+  string ->
+  Statsched_obs.Http.response option
+(** The response to [GET path] for the three scrape endpoints:
+    [/metrics] (Prometheus text exposition of {!registry}), [/healthz]
+    ([ok]) and [/state] ({!state_json}); [None] for any other path.
+    [before_state] runs just before [/state] renders — the [schedsimd]
+    daemon advances its virtual clock there.  {!serve} and the daemon
+    both route through this. *)
+
 val serve : ?addr:string -> t -> port:int -> Statsched_obs.Http.t
 (** Start the in-process telemetry server (background systhread; see
-    {!Statsched_obs.Http}) answering [GET /metrics] (Prometheus text
-    exposition of {!registry}), [GET /healthz] ([ok]) and [GET /state]
-    ({!state_json}).  [port = 0] picks an ephemeral port; stop with
+    {!Statsched_obs.Http}) answering {!scrape}'s three endpoints.
+    [port = 0] picks an ephemeral port; stop with
     {!Statsched_obs.Http.stop}. *)
 
 val write_journal : ?horizon:float -> t -> Simulation.result -> string -> unit

@@ -253,26 +253,18 @@ let round_robin_lazy alpha =
       else order.(!head)
     in
     (* After this select [assign s] becomes assign+1, so the leaf's
-       tie-break key for future comparisons is [(assign+2)/alpha].
-       Direct leaf stores + refresh (the {!Lex_tree} raw-access
-       contract) keep the decision free of boxed floats in dev
-       builds. *)
-    let pos = Lex_tree.leaf_pos tree s in
-    let prim_leaves = Lex_tree.prim_leaves tree in
+       tie-break key for future comparisons is [(assign+2)/alpha]. *)
+    let sec = float_of_int (assign.(s) + 2) /. alpha.(s) in
     if assign.(s) = 0 then begin
       (* First selection.  An unstarted winner is always the queue head
          (the tree only holds started computers), and the eager version
          resets the guard to 0 before crediting, so
          stored = 1/alpha + A(before this select). *)
       incr head;
-      Float.Array.unsafe_set prim_leaves pos ((1.0 /. alpha.(s)) +. a_now)
+      Lex_tree.set tree s ~prim:((1.0 /. alpha.(s)) +. a_now) ~sec
     end
     else
-      Float.Array.unsafe_set prim_leaves pos
-        (Float.Array.unsafe_get prim_leaves pos +. (1.0 /. alpha.(s)));
-    Float.Array.unsafe_set (Lex_tree.sec_leaves tree) pos
-      (float_of_int (assign.(s) + 2) /. alpha.(s));
-    Lex_tree.refresh tree s;
+      Lex_tree.set tree s ~prim:(Lex_tree.prim tree s +. (1.0 /. alpha.(s))) ~sec;
     assign.(s) <- assign.(s) + 1;
     Float.Array.set a 0 (a_now +. 1.0);
     s

@@ -8,12 +8,20 @@
     knows); a departure is only reflected after the executing computer
     detects it (U(0,1) s polling) and its update message crosses the
     network (exponential delay, mean 0.05 s) — that wiring lives in the
-    cluster model; this module is the scheduler-side state machine. *)
+    cluster model; this module is the scheduler-side state machine.
+
+    One belief (queue counts, availability) serves every selector of the
+    family: the full tournament tree ({!select}), the uniform and
+    speed-weighted power-of-d samplers ({!select_sampled},
+    {!select_weighted}) and Join-Idle-Queue ({!select_idle}).  Every
+    update is O(1); the tree behind {!select} is brought up to date when
+    {!select} reads it, so the other selectors never pay for it. *)
 
 type t
 
 val create : float array -> t
-(** [create speeds] starts with all load indices at 0.
+(** [create speeds] starts with all load indices at 0 and every computer
+    available, hence idle.
 
     @raise Invalid_argument on an invalid speed vector. *)
 
@@ -25,7 +33,8 @@ val select : ?rng:Statsched_prng.Rng.t -> t -> int
     send the job somewhere).  Does {e not} modify the state.
 
     O(log n) regardless of how many computers tie, via a tournament-tree
-    index that carries per-subtree tie counts.  Draw order is part of
+    index that carries per-subtree tie counts (plus O(log n) per computer
+    updated since the last call, to refresh the index).  Draw order is part of
     the contract: exactly one [Rng.int ties] draw when two or more
     computers tie at the minimum, none when the minimum is unique — a
     pure function of the tied-minimum set, which is what makes a sampled
@@ -34,8 +43,9 @@ val select : ?rng:Statsched_prng.Rng.t -> t -> int
 val set_available : t -> int -> bool -> unit
 (** Mark computer [i] up ([true]) or down ([false]) for selection.
     Least-Load handles failures naturally: a crashed computer simply
-    stops being a candidate, no reallocation is needed.  All computers
-    start available. *)
+    stops being a candidate, no reallocation is needed.  A down computer
+    leaves the idle stacks; on recovery it re-joins them if its queue is
+    empty.  All computers start available. *)
 
 val is_available : t -> int -> bool
 
@@ -80,12 +90,26 @@ val select_weighted : rng:Statsched_prng.Rng.t -> t -> d:int -> int
 
     @raise Invalid_argument if [d < 1]. *)
 
+val select_idle : rng:Statsched_prng.Rng.t -> t -> int
+(** Join-Idle-Queue (Lu et al.; Gardner et al. for the heterogeneous
+    treatment — see PAPERS.md): the most recently idled computer of the
+    fastest speed class with idle members, where a computer is idle
+    while its believed queue is empty and it is available.  When no
+    computer is idle, a speed-weighted random draw (two [rng] draws per
+    attempt, redrawn up to 16 times to dodge unavailable computers, then
+    a first-available scan as a last resort).  Consumes randomness
+    {e only} on the no-idle path.  O(1) and allocation-free: per speed
+    class, the idle computers sit on an intrusive stack that every
+    update below keeps current. *)
+
 val job_sent : t -> int -> unit
 (** Record the dispatch of a job to computer [i]: [q_i <- q_i + 1]. *)
 
 val departure_recorded : t -> int -> unit
 (** Apply a (possibly delayed) departure notification: [q_i <- q_i − 1].
-    Clamped at 0 so a late duplicate cannot drive the index negative. *)
+    Clamped at 0 so a late duplicate cannot drive the index negative.
+    A computer whose queue reaches 0 while available joins its class's
+    idle stack (JIQ's one message per job). *)
 
 val load_index : t -> int -> int
 (** Current believed run-queue length of computer [i]. *)
@@ -101,4 +125,4 @@ val normalized_load : t -> int -> float
 (** [(q_i + 1) /. s_i]. *)
 
 val reset : t -> unit
-(** All indices back to 0. *)
+(** All indices back to 0; every available computer is idle again. *)

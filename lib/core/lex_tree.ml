@@ -48,11 +48,10 @@ let create n =
     n;
   }
 
-let length t = t.n
-
 let[@inline] min_prim t = Float.Array.unsafe_get t.prim 1
 let[@inline] min_sec t = Float.Array.unsafe_get t.sec 1
 let[@inline] argmin t = Array.unsafe_get t.arg 1
+let[@inline] prim t i = Float.Array.unsafe_get t.prim (t.cap + i)
 
 (* Copy the lexicographically smaller child up.  A tie on both keys
    goes left: the left winner's leaf index is always smaller. *)
@@ -72,10 +71,7 @@ let[@inline] pull_up t p =
   Float.Array.unsafe_set t.sec p (Float.Array.unsafe_get t.sec w);
   Array.unsafe_set t.arg p (Array.unsafe_get t.arg w)
 
-(* The spine walk takes no float arguments — under -opaque dev builds
-   nothing inlines across modules, so float parameters would be boxed
-   per update.  Hot callers store into {!prim_leaves}/{!sec_leaves}
-   directly and call this (see the same split in {!Min_tree}). *)
+(* Recompute the spine above leaf [i]. *)
 let[@schedsim.hot] refresh t i =
   let j = ref ((t.cap + i) lsr 1) in
   while !j >= 1 do
@@ -83,11 +79,8 @@ let[@schedsim.hot] refresh t i =
     j := !j lsr 1
   done
 
-let prim_leaves t = t.prim
-let sec_leaves t = t.sec
-let[@inline] leaf_pos t i = t.cap + i
-
-(* O(log n): overwrite the leaf pair, then recompute the spine. *)
+(* O(log n): overwrite the leaf pair, then recompute the spine.
+   Inlined, so the callers' float arguments are never boxed. *)
 let[@inline] [@schedsim.hot] set t i ~prim ~sec =
   Float.Array.unsafe_set t.prim (t.cap + i) prim;
   Float.Array.unsafe_set t.sec (t.cap + i) sec;

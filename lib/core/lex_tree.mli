@@ -16,26 +16,13 @@ val create : int -> t
 
     @raise Invalid_argument if [n < 1]. *)
 
-val length : t -> int
-(** Number of leaves. *)
-
 val set : t -> int -> prim:float -> sec:float -> unit
-(** Overwrite leaf [i]'s pair; O(log n). *)
+(** Overwrite leaf [i]'s pair; O(log n).  Inlined into its callers, so
+    the floats reach the leaf stores unboxed and an update allocates
+    nothing. *)
 
-(** {1 Raw leaf access}
-
-    Allocation-free update path, as in {!Min_tree}: dev builds compile
-    with [-opaque], so [set]'s float parameters are boxed at every
-    cross-module call.  Hot callers store the pair directly into
-    {!prim_leaves}/{!sec_leaves} at {!leaf_pos} and then call
-    {!refresh}.  Only leaf slots may be written. *)
-
-val prim_leaves : t -> Float.Array.t
-val sec_leaves : t -> Float.Array.t
-val leaf_pos : t -> int -> int
-
-val refresh : t -> int -> unit
-(** Recompute the spine above leaf [i] after direct writes; O(log n). *)
+val prim : t -> int -> float
+(** Leaf [i]'s primary key. *)
 
 val fill : t -> prim:float -> sec:float -> unit
 (** Set every leaf to the same pair and rebuild in O(n). *)

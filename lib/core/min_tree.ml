@@ -3,10 +3,7 @@
    Internal nodes hold exact copies of the minimum leaf value of their
    subtree — no arithmetic is performed on the values, so equality
    against the root is an exact test for "this subtree contains a
-   minimal leaf".  That property is what lets [next_tied] enumerate the
-   tied-minimum leaves in ascending order without any per-query
-   allocation: the descent only enters subtrees whose stored minimum is
-   [Float.equal] to the target.
+   minimal leaf".
 
    Each node additionally stores how many leaves of its subtree are
    [Float.equal] to its minimum, so the number of tied minima is O(1)
@@ -21,7 +18,7 @@
    leaf [j] lives at [cap + j].  Padding leaves (indices >= n) stay at
    [+infinity] forever, so they never join a finite minimum's count. *)
 
-type t = { tree : Float.Array.t; counts : int array; cap : int; n : int }
+type t = { tree : Float.Array.t; counts : int array; cap : int }
 
 let create n =
   if n < 1 then invalid_arg "Min_tree.create: n < 1";
@@ -36,11 +33,7 @@ let create n =
   for i = cap - 1 downto 1 do
     counts.(i) <- counts.(2 * i) + counts.((2 * i) + 1)
   done;
-  { tree = Float.Array.make (2 * cap) infinity; counts; cap; n }
-
-let length t = t.n
-
-let[@inline] get t i = Float.Array.unsafe_get t.tree (t.cap + i)
+  { tree = Float.Array.make (2 * cap) infinity; counts; cap }
 
 let[@inline] min_value t = Float.Array.unsafe_get t.tree 1
 
@@ -68,12 +61,7 @@ let[@inline] pull_up t p =
     Array.unsafe_set t.counts p (cl + cr)
   end
 
-(* The spine walk takes no float arguments: in dev builds (-opaque, no
-   cross-module inlining) a float parameter crossing a module boundary
-   is boxed at every call — an allocation on every dispatch decision.
-   Hot callers write the leaf into {!leaves} themselves (a primitive
-   floatarray store) and call this; [set] packages the two for
-   everyone else. *)
+(* Recompute the spine above leaf [i]. *)
 let[@schedsim.hot] refresh t i =
   let j = ref ((t.cap + i) lsr 1) in
   while !j >= 1 do
@@ -81,47 +69,11 @@ let[@schedsim.hot] refresh t i =
     j := !j lsr 1
   done
 
-let leaves t = t.tree
-let[@inline] leaf_pos t i = t.cap + i
-
-(* O(log n): overwrite the leaf, then recompute the spine. *)
+(* O(log n): overwrite the leaf, then recompute the spine.  Inlined, so
+   the callers' float argument is never boxed. *)
 let[@inline] [@schedsim.hot] set t i v =
   Float.Array.unsafe_set t.tree (t.cap + i) v;
   refresh t i
-
-let fill t v =
-  for i = 0 to t.n - 1 do
-    Float.Array.unsafe_set t.tree (t.cap + i) v
-  done;
-  for i = t.cap - 1 downto 1 do
-    pull_up t i
-  done
-
-(* Smallest leaf index >= [from] whose value is [Float.equal] to [v]
-   (callers pass the root minimum), or -1.  Classic segment-tree
-   first-match descent: prune subtrees entirely below [from] and
-   subtrees whose minimum differs from [v]; left child first keeps the
-   enumeration ascending.  Recursion depth is log n and nothing
-   allocates. *)
-let rec find_from t v node lo hi from =
-  if hi <= from then -1
-  else if not (Float.equal (Float.Array.unsafe_get t.tree node) v) then -1
-  else if hi - lo = 1 then lo
-  else begin
-    let mid = (lo + hi) lsr 1 in
-    let left = find_from t v (2 * node) lo mid from in
-    if left >= 0 then left else find_from t v ((2 * node) + 1) mid hi from
-  end
-
-let next_tied t ~from =
-  if from >= t.n then -1
-  else begin
-    let m = min_value t in
-    let i = find_from t m 1 0 t.cap from in
-    if i >= t.n then -1 else i
-  end
-
-let first_tied t = next_tied t ~from:0
 
 (* Counted descent to the k-th (0-indexed, ascending) tied-minimum
    leaf: at each node, the left subtree contributes its tie count iff

@@ -1,15 +1,15 @@
-(** Flat tournament tree: O(log n) updates, O(1) minimum, and an
-    allocation-free ascending enumeration of the tied-minimum leaves.
+(** Flat tournament tree: O(log n) updates, O(1) minimum and tie count,
+    and an allocation-free O(log n) descent to the k-th tied-minimum
+    leaf.
 
-    The index the many-server dispatchers lean on: {!Least_load} keeps
+    The index full-information Least-Load leans on: {!Least_load} keeps
     one leaf per computer (normalised load, [+inf] when unavailable) so
-    a dispatch decision is a root read plus a tie walk instead of an
-    O(n) scan, and the lazy round-robin dispatcher keeps the virtual
-    next-arrival credits of started computers in one.
+    a dispatch decision is a root read plus a counted descent instead of
+    an O(n) scan.
 
     Internal nodes store {e exact copies} of leaf values (no arithmetic),
     so [Float.equal] against the root minimum is an exact membership
-    test — tie enumeration is bit-faithful to a linear scan.
+    test — tie selection is bit-faithful to a linear scan.
 
     Each node also carries the number of leaves in its subtree tied with
     that subtree's minimum, so the tied-set size is an O(1) read
@@ -24,37 +24,10 @@ val create : int -> t
 
     @raise Invalid_argument if [n < 1]. *)
 
-val length : t -> int
-(** Number of leaves. *)
-
 val set : t -> int -> float -> unit
-(** [set t i v] overwrites leaf [i]; O(log n). *)
-
-(** {1 Raw leaf access}
-
-    The allocation-free update path.  [set]'s float parameter is boxed
-    at every call in dev builds ([-opaque] disables cross-module
-    inlining), which would put an allocation on every dispatch
-    decision.  Hot callers store the new value directly —
-    [Float.Array.unsafe_set (leaves t) (leaf_pos t i) v] compiles to a
-    raw store — then call {!refresh}.  Only slots [leaf_pos t i] for
-    [0 <= i < length t] may be written; everything else in {!leaves}
-    is the tree's internal state. *)
-
-val leaves : t -> Float.Array.t
-(** Backing store; leaf [i] lives at [leaf_pos t i]. *)
-
-val leaf_pos : t -> int -> int
-
-val refresh : t -> int -> unit
-(** [refresh t i] recomputes the spine above leaf [i] after a direct
-    write to {!leaves}; O(log n).  [set t i v] = store + [refresh]. *)
-
-val get : t -> int -> float
-(** Current value of leaf [i]. *)
-
-val fill : t -> float -> unit
-(** Set every leaf to the same value and rebuild in O(n). *)
+(** [set t i v] overwrites leaf [i]; O(log n).  Inlined into its
+    callers, so the float reaches the leaf store unboxed and an update
+    allocates nothing. *)
 
 val min_value : t -> float
 (** Minimum over all leaves ([+infinity] when all leaves are). *)
@@ -63,7 +36,7 @@ val min_count : t -> int
 (** Number of leaves [Float.equal] to {!min_value}; O(1).
 
     Caveat: when {!min_value} is [+infinity] the count includes the
-    internal padding leaves (indices [>= length]), so it is only
+    internal padding leaves (indices [>= n]), so it is only
     meaningful while at least one leaf is finite. *)
 
 val nth_tied : t -> k:int -> int
@@ -73,14 +46,3 @@ val nth_tied : t -> k:int -> int
     the {!min_count} padding caveat).
 
     @raise Invalid_argument unless [0 <= k < min_count t]. *)
-
-val first_tied : t -> int
-(** Smallest leaf index attaining {!min_value}; [-1] only if the tree
-    has no leaves below [+infinity] and [n = 0] (never for a created
-    tree: padding never wins against real leaves unless all real leaves
-    are [+infinity], in which case the first leaf index is returned). *)
-
-val next_tied : t -> from:int -> int
-(** Smallest leaf index [>= from] whose value is [Float.equal] to
-    {!min_value}, or [-1] when none remains.  O(log n) per step, so
-    walking all [t] ties costs O(t log n); no allocation. *)

@@ -142,7 +142,11 @@ let check_result (r : Cluster.Simulation.result) =
       (fun i p ->
         let actual = r.Cluster.Simulation.dispatch_fractions.(i) in
         let n = float_of_int dispatched_total in
-        let bound = (5.0 *. sqrt (p *. (1.0 -. p) /. n)) +. (2.0 /. n) in
+        (* [p] of a computer that gets every job can round just above
+           1, so the binomial variance is clamped at 0 rather than
+           turning the bound into NaN. *)
+        let variance = Float.max 0.0 (p *. (1.0 -. p)) in
+        let bound = (5.0 *. sqrt (variance /. n)) +. (2.0 /. n) in
         expect
           (abs_float (actual -. p) <= bound)
           (Printf.sprintf
@@ -165,25 +169,39 @@ let check ~horizon ~warmup sc =
     Error (Printf.sprintf "sanitizer (%s): %s" invariant message)
   | exception e -> Error ("uncaught exception: " ^ Printexc.to_string e)
 
-let default_horizon = 8000.0
-let default_warmup = 2000.0
+(* Each scenario's window is sized from its arrival rate: long enough
+   that [window_arrivals] arrivals are expected after the warm-up (the
+   first quarter), so even a slow, bursty workload completes jobs in
+   the measured window.  [min_horizon] is a floor, so fast scenarios
+   still run long enough for their fault plans to crash computers.  The
+   horizon is rounded up to whole thousands of seconds so the replay
+   command's [%g] prints both bounds exactly. *)
+let window_arrivals = 400.0
+let min_horizon = 8000.0
 
-let property ~horizon ~warmup sc =
+let window sc =
+  let rate = Cluster.Workload.arrival_rate (Scenario.workload sc) in
+  let needed = window_arrivals /. (0.75 *. rate) in
+  let horizon = Float.max min_horizon (1000.0 *. Float.ceil (needed /. 1000.0)) in
+  (horizon, horizon /. 4.0)
+
+let property sc =
+  let horizon, warmup = window sc in
   match check ~horizon ~warmup sc with
   | Ok () -> true
   | Error msg ->
     QCheck2.Test.fail_reportf "%s@.replay: %s" msg
       (Scenario.to_run_command ~horizon ~warmup sc)
 
-let test ?(count = 30) ?(horizon = default_horizon) ?(warmup = default_warmup) ()
-    =
+let test ?(count = 30) () =
   QCheck2.Test.make ~count ~name:"simcheck-fuzz"
-    ~print:(fun sc -> Scenario.to_run_command ~horizon ~warmup sc)
-    scenario_gen
-    (property ~horizon ~warmup)
+    ~print:(fun sc ->
+      let horizon, warmup = window sc in
+      Scenario.to_run_command ~horizon ~warmup sc)
+    scenario_gen property
 
-let run ?count ?(seed = 0) ?horizon ?warmup () =
-  let t = test ?count ?horizon ?warmup () in
+let run ?count ?(seed = 0) () =
+  let t = test ?count () in
   (* The fuzzer's only source of randomness; seeded for reproducible CI.
      Counterexamples are replayed via the printed command, not this
      state. *)

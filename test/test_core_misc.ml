@@ -5,6 +5,7 @@ module Mm1 = Core.Mm1
 module Least_load = Core.Least_load
 module Metrics = Core.Metrics
 module Policy = Core.Policy
+module Rng = Statsched_prng.Rng
 
 (* ------------------------------------------------------------------ *)
 (* Speeds                                                              *)
@@ -247,6 +248,72 @@ let ll_reset () =
   Alcotest.(check int) "queues cleared" 0 (Least_load.load_index t 0);
   Alcotest.(check int) "queues cleared" 0 (Least_load.load_index t 1)
 
+(* [Least_load.select_idle] against the Join-Idle-Queue module it
+   replaced (test/jiq_oracle.ml), decision for decision, over random
+   streams of dispatches, departures, crashes, recoveries and policy
+   swaps.  A swap seeds a fresh state from the live queues the way the
+   simulation does (Least-Load through [set_load_index], the oracle one
+   [job_sent] per queued job), then replays availability.  Speeds come
+   from a few classes so the per-class stacks fill; each cluster's
+   dispatch share is drawn so the stacks also drain and the alias
+   fallback decides.  Both selectors get their own copy of one stream,
+   since the fallback draws. *)
+let ll_select_idle_matches_jiq_oracle () =
+  let g = rng () in
+  let classes = [| 1.0; 1.5; 2.0; 4.0 |] in
+  let ops = ref 0 in
+  for trial = 1 to 500 do
+    let n = 1 + Rng.int g 48 in
+    let speeds = Array.init n (fun _ -> classes.(Rng.int g 4)) in
+    let ll = ref (Least_load.create speeds) in
+    let oracle = ref (Jiq_oracle.create speeds) in
+    let seed = Int64.of_int (Rng.int g 1_000_000) in
+    let g_ll = rng ~seed () and g_oracle = rng ~seed () in
+    let dispatch_share = 0.3 +. (0.3 *. Rng.float g) in
+    for step = 1 to 2000 do
+      incr ops;
+      let u = Rng.float g in
+      let i = Rng.int g n in
+      if u < dispatch_share then begin
+        let got = Least_load.select_idle ~rng:g_ll !ll in
+        let want = Jiq_oracle.select ~rng:g_oracle !oracle in
+        if got <> want then
+          Alcotest.failf "trial %d, step %d: select_idle %d, oracle %d" trial
+            step got want;
+        Least_load.job_sent !ll got;
+        Jiq_oracle.job_sent !oracle want
+      end
+      else if u < 0.9 then begin
+        Least_load.departure_recorded !ll i;
+        Jiq_oracle.departure_recorded !oracle i
+      end
+      else if u < 0.99 then begin
+        let up = Rng.bool g in
+        Least_load.set_available !ll i up;
+        Jiq_oracle.set_available !oracle i up
+      end
+      else begin
+        let old = !ll in
+        ll := Least_load.create speeds;
+        oracle := Jiq_oracle.create speeds;
+        for j = 0 to n - 1 do
+          let q = Least_load.load_index old j in
+          Least_load.set_load_index !ll j q;
+          for _ = 1 to q do
+            Jiq_oracle.job_sent !oracle j
+          done
+        done;
+        for j = 0 to n - 1 do
+          let up = Least_load.is_available old j in
+          Least_load.set_available !ll j up;
+          Jiq_oracle.set_available !oracle j up
+        done
+      end
+    done
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d operations >= 10^6" !ops) true
+    (!ops >= 1_000_000)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
@@ -349,4 +416,6 @@ let suite =
     test "policy: allocation delegation" policy_allocation_dispatch;
     test "policy: estimated rho >= 1 degrades to weighted" policy_estimated_clamps;
     test "policy: dispatcher kinds" policy_dispatcher_kinds;
+    test "least-load: select_idle matches the JIQ oracle"
+      ll_select_idle_matches_jiq_oracle;
   ]

@@ -228,23 +228,6 @@ let quantile_table_unsorted () =
     (Invalid_argument "Empirical.of_sorted_quantiles: not sorted") (fun () ->
       ignore (Dist.Empirical.of_sorted_quantiles [| 2.0; 1.0 |]))
 
-let pareto_moments () =
-  let d = Dist.Pareto.create ~k:2.0 ~alpha:3.0 in
-  check_float ~eps:1e-12 "mean" 3.0 (D.mean d);
-  check_float ~eps:1e-9 "variance" 3.0 (D.variance d);
-  (* heavy regimes *)
-  check_float "alpha=1.5: infinite variance" infinity
-    (D.variance (Dist.Pareto.create ~k:1.0 ~alpha:1.5));
-  check_float "alpha=0.9: infinite mean" infinity
-    (D.mean (Dist.Pareto.create ~k:1.0 ~alpha:0.9))
-
-let pareto_support () =
-  let d = Dist.Pareto.create ~k:5.0 ~alpha:2.0 in
-  let g = rng () in
-  for _ = 1 to 10_000 do
-    Alcotest.(check bool) "x >= k" true (D.sample d g >= 5.0)
-  done
-
 let scaled_distribution () =
   let d = D.scaled (Dist.Exponential.of_mean 2.0) 3.0 in
   check_float ~eps:1e-12 "scaled mean" 6.0 (D.mean d);
@@ -438,10 +421,6 @@ let suite =
     test "empirical: validation" empirical_errors;
     test "empirical: quantile table interpolation" quantile_table_interpolates;
     test "empirical: quantile table sorted check" quantile_table_unsorted;
-    test "pareto: moments incl. heavy regimes" pareto_moments;
-    test "pareto: support" pareto_support;
-    slow_test "pareto: empirical mean (alpha=3)"
-      (empirical_check ~mean_rel:0.05 ~cv_rel:0.5 (Dist.Pareto.create ~k:2.0 ~alpha:3.0));
     test "distribution: scaled" scaled_distribution;
     prop_hyper_moments;
     prop_bp_moment_positive;

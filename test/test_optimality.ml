@@ -286,12 +286,12 @@ let decision_path_zero_alloc () =
         Core.Least_load.job_sent ll s;
         Core.Least_load.departure_recorded ll s
       done);
-  let jq = Core.Jiq.create speeds in
+  let jq = Core.Least_load.create speeds in
   measure "jiq idle-stack select" (fun () ->
       for _ = 1 to decisions do
-        let s = Core.Jiq.select ~rng:g jq in
-        Core.Jiq.job_sent jq s;
-        Core.Jiq.departure_recorded jq s
+        let s = Core.Least_load.select_idle ~rng:g jq in
+        Core.Least_load.job_sent jq s;
+        Core.Least_load.departure_recorded jq s
       done)
 
 let two_choices_between_static_and_full () =

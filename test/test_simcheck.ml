@@ -168,11 +168,50 @@ let fuzz_check_flags_bad_config () =
   (match S.Fuzz.check ~horizon:4000.0 ~warmup:1000.0 sc with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("clean config flagged: " ^ e));
+  (* ORAN's one fraction on one computer rounds just above 1; the
+     static-fraction bound must not turn into NaN there. *)
+  (match
+     S.Fuzz.check ~horizon:18000.0 ~warmup:4500.0
+       (S.Scenario.v ~speeds:[| 1.0 |] ~rho:0.3 ~policy:"oran" ~arrival_cv:3.0
+          ~mean_size:10.0 ~seed:8832L ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("single-computer ORAN flagged: " ^ e));
   (* Horizon entirely inside the warm-up window: nothing is measured,
      which the invariants must surface as an error, not an exception. *)
   match S.Fuzz.check ~horizon:10.0 ~warmup:9.99 sc with
   | Ok () -> Alcotest.fail "degenerate window passed the invariants"
   | Error _ -> ()
+
+(* A slow, bursty scenario the fixed 8000 s window could not measure:
+   15 arrivals, all before the 2000 s warm-up ended, so the simulator
+   refused the run and the property reported the refusal as a
+   violation.  Its window now comes from its arrival rate. *)
+let fuzz_window_fits_slow_bursty_scenario () =
+  let sc =
+    S.Scenario.v ~speeds:[| 1.0 |] ~rho:0.3 ~policy:"wran" ~arrival_cv:3.0
+      ~size:S.Scenario.Exp ~mean_size:50.0 ~seed:4004L
+      ~faults:
+        {
+          S.Scenario.mtbf = 2000.0;
+          mttr = 20.0;
+          on_failure = Cluster.Fault.Requeue;
+        }
+      ()
+  in
+  Alcotest.(check string) "the reported counterexample"
+    "schedsim run -s 1 -u 0.3 -p wran --discipline ps --arrival-cv 3 \
+     --size-dist exp --mean-size 50 --seed 4004 --horizon 8000 --warmup 2000 \
+     --mtbf 2000 --mttr 20 --on-failure requeue --sanitize"
+    (S.Scenario.to_run_command ~horizon:8000.0 ~warmup:2000.0 sc);
+  let horizon, warmup = S.Fuzz.window sc in
+  Alcotest.(check bool)
+    (Printf.sprintf "window %g/%g longer than 8000/2000" horizon warmup)
+    true
+    (horizon > 8000.0 && warmup > 2000.0);
+  match S.Fuzz.check ~horizon ~warmup sc with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("slow bursty scenario flagged: " ^ e)
 
 (* ------------------------------------------------------------------ *)
 
@@ -214,4 +253,6 @@ let suite =
     test "simcheck: fuzz check flags degenerate config" fuzz_check_flags_bad_config;
     slow_test "simcheck: oracle smoke" oracle_smoke;
     slow_test "simcheck: metamorphic smoke" metamorphic_smoke;
+    test "simcheck: fuzz window fits a slow bursty scenario"
+      fuzz_window_fits_slow_bursty_scenario;
   ]
