@@ -88,6 +88,10 @@ let drain_locked t =
        (Simulation.Driver.completions t.driver)
        (Simulation.Driver.measured t.driver))
 
+(* The primitive behind [Printf]'s [%.17g], called directly: the 202
+   is built once per accepted job. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let submit_locked t body =
   if t.draining then Http.text ~status:503 "draining, not accepting jobs\n"
   else if backlog t >= t.backlog_limit then
@@ -100,10 +104,16 @@ let submit_locked t body =
       advance_locked t;
       let computer = Simulation.Driver.submit t.driver ~size in
       Http.json ~status:202
-        (Printf.sprintf "{\"id\":%d,\"computer\":%d,\"time\":%.17g}"
-           (Simulation.Driver.arrivals t.driver)
-           computer
-           (Simulation.Driver.now t.driver))
+        (String.concat ""
+           [
+             "{\"id\":";
+             string_of_int (Simulation.Driver.arrivals t.driver);
+             ",\"computer\":";
+             string_of_int computer;
+             ",\"time\":";
+             format_float "%.17g" (Simulation.Driver.now t.driver);
+             "}";
+           ])
     | Some _ | None ->
       Http.text ~status:400
         "body must be one positive number: the job's service demand in \

@@ -29,16 +29,19 @@ let reason = function
   | _ -> "Status"
 
 let serialise { status; content_type; body } =
-  let head =
-    Printf.sprintf
-      "HTTP/1.1 %d %s\r\n\
-       Content-Type: %s\r\n\
-       Content-Length: %d\r\n\
-       Connection: close\r\n\
-       \r\n"
-      status (reason status) content_type (String.length body)
-  in
-  head ^ body
+  String.concat ""
+    [
+      "HTTP/1.1 ";
+      string_of_int status;
+      " ";
+      reason status;
+      "\r\nContent-Type: ";
+      content_type;
+      "\r\nContent-Length: ";
+      string_of_int (String.length body);
+      "\r\nConnection: close\r\n\r\n";
+      body;
+    ]
 
 let max_head_bytes = 16384
 let max_body_bytes = 1 lsl 20
@@ -193,6 +196,16 @@ type conn = {
 
 let close fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
+(* [accept4] with [SOCK_NONBLOCK | SOCK_CLOEXEC]: one call instead of
+   [Unix.accept] and the two [fcntl]s of [Unix.set_nonblock]. *)
+external accept : Unix.file_descr -> Unix.file_descr = "statsched_http_accept"
+
+(* [send] with [MSG_MORE | MSG_DONTWAIT | MSG_NOSIGNAL]: the kernel holds
+   the response's tail, so the [close] that follows sends it and the FIN
+   in one segment. *)
+external send : Unix.file_descr -> string -> int -> int -> int
+  = "statsched_http_send"
+
 (* Read whatever has arrived on a non-blocking socket, through the
    loop's [scratch] buffer. *)
 let rec read_available ~scratch fd p =
@@ -216,7 +229,7 @@ let rec write_pending fd w =
   let left = String.length w.out - w.off in
   left > 0
   &&
-  match Unix.single_write_substring fd w.out w.off left with
+  match send fd w.out w.off left with
   | n ->
     w.off <- w.off + n;
     write_pending fd w
@@ -277,9 +290,8 @@ let serve_loop (listen_fd, stopping, handler, read_timeout) =
   let running = ref true in
   let rec accept_all () =
     if Hashtbl.length conns < max_connections then
-      match Unix.accept ~cloexec:true listen_fd with
-      | fd, _ ->
-        Unix.set_nonblock fd;
+      match accept listen_fd with
+      | fd ->
         let c =
           {
             fd;

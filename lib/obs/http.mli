@@ -27,7 +27,15 @@
     program that relied on SIGPIPE to exit quietly when its standard
     output closes sees [Sys_error] on that write instead.
 
-    Because OCaml systhreads share one domain and the select/read/write
+    Connections are accepted non-blocking and close-on-exec in one
+    [accept4], and each response is sent with [MSG_MORE], so the
+    [close] that follows puts the FIN in the response's last segment
+    (C stubs in [http_stubs.c]; where a flag is missing they fall back
+    at compile time, with the same bytes on the wire).  Neither stub
+    releases the runtime lock: the socket is non-blocking, so neither
+    can block.
+
+    Because OCaml systhreads share one domain and the select and read
     syscalls release the runtime lock, serving never runs concurrently
     with simulation code at the machine level: the handler observes a
     consistent heap and cannot perturb the run (it must not mutate

@@ -17,6 +17,15 @@
     at the shell bit for bit. *)
 
 val scenario_gen : Scenario.t QCheck2.Gen.t
+(** Draws only scenarios that {!reaches_steady_state} accepts, and SITA
+    only with the paper's bounded-Pareto sizes. *)
+
+val reaches_steady_state : Scenario.t -> bool
+(** [false] for a requeue fault plan under which the backlog can grow
+    without bound: a discipline that serves several jobs at once (PS,
+    RR), a size distribution without a light tail, or a mean job time on
+    the slowest computer above 5 % of the MTBF (see fuzz.ml).  [true]
+    for every other scenario. *)
 
 val window : Scenario.t -> float * float
 (** [(horizon, warmup)] for a scenario: the horizon is long enough that

@@ -116,6 +116,18 @@ type t = {
 
 let v ?(discipline = Cluster.Simulation.Ps) ?(arrival_cv = 1.0) ?(size = Exp)
     ?(mean_size = 1.0) ?faults ?(seed = 1L) ?(d = 2) ~speeds ~rho ~policy () =
+  (* SITA's size cutoffs are quantiles of the paper's bounded Pareto:
+     under any other size distribution nearly every job falls in one
+     interval and lands on one computer. *)
+  (match size with
+  | Bp_paper -> ()
+  | Exp | Weibull _ | Lognormal _ | Erlang _ | Hyperexp _ | Det ->
+    if String.equal policy "sita" then
+      invalid_arg
+        (Printf.sprintf
+           "policy sita needs size distribution bp: its cutoffs are the \
+            paper's bounded-Pareto quantiles (got %s)"
+           (size_dist_to_string size)));
   { speeds; rho; policy; d; discipline; arrival_cv; size; mean_size; faults; seed }
 
 let workload t =

@@ -87,7 +87,11 @@ val v :
   unit ->
   t
 (** Defaults: [Ps], Poisson arrivals, Exp sizes of mean 1, no faults,
-    seed 1, [d = 2] — the analytically tractable M/M baseline. *)
+    seed 1, [d = 2] — the analytically tractable M/M baseline.
+
+    @raise Invalid_argument when [policy] is ["sita"] and [size] is not
+    {!Bp_paper}: SITA's cutoffs are the paper's bounded-Pareto
+    quantiles. *)
 
 val workload : t -> Statsched_cluster.Workload.t
 

@@ -851,6 +851,107 @@ let http_method_body_dispatch () =
           Alcotest.(check bool) "truncated body is a 400" true
             (contains (Bytes.sub_string buf 0 n) "400")))
 
+(* The exact bytes a client reads from connect to EOF, one response per
+   status the server or the daemon sends.  A reset or a receive timeout
+   before EOF fails the test: the response must end in a FIN, right
+   after its last byte. *)
+let wire_exchange ?(pause = 0.0) ~port request =
+  let fd = connect ~recv_timeout:5.0 port in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      if String.length request > 0 then send_all fd request;
+      Thread.delay pause;
+      let buf = Buffer.create 4096 in
+      let chunk = Bytes.create 65536 in
+      let rec drain () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Buffer.contents buf
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+        | exception Unix.Unix_error (e, _, _) ->
+          Alcotest.failf "%S: %s after %d bytes, before EOF"
+            request (Unix.error_message e) (Buffer.length buf)
+      in
+      drain ())
+
+let wire_reply ~status ~reason ~content_type body =
+  "HTTP/1.1 " ^ status ^ " " ^ reason ^ "\r\nContent-Type: " ^ content_type
+  ^ "\r\nContent-Length: " ^ string_of_int (String.length body)
+  ^ "\r\nConnection: close\r\n\r\n" ^ body
+
+let http_wire_bytes () =
+  let daemon =
+    let speeds = [| 1.0 |] in
+    Cluster.Daemon.create ~clock:(fun () -> 1.0 /. 3.0) ~backlog_limit:1
+      (Simulation.default_config ~horizon:1.0e9 ~warmup:0.0 ~seed:5L ~speeds
+         ~workload:(Workload.paper_default ~rho:0.5 ~speeds)
+         ~scheduler:(Scheduler.static Core.Policy.orr) ())
+  in
+  let server =
+    Http.serve_requests ~port:0 ~read_timeout:0.3 (fun req ->
+        match req.Http.path with
+        | "/boom" -> failwith "handler bug"
+        | "/big" -> Http.text (Lazy.force big_body)
+        | _ -> Cluster.Daemon.handle_request daemon req)
+  in
+  let port = Http.port server in
+  Fun.protect
+    ~finally:(fun () -> Http.stop server)
+    (fun () ->
+      let text = "text/plain; charset=utf-8" in
+      let pins =
+        [
+          ( "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            wire_reply ~status:"200" ~reason:"OK" ~content_type:text "ok\n" );
+          ( "POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\nxy",
+            wire_reply ~status:"400" ~reason:"Bad Request" ~content_type:text
+              "body must be one positive number: the job's service demand \
+               in seconds on a speed-1 computer\n" );
+          ( "POST /jobs HTTP/1.1\r\nContent-Length: 3\r\n\r\n1e6",
+            wire_reply ~status:"202" ~reason:"Accepted"
+              ~content_type:"application/json"
+              "{\"id\":1,\"computer\":0,\"time\":0.33333333333333331}" );
+          ( "not http\r\n\r\n",
+            wire_reply ~status:"400" ~reason:"Bad Request" ~content_type:text
+              "bad request\n" );
+          ( "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n",
+            wire_reply ~status:"404" ~reason:"Not Found" ~content_type:text
+              "not found\n" );
+          ( "DELETE /jobs HTTP/1.1\r\nHost: x\r\n\r\n",
+            wire_reply ~status:"405" ~reason:"Method Not Allowed"
+              ~content_type:text "method not allowed\n" );
+          ( "GET /pi",
+            wire_reply ~status:"408" ~reason:"Request Timeout"
+              ~content_type:text "request timeout\n" );
+          ( "POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+            wire_reply ~status:"413" ~reason:"Payload Too Large"
+              ~content_type:text "body too large\n" );
+          ( "POST /jobs HTTP/1.1\r\nContent-Length: 1\r\n\r\n5",
+            wire_reply ~status:"429" ~reason:"Too Many Requests"
+              ~content_type:text "backlog full (1 jobs in system, limit 1)\n" );
+          ( "GET /boom HTTP/1.1\r\nHost: x\r\n\r\n",
+            wire_reply ~status:"500" ~reason:"Internal Server Error"
+              ~content_type:text "internal error\n" );
+        ]
+      in
+      List.iter
+        (fun (request, expected) ->
+          Alcotest.(check string) request expected (wire_exchange ~port request))
+        pins;
+      (* A body larger than any loopback send buffer, with the client not
+         reading at first: the server gets partial writes and finishes
+         from select, and EOF still follows the last byte. *)
+      let big = Lazy.force big_body in
+      let got =
+        wire_exchange ~pause:0.2 ~port "GET /big HTTP/1.1\r\nHost: x\r\n\r\n"
+      in
+      let expected = wire_reply ~status:"200" ~reason:"OK" ~content_type:text big in
+      Alcotest.(check int) "big response length" (String.length expected)
+        (String.length got);
+      Alcotest.(check bool) "big response bytes" true (String.equal expected got))
+
 (* ------------------------------------------------------------------ *)
 (* Live serving: mid-run answers, and no perturbation                   *)
 
@@ -1035,4 +1136,5 @@ let suite =
       serve_journal_bit_identity;
     slow_test "crossval: journal agrees with collector in process"
       crossval_roundtrip;
+    test "http: exact wire bytes of every status, then EOF" http_wire_bytes;
   ]

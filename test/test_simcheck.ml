@@ -213,6 +213,69 @@ let fuzz_window_fits_slow_bursty_scenario () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("slow bursty scenario flagged: " ^ e)
 
+(* A requeue scenario with no steady state: every crash of the one PS
+   computer restarts every job present, the backlog outgrows the MTBF,
+   and completions stop while arrivals go on, so the simulator refuses
+   the run.  The generator used to draw it (simcheck fuzz --count 100,
+   seeds 2, 20 and 29); SITA with deterministic sizes (seed 19) sent
+   nearly every job to one computer.  Neither can be drawn now. *)
+let fuzz_draws_only_steady_scenarios () =
+  let livelock =
+    S.Scenario.v ~speeds:[| 1.0 |] ~rho:0.7 ~policy:"wran"
+      ~size:S.Scenario.Det ~mean_size:50.0 ~seed:1L
+      ~faults:
+        {
+          S.Scenario.mtbf = 500.0;
+          mttr = 20.0;
+          on_failure = Cluster.Fault.Requeue;
+        }
+      ()
+  in
+  Alcotest.(check string) "the reported counterexample"
+    "schedsim run -s 1 -u 0.7 -p wran --discipline ps --arrival-cv 1 \
+     --size-dist det --mean-size 50 --seed 1 --horizon 39000 --warmup 9750 \
+     --mtbf 500 --mttr 20 --on-failure requeue --sanitize"
+    (S.Scenario.to_run_command ~horizon:39000.0 ~warmup:9750.0 livelock);
+  Alcotest.(check bool) "livelocking requeue scenario refused" false
+    (S.Fuzz.reaches_steady_state livelock);
+  Alcotest.check_raises "sita with non-BP sizes refused"
+    (Invalid_argument
+       "policy sita needs size distribution bp: its cutoffs are the paper's \
+        bounded-Pareto quantiles (got det)")
+    (fun () ->
+      ignore
+        (S.Scenario.v ~speeds:[| 1.5; 2.0; 2.0 |] ~rho:0.85 ~policy:"sita"
+           ~size:S.Scenario.Det ~mean_size:10.0 ()));
+  let drawn =
+    QCheck2.Gen.generate ~n:20_000
+      ~rand:(Random.State.make [| 17 |] (* schedlint: allow R1: fixed seed for a sample of the generator *))
+      S.Fuzz.scenario_gen
+  in
+  let requeues =
+    List.length
+      (List.filter
+         (fun sc ->
+           match sc.S.Scenario.faults with
+           | Some { S.Scenario.on_failure = Cluster.Fault.Requeue; _ } -> true
+           | Some _ | None -> false)
+         drawn)
+  in
+  List.iter
+    (fun sc ->
+      if not (S.Fuzz.reaches_steady_state sc) then
+        Alcotest.failf "drew a scenario with no steady state: %s"
+          (S.Scenario.to_run_command sc);
+      match sc.S.Scenario.size with
+      | S.Scenario.Bp_paper -> ()
+      | _ ->
+        if String.equal sc.S.Scenario.policy "sita" then
+          Alcotest.failf "drew sita without BP sizes: %s"
+            (S.Scenario.to_run_command sc))
+    drawn;
+  Alcotest.(check bool)
+    (Printf.sprintf "requeue still drawn (%d of 20000)" requeues)
+    true (requeues > 100)
+
 (* ------------------------------------------------------------------ *)
 
 (* One pocket-sized differential case through the real Oracle path:
@@ -255,4 +318,6 @@ let suite =
     slow_test "simcheck: metamorphic smoke" metamorphic_smoke;
     test "simcheck: fuzz window fits a slow bursty scenario"
       fuzz_window_fits_slow_bursty_scenario;
+    test "simcheck: fuzz draws only steady-state scenarios"
+      fuzz_draws_only_steady_scenarios;
   ]
