@@ -698,11 +698,24 @@ let write_csv st file contents =
       (fun () -> output_string oc contents);
     Printf.printf "wrote %s\n" path
 
-let write_sweeps st name sweeps =
-  List.iteri
-    (fun i sweep ->
-      write_csv st (Printf.sprintf "%s-%d.csv" name i) (E.Report.sweep_to_csv sweep))
-    sweeps
+(* A sweep entry: the banner, then every panel of [sweeps] (run in
+   order), separated by blank lines; with [csv], panel i also goes to
+   CSV-i.csv. *)
+let sweep_study ?csv banner sweeps ({ scale; seed; jobs; _ } as st) =
+  E.Report.print_section banner;
+  let panels =
+    List.concat_map
+      (fun s -> E.Sweep.sweeps s (E.Sweep.run ~scale ~seed ?jobs s))
+      sweeps
+  in
+  print_string (String.concat "\n" (List.map E.Report.render_sweep panels));
+  Option.iter
+    (fun name ->
+      List.iteri
+        (fun i panel ->
+          write_csv st (Printf.sprintf "%s-%d.csv" name i) (E.Report.sweep_to_csv panel))
+        panels)
+    csv
 
 (* Every reproduction study, in the order the vocabulary lists them.
    Each prints its section banner before it starts computing. *)
@@ -742,38 +755,14 @@ let studies =
       fun { seed; jobs; _ } ->
         E.Report.print_section "Figure 2";
         print_string (E.Fig2.to_report (E.Fig2.run ~seed ?jobs ())) );
-    ( "fig3",
-      fun ({ scale; seed; jobs; _ } as st) ->
-        E.Report.print_section "Figure 3";
-        let rows = E.Fig3.run ~scale ~seed ?jobs () in
-        print_string (E.Fig3.to_report rows);
-        write_sweeps st "fig3" (E.Fig3.sweeps rows) );
-    ( "fig4",
-      fun ({ scale; seed; jobs; _ } as st) ->
-        E.Report.print_section "Figure 4";
-        let rows = E.Fig4.run ~scale ~seed ?jobs () in
-        print_string (E.Fig4.to_report rows);
-        write_sweeps st "fig4" (E.Fig4.sweeps rows) );
-    ( "fig5",
-      fun ({ scale; seed; jobs; _ } as st) ->
-        E.Report.print_section "Figure 5";
-        let rows = E.Fig5.run ~scale ~seed ?jobs () in
-        print_string (E.Fig5.to_report rows);
-        write_sweeps st "fig5" (E.Fig5.sweeps rows) );
+    ("fig3", sweep_study ~csv:"fig3" "Figure 3" [ E.Studies.fig3 ]);
+    ("fig4", sweep_study ~csv:"fig4" "Figure 4" [ E.Studies.fig4 ]);
+    ("fig5", sweep_study ~csv:"fig5" "Figure 5" [ E.Studies.fig5 ]);
     ( "fig6",
-      fun ({ scale; seed; jobs; _ } as st) ->
-        E.Report.print_section "Figure 6";
-        let run errors = E.Fig6.run ~scale ~seed ?jobs ~errors () in
-        let under = run E.Fig6.default_errors_under in
-        let over = run E.Fig6.default_errors_over in
-        print_string (E.Fig6.to_report ~under ~over);
-        write_sweeps st "fig6" (E.Fig6.sweeps ~under ~over) );
+      sweep_study ~csv:"fig6" "Figure 6" [ E.Studies.fig6_under; E.Studies.fig6_over ] );
     ( "ext-burstiness",
-      fun ({ scale; seed; jobs; _ } as st) ->
-        E.Report.print_section "Extension: arrival burstiness";
-        let rows = E.Ext_burstiness.run ~scale ~seed ?jobs () in
-        print_string (E.Ext_burstiness.to_report rows);
-        write_sweeps st "ext-burstiness" (E.Ext_burstiness.sweeps rows) );
+      sweep_study ~csv:"ext-burstiness" "Extension: arrival burstiness"
+        [ E.Studies.ext_burstiness ] );
     ( "ext-sizes",
       fun { scale; seed; jobs; _ } ->
         E.Report.print_section "Extension: size-distribution sensitivity";
@@ -781,43 +770,34 @@ let studies =
     ( "ext-faults",
       fun { scale; seed; jobs; _ } ->
         E.Report.print_section "Extension: fault injection";
+        let rows = E.Sweep.run ~scale ~seed ?jobs E.Studies.ext_faults in
         print_string
-          (E.Ext_faults.to_report (E.Ext_faults.run ~scale ~seed ?jobs ())) );
+          (E.Sweep.to_report E.Studies.ext_faults rows
+          ^ "\n"
+          ^ E.Studies.availability_table rows) );
     ( "ext-staleness",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section
-          "Extension: load-information staleness (when does ORR beat polling?)";
-        print_string
-          (E.Ext_staleness.to_report (E.Ext_staleness.run ~scale ~seed ?jobs ())) );
+      sweep_study
+        "Extension: load-information staleness (when does ORR beat polling?)"
+        [ E.Studies.ext_staleness ] );
     ( "ext-partial-information",
       fun { scale; seed; jobs; _ } ->
         E.Report.print_section
           "Extension: partial-information dynamic baselines (Table 3, rho=0.7)";
         print_string
-          (E.Ext_staleness.partial_information_report
-             (E.Ext_staleness.partial_information ~scale ~seed ?jobs ())) );
+          (E.Studies.partial_information_report
+             (E.Studies.partial_information ~seed ?jobs ~scale ())) );
     ( "ext-diurnal",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section "Extension: diurnal (non-stationary) load";
-        print_string
-          (E.Ext_diurnal.to_report (E.Ext_diurnal.run ~scale ~seed ?jobs ())) );
+      sweep_study "Extension: diurnal (non-stationary) load" [ E.Studies.ext_diurnal ] );
     ( "ext-adaptive",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section
-          "Extension: self-tuning ORR (online load estimation, Table 3)";
-        print_string
-          (E.Ext_diurnal.adaptive_report
-             (E.Ext_diurnal.adaptive ~scale ~seed ?jobs ())) );
+      sweep_study "Extension: self-tuning ORR (online load estimation, Table 3)"
+        [ E.Studies.ext_adaptive ] );
     ( "ext-sita",
       fun { scale; seed; jobs; _ } ->
         E.Report.print_section "Extension: size-aware SITA-E vs size-blind policies";
         print_string (E.Ext_sita.to_report (E.Ext_sita.run ~scale ~seed ?jobs ())) );
     ( "ext-convergence",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section "Extension: convergence with run length";
-        print_string
-          (E.Ext_convergence.to_report
-             (E.Ext_convergence.run ~seed ?jobs ~reps:scale.E.Config.reps ())) );
+      sweep_study "Extension: convergence with run length" [ E.Studies.ext_convergence ]
+    );
     ( "scale-sweep",
       fun ({ scale; seed; jobs; _ } as st) ->
         E.Report.print_section "Extension: many-server scale sweep";

@@ -47,14 +47,6 @@ let crashes ?computers ~mtbf ~mttr () =
     ~downtime:(Dist.Exponential.of_mean mttr)
     ()
 
-let slowdowns ?computers ~mtbf ~mttr ~factor () =
-  if mtbf <= 0.0 then invalid_arg "Fault.slowdowns: mtbf <= 0";
-  if mttr <= 0.0 then invalid_arg "Fault.slowdowns: mttr <= 0";
-  process ?computers ~degrade:factor
-    ~uptime:(Dist.Exponential.of_mean mtbf)
-    ~downtime:(Dist.Exponential.of_mean mttr)
-    ()
-
 let periodic ?computers ?degrade ~every ~duration () =
   if every <= 0.0 then invalid_arg "Fault.periodic: every <= 0";
   if duration <= 0.0 then invalid_arg "Fault.periodic: duration <= 0";

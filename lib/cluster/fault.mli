@@ -72,10 +72,6 @@ val process :
 val crashes : ?computers:int list -> mtbf:float -> mttr:float -> unit -> process
 (** Exponential failures: up for [Exp(mtbf)], down for [Exp(mttr)]. *)
 
-val slowdowns :
-  ?computers:int list -> mtbf:float -> mttr:float -> factor:float -> unit -> process
-(** Exponential transient degradation to [factor] of nominal speed. *)
-
 val periodic :
   ?computers:int list -> ?degrade:float -> every:float -> duration:float -> unit -> process
 (** Deterministic maintenance window: up [every] s, down [duration] s. *)

@@ -36,20 +36,12 @@ let series t i =
     invalid_arg "Probe.series: computer index out of range";
   Array.init t.len (fun k -> t.queues.(k).(i))
 
-let total_series t =
-  check_nonempty t;
-  Array.init t.len (fun k -> Array.fold_left ( + ) 0 t.queues.(k))
-
 let peak t =
   let worst = ref 0 in
   for k = 0 to t.len - 1 do
     Array.iter (fun q -> if q > !worst then worst := q) t.queues.(k)
   done;
   !worst
-
-let mean_queue t i =
-  let s = series t i in
-  float_of_int (Array.fold_left ( + ) 0 s) /. float_of_int (Array.length s)
 
 let write_csv t path =
   check_nonempty t;

@@ -24,18 +24,8 @@ val series : t -> int -> int array
     @raise Invalid_argument if no samples were taken or [i] is out of
     range. *)
 
-val total_series : t -> int array
-(** Jobs in the whole system at each sample. *)
-
 val peak : t -> int
 (** Largest single-computer queue length observed. *)
-
-val mean_queue : t -> int -> float
-(** Sample average of computer [i]'s queue length — the unweighted mean
-    over the sampling instants, {e not} a time-weighted average.  With
-    the fixed cadence the two coincide only in the limit of dense
-    sampling; for the true time average use
-    {!Simulation.per_computer.mean_jobs}. *)
 
 val write_csv : t -> string -> unit
 (** Header [time,c0,c1,…]; one line per sample. *)

@@ -19,18 +19,6 @@ let actual_fractions counts =
   if total = 0 then Array.make (Array.length counts) 0.0
   else Array.map (fun c -> float_of_int c /. float_of_int total) counts
 
-let jain_index xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Metrics.jain_index: empty vector";
-  let sum = ref 0.0 and sumsq = ref 0.0 in
-  Array.iter
-    (fun x ->
-      if x < 0.0 then invalid_arg "Metrics.jain_index: negative value";
-      sum := !sum +. x;
-      sumsq := !sumsq +. (x *. x))
-    xs;
-  if !sumsq <= 0.0 then nan else !sum *. !sum /. (float_of_int n *. !sumsq)
-
 let deviation ~expected ~counts =
   if Array.length expected <> Array.length counts then
     invalid_arg "Metrics.deviation: length mismatch";

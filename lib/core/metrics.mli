@@ -41,13 +41,3 @@ val deviation : expected:float array -> counts:int array -> float
 val actual_fractions : int array -> float array
 (** Per-computer dispatch counts normalised to fractions; all zeros if no
     jobs. *)
-
-val jain_index : float array -> float
-(** Jain's fairness index [(Σx)² / (n·Σx²)] of a non-negative vector —
-    1 when perfectly equal, [1/n] when one element carries everything.
-    Applied to per-computer utilisations it quantifies how strongly the
-    optimized allocation {e un}balances the cluster (deliberately, per
-    Section 2.2).
-
-    @raise Invalid_argument on an empty or negative vector; returns [nan]
-    for an all-zero vector. *)

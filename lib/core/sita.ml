@@ -46,30 +46,6 @@ let build_bounded_pareto prm ~speeds ~small_to =
   let work_below x = Bp.partial_mean prm ~lo:prm.Bp.k ~hi:x in
   build_with ~work_below ~lo:prm.Bp.k ~hi:prm.Bp.p ~speeds ~small_to
 
-let build_empirical ~samples ~speeds ~small_to =
-  if Array.length samples = 0 then invalid_arg "Sita.build_empirical: empty sample";
-  Array.iter
-    (fun x -> if x <= 0.0 then invalid_arg "Sita.build_empirical: non-positive size")
-    samples;
-  let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
-  let m = Array.length sorted in
-  (* prefix sums of work *)
-  let prefix = Array.make (m + 1) 0.0 in
-  for i = 0 to m - 1 do
-    prefix.(i + 1) <- prefix.(i) +. sorted.(i)
-  done;
-  let work_below x =
-    (* work of samples strictly below x: binary search *)
-    let lo = ref 0 and hi = ref m in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if sorted.(mid) < x then lo := mid + 1 else hi := mid
-    done;
-    prefix.(!lo)
-  in
-  build_with ~work_below ~lo:sorted.(0) ~hi:(sorted.(m - 1) +. 1.0) ~speeds ~small_to
-
 let select t ~size =
   let n = Array.length t.cutoffs in
   (* first band whose cutoff exceeds the size *)

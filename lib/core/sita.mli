@@ -28,14 +28,6 @@ val build_bounded_pareto :
 
     @raise Invalid_argument on invalid parameters or speeds. *)
 
-val build_empirical :
-  samples:float array -> speeds:float array -> small_to:[ `Fast | `Slow ] -> t
-(** Same construction from an observed sample of job sizes (trace replay
-    path): cutoffs chosen on the empirical work distribution.
-
-    @raise Invalid_argument if [samples] is empty or contains
-    non-positive sizes. *)
-
 val select : t -> size:float -> int
 (** Computer index for a job of the given size.  Sizes outside the band
     range clamp to the extreme bands. *)

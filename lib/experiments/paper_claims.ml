@@ -3,22 +3,22 @@ module Confidence = Statsched_stats.Confidence
 type inputs = {
   table1 : Table1.result;
   fig2 : Fig2.result;
-  fig3 : Fig3.t;
-  fig4 : Fig4.t;
-  fig5 : Fig5.t;
-  fig6_under : Fig6.t;
-  fig6_over : Fig6.t;
+  fig3 : Sweep.rows;
+  fig4 : Sweep.rows;
+  fig5 : Sweep.rows;
+  fig6_under : Sweep.rows;
+  fig6_over : Sweep.rows;
 }
 
 let gather ?(scale = Config.default_scale) ?seed ?jobs () =
   {
     table1 = Table1.run ~scale ?seed ?jobs ();
     fig2 = Fig2.run ?seed ?jobs ();
-    fig3 = Fig3.run ~scale ?seed ?jobs ();
-    fig4 = Fig4.run ~scale ?seed ?jobs ();
-    fig5 = Fig5.run ~scale ?seed ?jobs ();
-    fig6_under = Fig6.run ~scale ?seed ?jobs ~errors:Fig6.default_errors_under ();
-    fig6_over = Fig6.run ~scale ?seed ?jobs ~errors:Fig6.default_errors_over ();
+    fig3 = Sweep.run ~scale ?seed ?jobs Studies.fig3;
+    fig4 = Sweep.run ~scale ?seed ?jobs Studies.fig4;
+    fig5 = Sweep.run ~scale ?seed ?jobs Studies.fig5;
+    fig6_under = Sweep.run ~scale ?seed ?jobs Studies.fig6_under;
+    fig6_over = Sweep.run ~scale ?seed ?jobs Studies.fig6_over;
   }
 
 type outcome = {

@@ -11,11 +11,11 @@
 type inputs = {
   table1 : Table1.result;
   fig2 : Fig2.result;
-  fig3 : Fig3.t;
-  fig4 : Fig4.t;
-  fig5 : Fig5.t;
-  fig6_under : Fig6.t;
-  fig6_over : Fig6.t;
+  fig3 : Sweep.rows;
+  fig4 : Sweep.rows;
+  fig5 : Sweep.rows;
+  fig6_under : Sweep.rows;
+  fig6_over : Sweep.rows;
 }
 
 val gather : ?scale:Config.scale -> ?seed:int64 ->

@@ -1,4 +1,8 @@
-(** Helpers shared by the figure experiments. *)
+(** Parameter sweeps: the shape of Figures 3–6 and of the extension
+    sweeps.  A {!study} takes a grid of one parameter, builds the
+    cluster and workload for each value, measures a fixed set of
+    schedulers on it, and prints one panel per metric.  The studies
+    themselves are data, in {!Studies}. *)
 
 val over_schedulers :
   ?seed:int64 ->
@@ -19,15 +23,35 @@ val over_schedulers :
 
 type metric = [ `Time | `Ratio | `Fairness ]
 
-val metric_name : metric -> string
+type cell = {
+  speeds : float array;
+  workload : Statsched_cluster.Workload.t;
+  faults : Statsched_cluster.Fault.plan option;
+  schedulers : (string * Statsched_cluster.Scheduler.kind) list;
+      (** the panel's columns, in order *)
+  scale : Config.scale;  (** horizon, warm-up and replications *)
+}
+(** What one x value of a sweep measures. *)
 
-val cell_of : metric -> Runner.point -> Report.cell
+type study = {
+  title : string;
+  xlabel : string;
+  metrics : metric list;  (** one panel each, in order *)
+  xs : float list;  (** the grid, one row each, in order *)
+  cell : scale:Config.scale -> float -> cell;
+      (** the cell at one x, given the command line's scale *)
+}
 
-val sweep_of_rows :
-  title:string ->
-  xlabel:string ->
-  metric:metric ->
-  (float * (string * Runner.point) list) list ->
-  Report.sweep
-(** Turn per-x scheduler measurements into a printable series table for
-    one metric. *)
+type rows = (float * (string * Runner.point) list) list
+(** One row per x value: every scheduler's measurement. *)
+
+val run : ?seed:int64 -> ?jobs:int -> scale:Config.scale -> study -> rows
+(** Measure every cell, in grid order, with {!over_schedulers}.
+    @raise Invalid_argument when the cell function rejects an x. *)
+
+val sweeps : study -> rows -> Report.sweep list
+(** One printable series table per metric, titled
+    ["<title> — <metric name>"]. *)
+
+val to_report : study -> rows -> string
+(** The {!sweeps}, rendered and separated by blank lines. *)

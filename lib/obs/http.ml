@@ -109,21 +109,25 @@ let content_length head =
   in
   scan 0
 
+(* [raw] is the header block without its terminator, so a request with
+   no header lines holds no '\n': then the whole block is the request
+   line. *)
 let parse_request_line raw =
-  match String.index_opt raw '\n' with
-  | None -> None
-  | Some eol ->
-    let line = String.trim (String.sub raw 0 eol) in
-    (match String.split_on_char ' ' line with
-    | [ meth; target; _version ] ->
-      (* Strip any query string: routes key on the path alone. *)
-      let path =
-        match String.index_opt target '?' with
-        | None -> target
-        | Some q -> String.sub target 0 q
-      in
-      Some (meth, path)
-    | _ -> None)
+  let line =
+    match String.index_opt raw '\n' with
+    | None -> raw
+    | Some eol -> String.sub raw 0 eol
+  in
+  match String.split_on_char ' ' (String.trim line) with
+  | [ meth; target; _version ] ->
+    (* Strip any query string: routes key on the path alone. *)
+    let path =
+      match String.index_opt target '?' with
+      | None -> target
+      | Some q -> String.sub target 0 q
+    in
+    Some (meth, path)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Incremental request parser                                           *)

@@ -39,21 +39,3 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose_weighted g w =
-  let n = Array.length w in
-  if n = 0 then invalid_arg "Rng.choose_weighted: empty weights";
-  let total = ref 0.0 in
-  for i = 0 to n - 1 do
-    if w.(i) < 0.0 then invalid_arg "Rng.choose_weighted: negative weight";
-    total := !total +. w.(i)
-  done;
-  if !total <= 0.0 then invalid_arg "Rng.choose_weighted: zero total weight";
-  let x = float g *. !total in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if x < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0

@@ -50,9 +50,3 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose_weighted : t -> float array -> int
-(** [choose_weighted g w] returns index [i] with probability
-    [w.(i) /. sum w].  Weights must be non-negative with a positive sum.
-    Linear scan; intended for small [n] (the dispatcher uses its own
-    alias-free cumulative table for hot paths). *)

@@ -92,11 +92,24 @@ let fig2_fractions_paper () =
     (Array.fold_left ( +. ) 0.0 E.Fig2.fractions);
   Alcotest.(check int) "eight computers" 8 (Array.length E.Fig2.fractions)
 
+(* [study] with each cell's columns cut to the named schedulers. *)
+let only names (study : E.Sweep.study) =
+  {
+    study with
+    cell =
+      (fun ~scale x ->
+        let c = study.cell ~scale x in
+        {
+          c with
+          schedulers = List.filter (fun (n, _) -> List.mem n names) c.schedulers;
+        });
+  }
+
+let static_four = only [ "WRAN"; "ORAN"; "WRR"; "ORR" ]
+
 let fig3_structure_and_ordering () =
-  let rows =
-    E.Fig3.run ~scale:tiny ~fast_speeds:[ 1.0; 16.0 ]
-      ~schedulers:E.Schedulers.static_four ()
-  in
+  let study = static_four { E.Studies.fig3 with xs = [ 1.0; 16.0 ] } in
+  let rows = E.Sweep.run ~scale:tiny study in
   Alcotest.(check int) "two x values" 2 (List.length rows);
   List.iter
     (fun (_, points) -> Alcotest.(check int) "four schedulers" 4 (List.length points))
@@ -115,14 +128,14 @@ let fig3_structure_and_ordering () =
     true
     (ratio "ORAN" < ratio "WRAN");
   (* three metric panels *)
-  Alcotest.(check int) "three sweeps" 3 (List.length (E.Fig3.sweeps rows))
+  Alcotest.(check int) "three sweeps" 3 (List.length (E.Sweep.sweeps study rows))
 
 let fig3_homogeneous_allocations_coincide () =
   (* In the homogeneous case (fast = slow = 1) optimized and weighted
      produce identical fractions, so ORR = WRR exactly under common random
      numbers. *)
   let rows =
-    E.Fig3.run ~scale:tiny ~fast_speeds:[ 1.0 ] ~schedulers:E.Schedulers.static_four ()
+    E.Sweep.run ~scale:tiny (static_four { E.Studies.fig3 with xs = [ 1.0 ] })
   in
   let points = List.assoc 1.0 rows in
   let mean name =
@@ -132,18 +145,29 @@ let fig3_homogeneous_allocations_coincide () =
   check_float ~eps:1e-9 "ORAN = WRAN when homogeneous" (mean "WRAN") (mean "ORAN")
 
 let fig4_structure () =
-  let rows =
-    E.Fig4.run ~scale:tiny ~sizes:[ 2; 6 ] ~schedulers:E.Schedulers.static_four ()
-  in
+  let study = static_four { E.Studies.fig4 with xs = [ 2.0; 6.0 ] } in
+  let rows = E.Sweep.run ~scale:tiny study in
   Alcotest.(check int) "two sizes" 2 (List.length rows);
-  Alcotest.check_raises "odd size rejected"
-    (Invalid_argument "Fig4.run: sizes must be even and >= 2") (fun () ->
-      ignore (E.Fig4.run ~scale:tiny ~sizes:[ 3 ] ()));
-  Alcotest.(check int) "two panels" 2 (List.length (E.Fig4.sweeps rows))
+  List.iter
+    (fun (n, points) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%g computers" n)
+        (int_of_float n)
+        (Array.length (E.Studies.fig4.cell ~scale:tiny n).speeds);
+      Alcotest.(check int) "four schedulers" 4 (List.length points))
+    rows;
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "size %g rejected" n)
+        (Invalid_argument "Studies.fig4: computer counts must be even and >= 2")
+        (fun () -> ignore (E.Sweep.run ~scale:tiny { E.Studies.fig4 with xs = [ n ] })))
+    [ 3.0; 0.0; 2.5 ];
+  Alcotest.(check int) "two panels" 2 (List.length (E.Sweep.sweeps study rows))
 
 let fig5_low_load_favours_optimized () =
   let rows =
-    E.Fig5.run ~scale:tiny ~utilizations:[ 0.3 ] ~schedulers:E.Schedulers.static_four ()
+    E.Sweep.run ~scale:tiny (static_four { E.Studies.fig5 with xs = [ 0.3 ] })
   in
   let points = List.assoc 0.3 rows in
   let ratio name =
@@ -156,10 +180,12 @@ let fig5_low_load_favours_optimized () =
 
 let fig6_overestimation_mild () =
   let rows =
-    E.Fig6.run ~scale:tiny ~utilizations:[ 0.6 ] ~errors:[ 0.10 ] ()
+    E.Sweep.run ~scale:tiny
+      (only [ "ORR"; "ORR(+10%)"; "WRR" ] { E.Studies.fig6_over with xs = [ 0.6 ] })
   in
   let points = List.assoc 0.6 rows in
-  Alcotest.(check int) "ORR, ORR(+10%), WRR" 3 (List.length points);
+  Alcotest.(check (list string)) "ORR, ORR(+10%), WRR" [ "ORR"; "ORR(+10%)"; "WRR" ]
+    (List.map fst points);
   let ratio name =
     (List.assoc name points).Runner.mean_response_ratio.Statsched_stats.Confidence.mean
   in

@@ -325,7 +325,8 @@ let breakdown_theory_edge_cases () =
 
 let ext_faults_structure () =
   let tiny = { E.Config.horizon = 20_000.0; warmup = 5_000.0; reps = 2 } in
-  let rows = E.Ext_faults.run ~scale:tiny ~mtbfs:[ 500.0; 50_000.0 ] () in
+  let study = { E.Studies.ext_faults with xs = [ 500.0; 50_000.0 ] } in
+  let rows = E.Sweep.run ~scale:tiny study in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
     (fun (_, points) ->
@@ -343,8 +344,15 @@ let ext_faults_structure () =
   in
   Alcotest.(check bool) "rarer failures -> higher availability" true
     (avail 50_000.0 > avail 500.0);
-  let report = E.Ext_faults.to_report rows in
-  Alcotest.(check bool) "report renders" true (String.length report > 200)
+  let report =
+    E.Sweep.to_report study rows ^ "\n" ^ E.Studies.availability_table rows
+  in
+  Alcotest.(check bool) "report renders" true (String.length report > 200);
+  Alcotest.(check int) "one availability line per MTBF" 2
+    (List.length
+       (List.filter
+          (String.starts_with ~prefix:"  MTBF")
+          (String.split_on_char '\n' (E.Studies.availability_table rows))))
 
 let suite =
   [

@@ -1100,6 +1100,46 @@ let crossval_roundtrip () =
   Sys.remove path;
   Unix.rmdir dir
 
+(* A request without header lines ends its request line with the
+   terminator itself: it parses, and the daemon routes it. *)
+let http_headerless_request () =
+  List.iter
+    (fun (raw, meth, path) ->
+      Alcotest.(check bool) (String.escaped raw) true
+        (Http.Testing.(feed (parser ()) raw)
+        = Some (Ok { Http.meth; path; body = "" })))
+    [
+      ("GET /nope HTTP/1.1\r\n\r\n", "GET", "/nope");
+      ("GET /healthz HTTP/1.0\r\n\r\n", "GET", "/healthz");
+      ("GET /state?x=1 HTTP/1.0\r\n\r\n", "GET", "/state");
+    ];
+  Alcotest.(check bool) "a bare word is still a 400" true
+    (Http.Testing.(feed (parser ()) "nonsense\r\n\r\n")
+    = Some (Error (Http.text ~status:400 "bad request\n")));
+  let daemon =
+    let speeds = [| 1.0 |] in
+    Cluster.Daemon.create
+      (Simulation.default_config ~horizon:1.0e9 ~warmup:0.0 ~seed:5L ~speeds
+         ~workload:(Workload.paper_default ~rho:0.5 ~speeds)
+         ~scheduler:(Scheduler.static Core.Policy.orr) ())
+  in
+  let server =
+    Http.serve_requests ~port:0 ~read_timeout:1.0
+      (Cluster.Daemon.handle_request daemon)
+  in
+  let port = Http.port server in
+  Fun.protect
+    ~finally:(fun () -> Http.stop server)
+    (fun () ->
+      let text = "text/plain; charset=utf-8" in
+      Alcotest.(check string) "GET /nope, no headers"
+        (wire_reply ~status:"404" ~reason:"Not Found" ~content_type:text
+           "not found\n")
+        (wire_exchange ~port "GET /nope HTTP/1.1\r\n\r\n");
+      Alcotest.(check string) "HTTP/1.0 GET /healthz, no headers"
+        (wire_reply ~status:"200" ~reason:"OK" ~content_type:text "ok\n")
+        (wire_exchange ~port "GET /healthz HTTP/1.0\r\n\r\n"))
+
 let suite =
   [
     test "journal: bounded capacity, systematic sampling" journal_bounded_sampling;
@@ -1137,4 +1177,6 @@ let suite =
     slow_test "crossval: journal agrees with collector in process"
       crossval_roundtrip;
     test "http: exact wire bytes of every status, then EOF" http_wire_bytes;
+    test "http: a request without header lines parses and is routed"
+      http_headerless_request;
   ]

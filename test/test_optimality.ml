@@ -363,24 +363,30 @@ let ext_sizes_structure () =
   Alcotest.(check bool) "report renders" true
     (String.length (E.Ext_sizes.to_report rows) > 0)
 
+(* Ext-burstiness with WRR as its only column. *)
+let burstiness_wrr xs =
+  {
+    E.Studies.ext_burstiness with
+    xs;
+    cell =
+      (fun ~scale x ->
+        {
+          (E.Studies.ext_burstiness.cell ~scale x) with
+          schedulers = [ ("WRR", Cluster.Scheduler.static Core.Policy.wrr) ];
+        });
+  }
+
 let ext_burstiness_structure () =
-  let rows =
-    E.Ext_burstiness.run ~scale:tiny ~cvs:[ 1.0; 3.0 ]
-      ~schedulers:[ ("WRR", Cluster.Scheduler.static Core.Policy.wrr) ]
-      ()
-  in
+  let study = burstiness_wrr [ 1.0; 3.0 ] in
+  let rows = E.Sweep.run ~scale:tiny study in
   Alcotest.(check int) "two cv rows" 2 (List.length rows);
-  Alcotest.(check int) "two sweeps" 2 (List.length (E.Ext_burstiness.sweeps rows))
+  Alcotest.(check int) "two sweeps" 2 (List.length (E.Sweep.sweeps study rows))
 
 let ext_burstiness_monotone () =
   (* More bursty arrivals hurt: WRR's response ratio at CV 5 must exceed
      its value at CV 0.5. *)
   let scale = { E.Config.horizon = 60_000.0; warmup = 15_000.0; reps = 2 } in
-  let rows =
-    E.Ext_burstiness.run ~scale ~cvs:[ 0.5; 5.0 ]
-      ~schedulers:[ ("WRR", Cluster.Scheduler.static Core.Policy.wrr) ]
-      ()
-  in
+  let rows = E.Sweep.run ~scale (burstiness_wrr [ 0.5; 5.0 ]) in
   let ratio cv =
     let points = List.assoc cv rows in
     (List.assoc "WRR" points).E.Runner.mean_response_ratio
@@ -429,16 +435,32 @@ let suite =
   ]
 
 let ext_convergence_structure () =
-  let rows =
-    E.Ext_convergence.run ~reps:2 ~horizons:[ 10_000.0; 20_000.0 ] ~rho:0.7 ()
+  (* Two short horizons at rho = 0.7 instead of the study's 0.9. *)
+  let study =
+    {
+      E.Studies.ext_convergence with
+      xs = [ 10_000.0; 20_000.0 ];
+      cell =
+        (fun ~scale x ->
+          let c = E.Studies.ext_convergence.cell ~scale x in
+          {
+            c with
+            workload = Cluster.Workload.paper_default ~rho:0.7 ~speeds:c.speeds;
+          });
+    }
   in
+  let rows = E.Sweep.run ~scale:{ E.Config.quick with reps = 2 } study in
   Alcotest.(check int) "two horizons" 2 (List.length rows);
   List.iter
     (fun (_, points) ->
       Alcotest.(check int) "three schedulers" 3 (List.length points))
     rows;
+  let c = study.cell ~scale:E.Config.quick 20_000.0 in
+  check_float "horizon from the grid" 20_000.0 c.scale.horizon;
+  check_float "warm-up = horizon / 4" 5_000.0 c.scale.warmup;
+  Alcotest.(check int) "reps from the command line" E.Config.quick.reps c.scale.reps;
   Alcotest.(check bool) "report renders" true
-    (String.length (E.Ext_convergence.to_report rows) > 0)
+    (String.length (E.Sweep.to_report study rows) > 0)
 
 let convergence_suite =
   [ slow_test "ext convergence: structure" ext_convergence_structure ]

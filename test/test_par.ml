@@ -193,13 +193,20 @@ let check_result msg (a : Cluster.Simulation.result) (b : Cluster.Simulation.res
     (Hdr.count a.Cluster.Simulation.response_ratio_histogram)
     (Hdr.count b.Cluster.Simulation.response_ratio_histogram)
 
+(* Exponential transient degradation to [factor] of nominal speed. *)
+let slowdowns ~mtbf ~mttr ~factor =
+  Cluster.Fault.process ~degrade:factor
+    ~uptime:(Statsched_dist.Exponential.of_mean mtbf)
+    ~downtime:(Statsched_dist.Exponential.of_mean mttr)
+    ()
+
 (* >= 4 scheduler/fault combos crossed with queueing disciplines, as
    the acceptance criterion demands. *)
 let combos =
   let crash_plan = Cluster.Fault.plan [ Cluster.Fault.crashes ~mtbf:2_000.0 ~mttr:150.0 () ] in
   let slow_plan =
     Cluster.Fault.plan ~on_failure:Cluster.Fault.Drop ~reaction:Cluster.Fault.Oblivious
-      [ Cluster.Fault.slowdowns ~mtbf:1_500.0 ~mttr:200.0 ~factor:0.25 () ]
+      [ slowdowns ~mtbf:1_500.0 ~mttr:200.0 ~factor:0.25 ]
   in
   [
     ("ORR/Ps/reliable", Cluster.Scheduler.static Core.Policy.orr, Cluster.Simulation.Ps, None);
@@ -337,7 +344,7 @@ let prop_random_spec_deterministic =
             Some (Cluster.Fault.plan [ Cluster.Fault.crashes ~mtbf:1_000.0 ~mttr:100.0 () ]);
             Some
               (Cluster.Fault.plan ~on_failure:Cluster.Fault.Drop
-                 [ Cluster.Fault.slowdowns ~mtbf:900.0 ~mttr:120.0 ~factor:0.5 () ]);
+                 [ slowdowns ~mtbf:900.0 ~mttr:120.0 ~factor:0.5 ]);
           ]
       in
       return (speeds, rho, scheduler, discipline, faults))

@@ -188,38 +188,6 @@ let rng_shuffle_uniform_first () =
       Alcotest.(check bool) "roughly uniform" true (abs (c - (n / 3)) < n / 30))
     counts
 
-let rng_choose_weighted () =
-  let g = rng () in
-  let w = [| 1.0; 3.0; 6.0 |] in
-  let counts = Array.make 3 0 in
-  let n = 60_000 in
-  for _ = 1 to n do
-    let i = Rng.choose_weighted g w in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_close ~rel:0.05 "weight 0.1" 0.1 (float_of_int counts.(0) /. float_of_int n);
-  check_close ~rel:0.05 "weight 0.3" 0.3 (float_of_int counts.(1) /. float_of_int n);
-  check_close ~rel:0.05 "weight 0.6" 0.6 (float_of_int counts.(2) /. float_of_int n)
-
-let rng_choose_weighted_errors () =
-  let g = rng () in
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.choose_weighted: empty weights")
-    (fun () -> ignore (Rng.choose_weighted g [||]));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Rng.choose_weighted: negative weight") (fun () ->
-      ignore (Rng.choose_weighted g [| 1.0; -0.5 |]));
-  Alcotest.check_raises "zero total"
-    (Invalid_argument "Rng.choose_weighted: zero total weight") (fun () ->
-      ignore (Rng.choose_weighted g [| 0.0; 0.0 |]))
-
-let rng_zero_weight_never_chosen () =
-  let g = rng () in
-  let w = [| 0.0; 1.0; 0.0; 2.0 |] in
-  for _ = 1 to 5000 do
-    let i = Rng.choose_weighted g w in
-    Alcotest.(check bool) "only live indices" true (i = 1 || i = 3)
-  done
-
 let prop_float_in_unit =
   qcheck "float stays in [0,1) for any seed"
     QCheck2.Gen.(int64)
@@ -263,9 +231,6 @@ let suite =
     test "rng: split independence" rng_split_independence;
     test "rng: shuffle is a permutation" rng_shuffle_permutation;
     test "rng: shuffle first element uniform" rng_shuffle_uniform_first;
-    test "rng: choose_weighted frequencies" rng_choose_weighted;
-    test "rng: choose_weighted errors" rng_choose_weighted_errors;
-    test "rng: zero weights never chosen" rng_zero_weight_never_chosen;
     prop_float_in_unit;
     prop_int_in_range;
   ]

@@ -86,24 +86,6 @@ let sita_select_clamps () =
   Alcotest.(check int) "tiny size -> first band's computer" (Sita.assignment t).(0) lo;
   Alcotest.(check int) "huge size -> last band's computer" (Sita.assignment t).(2) hi
 
-let sita_empirical_matches_analytic () =
-  (* Cutoffs built from a large sample should be close to the analytic
-     ones. *)
-  let g = rng () in
-  let samples = Array.init 200_000 (fun _ -> Bp.sample prm g) in
-  let speeds = [| 1.0; 1.0 |] in
-  let analytic = Sita.build_bounded_pareto prm ~speeds ~small_to:`Fast in
-  let empirical = Sita.build_empirical ~samples ~speeds ~small_to:`Fast in
-  let ca = (Sita.cutoffs analytic).(0) and ce = (Sita.cutoffs empirical).(0) in
-  check_close ~rel:0.15 "empirical cutoff near analytic" ca ce
-
-let sita_empirical_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Sita.build_empirical: empty sample")
-    (fun () -> ignore (Sita.build_empirical ~samples:[||] ~speeds:[| 1.0 |] ~small_to:`Fast));
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Sita.build_empirical: non-positive size") (fun () ->
-      ignore (Sita.build_empirical ~samples:[| 1.0; 0.0 |] ~speeds:[| 1.0 |] ~small_to:`Fast))
-
 let sita_simulation_balances_load () =
   (* End to end: under SITA-E every computer's utilisation approaches the
      offered rho (the equal-load property realised). *)
@@ -169,8 +151,6 @@ let suite =
     test "sita: band ordering by policy" sita_band_ordering;
     test "sita: cutoffs monotone inside support" sita_cutoffs_monotone;
     test "sita: selection clamps to extreme bands" sita_select_clamps;
-    slow_test "sita: empirical cutoffs near analytic" sita_empirical_matches_analytic;
-    test "sita: empirical validation" sita_empirical_validation;
     slow_test "sita: simulated utilisations equalised" sita_simulation_balances_load;
     slow_test "sita: beats WRAN under FCFS hosts" sita_beats_wran_under_fcfs;
     test "sita: scheduler naming" sita_scheduler_name;
