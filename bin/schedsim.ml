@@ -640,40 +640,6 @@ let run_cmd =
           (Bounded-Pareto sizes, bursty arrivals).")
     term
 
-let compare_cmd =
-  let run speeds rho seed scale jobs =
-    try
-      let workload = Cluster.Workload.paper_default ~rho ~speeds in
-      let points =
-        E.Sweep.over_schedulers ~seed ?jobs ~scale
-          ~schedulers:E.Schedulers.with_least_load ~speeds ~workload ()
-      in
-      print_string
-        (E.Report.render
-           ~header:
-             [ "scheduler"; "mean resp. time"; "mean resp. ratio"; "fairness";
-               "median ratio"; "p99 ratio" ]
-           ~rows:
-             (List.map
-                (fun (name, p) ->
-                  [
-                    E.Report.Text name;
-                    E.Report.Interval p.E.Runner.mean_response_time;
-                    E.Report.Interval p.E.Runner.mean_response_ratio;
-                    E.Report.Interval p.E.Runner.fairness;
-                    E.Report.Float p.E.Runner.median_ratio;
-                    E.Report.Float p.E.Runner.p99_ratio;
-                  ])
-                points));
-      `Ok ()
-    with Invalid_argument m -> `Error (false, m)
-  in
-  let term = Term.(ret (const run $ speeds_t $ rho_t $ seed_t $ scale_t $ jobs_t)) in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:"Simulate all five schedulers (WRAN/ORAN/WRR/ORR/Least-Load) on one cluster.")
-    term
-
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
 
@@ -716,6 +682,27 @@ let sweep_study ?csv banner sweeps ({ scale; seed; jobs; _ } as st) =
           write_csv st (Printf.sprintf "%s-%d.csv" name i) (E.Report.sweep_to_csv panel))
         panels)
     csv
+
+(* A comparison-table entry: the banner, if any, then [table] measured
+   and printed. *)
+let table_study ?banner table { scale; seed; jobs; _ } =
+  Option.iter E.Report.print_section banner;
+  print_string
+    (E.Sweep.table_to_report table (E.Sweep.run_table ~scale ~seed ?jobs table))
+
+let compare_cmd =
+  let run speeds rho seed scale jobs =
+    try
+      table_study (E.Studies.compare ~speeds ~rho)
+        { scale; seed; jobs; csv_dir = None };
+      `Ok ()
+    with Invalid_argument m -> `Error (false, m)
+  in
+  let term = Term.(ret (const run $ speeds_t $ rho_t $ seed_t $ scale_t $ jobs_t)) in
+  Cmd.v
+    (Cmd.info "compare"
+       ~doc:"Simulate all five schedulers (WRAN/ORAN/WRR/ORR/Least-Load) on one cluster.")
+    term
 
 (* Every reproduction study, in the order the vocabulary lists them.
    Each prints its section banner before it starts computing. *)
@@ -764,9 +751,8 @@ let studies =
       sweep_study ~csv:"ext-burstiness" "Extension: arrival burstiness"
         [ E.Studies.ext_burstiness ] );
     ( "ext-sizes",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section "Extension: size-distribution sensitivity";
-        print_string (E.Ext_sizes.to_report (E.Ext_sizes.run ~scale ~seed ?jobs ())) );
+      table_study ~banner:"Extension: size-distribution sensitivity" E.Studies.ext_sizes
+    );
     ( "ext-faults",
       fun { scale; seed; jobs; _ } ->
         E.Report.print_section "Extension: fault injection";
@@ -780,21 +766,17 @@ let studies =
         "Extension: load-information staleness (when does ORR beat polling?)"
         [ E.Studies.ext_staleness ] );
     ( "ext-partial-information",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section
-          "Extension: partial-information dynamic baselines (Table 3, rho=0.7)";
-        print_string
-          (E.Studies.partial_information_report
-             (E.Studies.partial_information ~seed ?jobs ~scale ())) );
+      table_study
+        ~banner:"Extension: partial-information dynamic baselines (Table 3, rho=0.7)"
+        E.Studies.partial_information );
     ( "ext-diurnal",
       sweep_study "Extension: diurnal (non-stationary) load" [ E.Studies.ext_diurnal ] );
     ( "ext-adaptive",
       sweep_study "Extension: self-tuning ORR (online load estimation, Table 3)"
         [ E.Studies.ext_adaptive ] );
     ( "ext-sita",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section "Extension: size-aware SITA-E vs size-blind policies";
-        print_string (E.Ext_sita.to_report (E.Ext_sita.run ~scale ~seed ?jobs ())) );
+      table_study ~banner:"Extension: size-aware SITA-E vs size-blind policies"
+        E.Studies.ext_sita );
     ( "ext-convergence",
       sweep_study "Extension: convergence with run length" [ E.Studies.ext_convergence ]
     );
@@ -817,26 +799,18 @@ let studies =
       fun { seed; _ } ->
         E.Report.print_section "Ablation: Algorithm 2 design choices";
         print_string
-          (E.Ablations.dispatch_smoothness_report
-             (E.Ablations.dispatch_smoothness ~seed ())) );
+          (E.Fig2.dispatch_smoothness_report (E.Fig2.dispatch_smoothness ~seed ())) );
     ( "ablation-end-to-end",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section "Ablation: end-to-end scheduler variants";
-        print_string
-          (E.Ablations.end_to_end_report
-             (E.Ablations.end_to_end ~seed ?jobs ~scale ())) );
+      table_study ~banner:"Ablation: end-to-end scheduler variants"
+        E.Studies.ablation_end_to_end );
     ( "ablation-disciplines",
-      fun { scale; seed; jobs; _ } ->
-        E.Report.print_section "Ablation: service disciplines";
-        print_string
-          (E.Ablations.disciplines_report
-             (E.Ablations.disciplines ~seed ?jobs ~scale ())) );
+      table_study ~banner:"Ablation: service disciplines" E.Studies.ablation_disciplines
+    );
     ( "ablation-intervals",
       fun { seed; _ } ->
         E.Report.print_section "Ablation: deviation metric vs interval length";
         print_string
-          (E.Ablations.interval_lengths_report
-             (E.Ablations.interval_lengths ~seed ())) );
+          (E.Fig2.interval_lengths_report (E.Fig2.interval_lengths ~seed ())) );
   ]
 
 (* The studies [all] runs, in list order. *)

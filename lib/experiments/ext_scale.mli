@@ -62,9 +62,6 @@ val run :
     @raise Invalid_argument if [d < 1], any [n < 1] or
     [jobs_target < 1]. *)
 
-val cells_at : t -> int -> cell list
-(** The cells of one cluster size, in policy order. *)
-
 val to_csv : t -> string
 (** One row per cell via {!Report.render_csv} (so a policy name with a
     comma, such as [JSQ(d=2,uniform)], is quoted); header

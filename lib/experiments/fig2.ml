@@ -75,3 +75,76 @@ let to_report r =
   let table = render ~header:[ "interval"; "round-robin"; "random" ] ~rows in
   Format.asprintf "%s\nround-robin: %a\nrandom:      %a\n" table
     Stats.Summary.pp r.round_robin_summary Stats.Summary.pp r.random_summary
+
+(* ------------------------------------------------------------------ *)
+(* Deviation studies of Algorithm 2                                    *)
+
+let mean_deviation ~seed ?interval_length ?n_intervals dispatcher =
+  (Stats.Summary.of_array
+     (run_dispatcher ~seed ?interval_length ?n_intervals dispatcher))
+    .Stats.Summary.mean
+
+type dispatch_row = {
+  dispatcher : string;
+  mean_deviation : float;
+}
+
+let dispatch_smoothness ?(seed = Config.default_seed) () =
+  List.map
+    (fun (dispatcher, make) ->
+      { dispatcher; mean_deviation = mean_deviation ~seed (make fractions) })
+    [
+      ("Algorithm 2 (paper)", Core.Dispatch.round_robin);
+      ("no first-assignment guard", Core.Dispatch.round_robin_no_guard);
+      ("index tie-breaking", Core.Dispatch.round_robin_index_ties);
+      ("smooth WRR (nginx)", Core.Dispatch.smooth_weighted);
+      ("golden-ratio quasi-random", Core.Dispatch.golden_ratio);
+      ( "random",
+        fun f -> Core.Dispatch.random ~rng:(Rng.create ~seed:(Int64.add seed 11L) ()) f );
+      ( "random (alias method)",
+        fun f ->
+          Core.Dispatch.random_alias ~rng:(Rng.create ~seed:(Int64.add seed 12L) ()) f );
+    ]
+
+let dispatch_smoothness_report rows =
+  Report.render
+    ~header:[ "dispatcher"; "mean interval deviation" ]
+    ~rows:
+      (List.map
+         (fun r -> [ Report.Text r.dispatcher; Report.Float r.mean_deviation ])
+         rows)
+
+type interval_row = {
+  interval_length : float;
+  round_robin_deviation : float;
+  random_deviation : float;
+}
+
+let interval_lengths ?(seed = Config.default_seed) () =
+  List.map
+    (fun interval_length ->
+      let n_intervals = int_of_float (3600.0 /. interval_length) in
+      let dev = mean_deviation ~seed ~interval_length ~n_intervals in
+      {
+        interval_length;
+        round_robin_deviation = dev (Core.Dispatch.round_robin fractions);
+        random_deviation =
+          dev
+            (Core.Dispatch.random
+               ~rng:(Rng.create ~seed:(Int64.add seed 13L) ())
+               fractions);
+      })
+    [ 30.0; 60.0; 120.0; 240.0; 480.0 ]
+
+let interval_lengths_report rows =
+  Report.render
+    ~header:[ "interval (s)"; "round-robin"; "random" ]
+    ~rows:
+      (List.map
+         (fun r ->
+           [
+             Report.Float r.interval_length;
+             Report.Float r.round_robin_deviation;
+             Report.Float r.random_deviation;
+           ])
+         rows)

@@ -38,7 +38,37 @@ val run_dispatcher :
   ?arrival_cv:float ->
   Statsched_core.Dispatch.t ->
   float array
-(** Deviations of an arbitrary dispatcher under the same arrival stream —
-    the ablation benches reuse this. *)
+(** Deviations of an arbitrary dispatcher under the same arrival stream. *)
 
 val to_report : result -> string
+
+(** {1 Deviation studies of Algorithm 2}
+
+    Two ablations of its design choices, each measured as the mean
+    Figure 2 deviation over {!run_dispatcher}'s arrival stream. *)
+
+type dispatch_row = {
+  dispatcher : string;
+  mean_deviation : float;  (** Figure 2-style interval deviation *)
+}
+
+val dispatch_smoothness : ?seed:int64 -> unit -> dispatch_row list
+(** Algorithm 2 against its variants (no first-assignment guard, index
+    tie-breaking), smooth WRR, golden-ratio quasi-random, and random, all
+    on the Figure 2 fraction set and arrival stream.  Sorted as listed —
+    not by result. *)
+
+val dispatch_smoothness_report : dispatch_row list -> string
+
+type interval_row = {
+  interval_length : float;
+  round_robin_deviation : float;
+  random_deviation : float;
+}
+
+val interval_lengths : ?seed:int64 -> unit -> interval_row list
+(** Sensitivity of the Figure 2 deviation metric to the measurement
+    interval length (the paper uses 120 s), over one hour of
+    arrivals. *)
+
+val interval_lengths_report : interval_row list -> string

@@ -20,11 +20,3 @@ let dispatch_ablations =
     custom "O-smoothWRR" (fun ~rho ~speeds ~rng:_ ->
         Core.Dispatch.smooth_weighted (Core.Allocation.optimized ~rho speeds));
   ]
-
-let allocation_ablations =
-  [
-    ("ORR", Cluster.Scheduler.Static Core.Policy.orr);
-    custom "ORR/naive-clamp" (fun ~rho ~speeds ~rng:_ ->
-        Core.Dispatch.round_robin (Core.Allocation.optimized_naive_clamp ~rho speeds));
-    ("WRR", Cluster.Scheduler.Static Core.Policy.wrr);
-  ]

@@ -10,7 +10,3 @@ val dispatch_ablations : (string * Statsched_cluster.Scheduler.kind) list
 (** ORR against its dispatching ablations: no-guard round-robin,
     index-tie round-robin and smooth WRR, all over the optimized
     allocation. *)
-
-val allocation_ablations : (string * Statsched_cluster.Scheduler.kind) list
-(** ORR against the naive-clamp allocation ablation (Theorem 2 skipped)
-    and WRR, all with round-robin dispatching. *)

@@ -1,5 +1,6 @@
 module Cluster = Statsched_cluster
 module Core = Statsched_core
+module Dist = Statsched_dist
 module Scheduler = Cluster.Scheduler
 
 let orr = ("ORR", Scheduler.Static Core.Policy.orr)
@@ -9,7 +10,14 @@ let wrr = ("WRR", Scheduler.Static Core.Policy.wrr)
 let least_load = ("LeastLoad", Scheduler.least_load_paper)
 
 let cell ~scale ~speeds ~workload schedulers =
-  { Sweep.speeds; workload; faults = None; schedulers; scale }
+  {
+    Sweep.speeds;
+    workload;
+    faults = None;
+    discipline = Cluster.Simulation.Ps;
+    schedulers;
+    scale;
+  }
 
 (* The Table 3 cluster under the paper's workload at utilisation [rho]. *)
 let table3 ~scale ~rho schedulers =
@@ -152,35 +160,6 @@ let ext_staleness =
           ]);
   }
 
-let partial_information ?seed ?jobs ~scale () =
-  let c =
-    table3 ~scale ~rho:Config.base_utilization
-      [
-        orr;
-        ("LeastLoad(d=2)", Scheduler.two_choices ~d:2 ());
-        ("LeastLoad(d=4)", Scheduler.two_choices ~d:4 ());
-        least_load;
-      ]
-  in
-  Sweep.over_schedulers ?seed ?jobs ~scale ~schedulers:c.schedulers ~speeds:c.speeds
-    ~workload:c.workload ()
-
-let partial_information_report points =
-  Report.render
-    ~header:[ "scheduler"; "mean response ratio"; "fairness" ]
-    ~rows:
-      (List.map
-         (fun (name, p) ->
-           [
-             Report.Text name;
-             Report.Interval p.Runner.mean_response_ratio;
-             Report.Interval p.Runner.fairness;
-           ])
-         points)
-  ^ "Note: JSQ(d) probes d random computers per decision; with heterogeneous\n\
-     speeds it can probe only slow machines, so it needs d well above 2 to\n\
-     approach full Least-Load — ORR gets most of the way with zero probes.\n"
-
 let ext_diurnal =
   let day_length = 86_400.0 in
   {
@@ -234,4 +213,189 @@ let ext_convergence =
         table3
           ~scale:{ scale with Config.horizon; warmup = horizon /. 4.0 }
           ~rho:0.9 [ orr; wrr; least_load ]);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Comparison tables                                                   *)
+
+(* One row per scheduler of [c], labelled with its name. *)
+let per_scheduler (c : Sweep.cell) =
+  List.map
+    (fun s -> ([ Report.Text (fst s) ], { c with schedulers = [ s ] }))
+    c.schedulers
+
+let ratio_and_fairness = [ "scheduler"; "mean response ratio"; "fairness" ]
+
+let partial_information =
+  {
+    Sweep.preamble = "";
+    header = ratio_and_fairness;
+    metrics = [ `Ratio; `Fairness ];
+    rows =
+      (fun ~scale ->
+        per_scheduler
+          (table3 ~scale ~rho:Config.base_utilization
+             [
+               orr;
+               ("LeastLoad(d=2)", Scheduler.two_choices ~d:2 ());
+               ("LeastLoad(d=4)", Scheduler.two_choices ~d:4 ());
+               least_load;
+             ]));
+    note =
+      "Note: JSQ(d) probes d random computers per decision; with heterogeneous\n\
+       speeds it can probe only slow machines, so it needs d well above 2 to\n\
+       approach full Least-Load — ORR gets most of the way with zero probes.\n";
+  }
+
+let size_mean = 76.8
+
+(* The Bounded Pareto of mean [mean] for fixed [p] and [alpha], found by
+   bisection on its lower bound k (the mean is increasing in k). *)
+let bp_with_mean ~p ~alpha ~mean =
+  let mean_of k =
+    Dist.Bounded_pareto.raw_moment { Dist.Bounded_pareto.k; p; alpha } 1
+  in
+  let lo = ref 1e-6 and hi = ref p in
+  for _ = 1 to 200 do
+    let mid = 0.5 *. (!lo +. !hi) in
+    if mean_of mid < mean then lo := mid else hi := mid
+  done;
+  Dist.Bounded_pareto.create { Dist.Bounded_pareto.k = !lo; p; alpha }
+
+let ext_sizes =
+  let schedulers = [ orr; wrr ] in
+  {
+    Sweep.preamble =
+      "Extension: job-size distribution sensitivity (same mean 76.8 s)\n";
+    header =
+      "size distribution" :: "size CV"
+      :: List.concat_map
+           (fun (s, _) -> [ s ^ " resp. time"; s ^ " resp. ratio" ])
+           schedulers;
+    metrics = [ `Time; `Ratio ];
+    rows =
+      (fun ~scale ->
+        let speeds = Core.Speeds.table3 in
+        List.map
+          (fun (label, size) ->
+            ( [ Report.Text label; Report.Float (Dist.Distribution.cv size) ],
+              cell ~scale ~speeds
+                ~workload:
+                  (Cluster.Workload.with_size ~rho:Config.base_utilization ~size speeds)
+                schedulers ))
+          [
+            ("deterministic", Dist.Deterministic.create size_mean);
+            ("erlang-4", Dist.Erlang.of_mean_cv ~mean:size_mean ~cv:0.5);
+            ("exponential", Dist.Exponential.of_mean size_mean);
+            ("lognormal cv=2", Dist.Lognormal.of_mean_cv ~mean:size_mean ~cv:2.0);
+            ("weibull k=0.5", Dist.Weibull.create ~shape:0.5 ~scale:(size_mean /. 2.0));
+            ("BP alpha=1.5", bp_with_mean ~p:21600.0 ~alpha:1.5 ~mean:size_mean);
+            ("BP paper", Dist.Bounded_pareto.create_paper_default ());
+          ]);
+    note = "";
+  }
+
+let ext_sita =
+  let schedulers =
+    [
+      ("WRAN", Scheduler.Static Core.Policy.wran);
+      orr;
+      ("SITA-E/fast", Scheduler.sita_paper ~small_to:`Fast ());
+      ("SITA-E/slow", Scheduler.sita_paper ~small_to:`Slow ());
+      least_load;
+    ]
+  in
+  {
+    Sweep.preamble =
+      "Extension: size-aware SITA-E vs size-blind policies (mean response ratio)\n";
+    header = "discipline" :: List.map fst schedulers;
+    metrics = [ `Ratio ];
+    rows =
+      (fun ~scale ->
+        let c = table3 ~scale ~rho:Config.base_utilization schedulers in
+        List.map
+          (fun (label, discipline) -> ([ Report.Text label ], { c with discipline }))
+          [ ("PS", Cluster.Simulation.Ps); ("FCFS", Cluster.Simulation.Fcfs) ]);
+    note = "";
+  }
+
+let ablation_end_to_end =
+  let naive_clamp =
+    let label = "ORR/naive-clamp" in
+    ( label,
+      Scheduler.Static_custom
+        {
+          label;
+          make =
+            (fun ~rho ~speeds ~rng:_ ->
+              Core.Dispatch.round_robin
+                (Core.Allocation.optimized_naive_clamp ~rho speeds));
+        } )
+  in
+  {
+    Sweep.preamble = "";
+    header = ratio_and_fairness;
+    metrics = [ `Ratio; `Fairness ];
+    rows =
+      (fun ~scale ->
+        per_scheduler
+          (table3 ~scale ~rho:Config.base_utilization
+             (Schedulers.dispatch_ablations
+             @ [
+                 naive_clamp;
+                 wrr;
+                 least_load;
+                 ("LeastLoad(instant)", Scheduler.least_load_instant);
+               ])));
+    note = "";
+  }
+
+let ablation_disciplines =
+  {
+    Sweep.preamble = "";
+    header = [ "server model"; "mean response time"; "mean response ratio" ];
+    metrics = [ `Time; `Ratio ];
+    rows =
+      (fun ~scale ->
+        let speeds = [| 1.0; 2.0 |] in
+        let c =
+          cell ~scale ~speeds
+            ~workload:
+              (Cluster.Workload.poisson_exponential ~rho:0.6 ~mean_size:1.0 ~speeds)
+            [ wrr ]
+        in
+        List.map
+          (fun (model, discipline) -> ([ Report.Text model ], { c with discipline }))
+          [
+            ("PS (fluid)", Cluster.Simulation.Ps);
+            ("RR quantum 0.1", Cluster.Simulation.Rr 0.1);
+            ("RR quantum 0.01", Cluster.Simulation.Rr 0.01);
+            ("FCFS", Cluster.Simulation.Fcfs);
+            ("SRPT (size-aware)", Cluster.Simulation.Srpt);
+          ]);
+    note =
+      "PS and small-quantum RR agree (the paper's model is faithful); FCFS pays\n\
+       for size-blind queueing; SRPT bounds what size knowledge could buy.\n";
+  }
+
+let compare ~speeds ~rho =
+  {
+    Sweep.preamble = "";
+    header =
+      [
+        "scheduler";
+        "mean resp. time";
+        "mean resp. ratio";
+        "fairness";
+        "median ratio";
+        "p99 ratio";
+      ];
+    metrics = [ `Time; `Ratio; `Fairness; `Median; `P99 ];
+    rows =
+      (fun ~scale ->
+        per_scheduler
+          (cell ~scale ~speeds
+             ~workload:(Cluster.Workload.paper_default ~rho ~speeds)
+             Schedulers.with_least_load));
+    note = "";
   }

@@ -1,10 +1,13 @@
 (** The paper's sensitivity figures and the extension sweeps, as
-    {!Sweep.study} values.  Run one with {!Sweep.run} and print it with
-    {!Sweep.to_report}; override a grid or a cell by record update
-    ([{ fig3 with xs = [ 1.; 16. ] }]).  Unless a study says otherwise
-    it measures the paper's workload (Bounded-Pareto sizes, arrival
-    CV 3) at the command line's scale, and its columns are WRAN, ORAN,
-    WRR, ORR and Dynamic Least-Load. *)
+    {!Sweep.study} values, and the comparison tables, as {!Sweep.table}
+    values.  Run a study with {!Sweep.run} and print it with
+    {!Sweep.to_report}; run a table with {!Sweep.run_table} and print it
+    with {!Sweep.table_to_report}.  Override a grid, a cell or the rows
+    by record update ([{ fig3 with xs = [ 1.; 16. ] }]).  Unless a study
+    or table says otherwise it measures the paper's workload
+    (Bounded-Pareto sizes, arrival CV 3) under processor sharing at the
+    command line's scale, and its columns are WRAN, ORAN, WRR, ORR and
+    Dynamic Least-Load. *)
 
 val fig3 : Sweep.study
 (** Figure 3 — effect of speed skewness.
@@ -114,15 +117,6 @@ val ext_staleness : Sweep.study
     and true Least-Load frames (constant across rows); one panel, the
     mean response ratio. *)
 
-val partial_information :
-  ?seed:int64 -> ?jobs:int -> scale:Config.scale -> unit -> (string * Runner.point) list
-(** The other axis of partial information: fresh load, but only [d]
-    probed computers per decision.  ORR, Least-Load over [d = 2] and
-    [d = 4] random probes, and full Least-Load on the Table 3 cluster at
-    ρ = 0.7. *)
-
-val partial_information_report : (string * Runner.point) list -> string
-
 val ext_diurnal : Sweep.study
 (** Extension: non-stationary (diurnal) load.
 
@@ -154,3 +148,63 @@ val ext_convergence : Sweep.study
     adjacent rows agree within their confidence intervals, the shorter
     horizon is already adequate for the comparison at hand.  One panel,
     the mean response ratio. *)
+
+(** {1 Comparison tables} *)
+
+val partial_information : Sweep.table
+(** The other axis of partial information: fresh load, but only [d]
+    probed computers per decision.  One row each for ORR, Least-Load
+    over [d = 2] and [d = 4] random probes, and full Least-Load on the
+    Table 3 cluster at ρ = 0.7: mean response ratio and fairness. *)
+
+val ext_sizes : Sweep.table
+(** Extension: job-size distribution sensitivity (PS insensitivity
+    check).
+
+    The paper derives its allocation from an M/M/1 model but evaluates on
+    Bounded-Pareto sizes, implicitly leaning on the M/G/1-PS insensitivity
+    property (mean response time depends on the size distribution only
+    through its mean).  This table makes that lean explicit: the Table 3
+    cluster at 70 % utilisation under ORR and WRR, one row for each of
+    seven size distributions of identical mean (76.8 s) and wildly
+    different variability — deterministic, Erlang-4, exponential,
+    lognormal (CV 2), Weibull (shape 0.5), Bounded Pareto α=1.5 and the
+    paper's Bounded Pareto.  The mean response {e time} columns should
+    stay nearly flat; the mean response {e ratio} columns move because
+    they reweight by job size. *)
+
+val ext_sita : Sweep.table
+(** Extension: what is size-awareness worth?
+
+    The paper's related work (reference [5], Crovella et al.) improves
+    performance by assigning tasks based on their service demands —
+    knowledge the paper's own policies deliberately avoid needing.  This
+    table runs SITA-E (both band orders) head-to-head with WRAN, ORR and
+    Least-Load on the Table 3 cluster, one row per service discipline:
+
+    - under FCFS hosts (Crovella's setting) size-based banding isolates
+      the huge jobs and should win big;
+    - under processor sharing (this paper's setting) PS itself already
+      protects small jobs, so the advantage of knowing sizes shrinks —
+      which is precisely why the paper can afford size-blind policies.
+
+    One cell per scheduler, the mean response ratio. *)
+
+val ablation_end_to_end : Sweep.table
+(** Scheduler variants end-to-end on the Table 3 cluster at ρ = 0.7, one
+    row each: ORR and its dispatch ablations, ORR over the naive-clamp
+    allocation (Theorem 2 skipped), WRR, and Least-Load with and without
+    update delays; mean response ratio and fairness. *)
+
+val ablation_disciplines : Sweep.table
+(** WRR on two computers (speeds 1 and 2) under an M/M workload at
+    ρ = 0.6, one row per server model: PS, quantum RR (0.1 and 0.01),
+    FCFS and SRPT — the PS-model validation plus the discipline
+    contrast.  Mean response time and ratio, then two lines reading
+    them. *)
+
+val compare : speeds:float array -> rho:float -> Sweep.table
+(** [schedsim compare]: the paper's workload at utilisation [rho] on
+    [speeds], one row per scheduler (WRAN, ORAN, WRR, ORR, Least-Load):
+    mean response time, ratio and fairness, then the median and p99
+    response ratio. *)

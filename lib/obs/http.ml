@@ -406,7 +406,6 @@ let stop t =
 
 module Testing = struct
   let find_headers_end = find_headers_end
-  let content_length = content_length
 
   type nonrec parser = parser
 

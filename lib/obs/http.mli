@@ -120,8 +120,4 @@ module Testing : sig
       is incomplete; [Some (Ok req)] once the header block and declared
       body are in; [Some (Error resp)] for a request refused with a 400
       or 413 (the response the client would get). *)
-
-  val content_length : string -> (int, response) result
-  (** Parse the [Content-Length] header out of a raw header block
-      (case-insensitive); [Ok 0] when absent. *)
 end

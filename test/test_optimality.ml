@@ -338,30 +338,38 @@ let with_size_workload () =
   check_close ~rel:1e-9 "poisson option" 1.0
     (Statsched_dist.Distribution.cv w1.Cluster.Workload.interarrival)
 
+(* The text of a table row's first label cell. *)
+let row_label = function E.Report.Text s :: _ -> s | _ -> ""
+
 let ext_sizes_same_mean () =
   List.iter
-    (fun (label, d) ->
+    (fun (labels, (c : E.Sweep.cell)) ->
       check_close ~rel:0.002
-        (Printf.sprintf "%s has mean 76.8" label)
+        (Printf.sprintf "%s has mean 76.8" (row_label labels))
         76.8
-        (Statsched_dist.Distribution.mean d))
-    (E.Ext_sizes.default_sizes ())
+        (Statsched_dist.Distribution.mean c.workload.Cluster.Workload.size))
+    (E.Studies.ext_sizes.rows ~scale:tiny)
 
 let ext_sizes_structure () =
-  let rows =
-    E.Ext_sizes.run ~scale:tiny
-      ~sizes:
-        [ ("det", Statsched_dist.Deterministic.create 76.8);
-          ("exp", Statsched_dist.Exponential.of_mean 76.8) ]
-      ()
+  let table =
+    {
+      E.Studies.ext_sizes with
+      rows =
+        (fun ~scale ->
+          List.filter
+            (fun (labels, _) ->
+              List.mem (row_label labels) [ "deterministic"; "exponential" ])
+            (E.Studies.ext_sizes.rows ~scale));
+    }
   in
+  let rows = E.Sweep.run_table ~scale:tiny table in
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
-    (fun r ->
-      Alcotest.(check int) "two schedulers" 2 (List.length r.E.Ext_sizes.points))
+    (fun (_, points) ->
+      Alcotest.(check int) "two schedulers" 2 (List.length points))
     rows;
   Alcotest.(check bool) "report renders" true
-    (String.length (E.Ext_sizes.to_report rows) > 0)
+    (String.length (E.Sweep.table_to_report table rows) > 0)
 
 (* Ext-burstiness with WRR as its only column. *)
 let burstiness_wrr xs =
@@ -469,37 +477,39 @@ let suite = suite @ convergence_suite
 
 let ablations_library () =
   (* Dispatch smoothness: structure + the headline ordering. *)
-  let rows = E.Ablations.dispatch_smoothness () in
+  let rows = E.Fig2.dispatch_smoothness () in
   Alcotest.(check int) "seven dispatchers" 7 (List.length rows);
   let dev name =
-    (List.find (fun r -> r.E.Ablations.dispatcher = name) rows)
-      .E.Ablations.mean_deviation
+    (List.find (fun r -> r.E.Fig2.dispatcher = name) rows).E.Fig2.mean_deviation
   in
   Alcotest.(check bool) "algorithm 2 smoother than random" true
     (dev "Algorithm 2 (paper)" < dev "random" /. 3.0);
   Alcotest.(check bool) "guard helps" true
     (dev "Algorithm 2 (paper)" <= dev "no first-assignment guard");
   Alcotest.(check bool) "report renders" true
-    (String.length (E.Ablations.dispatch_smoothness_report rows) > 0);
+    (String.length (E.Fig2.dispatch_smoothness_report rows) > 0);
   (* Interval-length sensitivity: round-robin always at or below random. *)
-  let ivs = E.Ablations.interval_lengths () in
+  let ivs = E.Fig2.interval_lengths () in
   Alcotest.(check int) "five lengths" 5 (List.length ivs);
   List.iter
     (fun r ->
       Alcotest.(check bool)
-        (Printf.sprintf "rr <= random at %g s" r.E.Ablations.interval_length)
+        (Printf.sprintf "rr <= random at %g s" r.E.Fig2.interval_length)
         true
-        (r.E.Ablations.round_robin_deviation <= r.E.Ablations.random_deviation))
+        (r.E.Fig2.round_robin_deviation <= r.E.Fig2.random_deviation))
     ivs
 
 let ablations_disciplines () =
   let rows =
-    E.Ablations.disciplines ~scale:{ E.Config.horizon = 30_000.0; warmup = 7_500.0; reps = 2 } ()
+    E.Sweep.run_table
+      ~scale:{ E.Config.horizon = 30_000.0; warmup = 7_500.0; reps = 2 }
+      E.Studies.ablation_disciplines
   in
   Alcotest.(check int) "five disciplines" 5 (List.length rows);
   let mean name =
-    (List.find (fun r -> r.E.Ablations.model = name) rows).E.Ablations.response_time
-      .Statsched_stats.Confidence.mean
+    match List.find (fun (labels, _) -> row_label labels = name) rows with
+    | _, [ (_, p) ] -> p.E.Runner.mean_response_time.Statsched_stats.Confidence.mean
+    | _ -> Alcotest.fail (name ^ ": expected one scheduler")
   in
   (* PS and fine-quantum RR agree closely even at this tiny scale *)
   check_close ~rel:0.05 "PS ~ RR(0.01)" (mean "PS (fluid)") (mean "RR quantum 0.01");

@@ -159,17 +159,22 @@ let suite =
 
 let ext_sita_structure () =
   let tiny = { Statsched_experiments.Config.horizon = 15_000.0; warmup = 3_750.0; reps = 2 } in
-  let rows = Statsched_experiments.Ext_sita.run ~scale:tiny () in
+  let table = Statsched_experiments.Studies.ext_sita in
+  let rows = Statsched_experiments.Sweep.run_table ~scale:tiny table in
   Alcotest.(check int) "PS and FCFS rows" 2 (List.length rows);
   List.iter
-    (fun r ->
-      Alcotest.(check int) "five schedulers" 5
-        (List.length r.Statsched_experiments.Ext_sita.points))
+    (fun (_, points) -> Alcotest.(check int) "five schedulers" 5 (List.length points))
     rows;
-  let disciplines = List.map (fun r -> r.Statsched_experiments.Ext_sita.discipline) rows in
+  let disciplines =
+    List.map
+      (function
+        | [ Statsched_experiments.Report.Text d ], _ -> d
+        | _ -> Alcotest.fail "one text label per row")
+      rows
+  in
   Alcotest.(check (list string)) "disciplines" [ "PS"; "FCFS" ] disciplines;
   Alcotest.(check bool) "report renders" true
-    (String.length (Statsched_experiments.Ext_sita.to_report rows) > 0)
+    (String.length (Statsched_experiments.Sweep.table_to_report table rows) > 0)
 
 let ext_suite = [ slow_test "ext sita: structure" ext_sita_structure ]
 
