@@ -17,6 +17,11 @@ let cell_to_string = function
       Printf.sprintf "%.4g" i.Confidence.mean
     else Printf.sprintf "%.4g ±%.2g" i.Confidence.mean i.Confidence.half_width
 
+(* Display width in code points: every byte but a UTF-8 continuation byte
+   starts one, so the two-byte "±" counts once. *)
+let width s =
+  String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 s
+
 let render ~header ~rows =
   let ncols = List.length header in
   List.iter
@@ -24,17 +29,15 @@ let render ~header ~rows =
       if List.length row <> ncols then invalid_arg "Report.render: ragged row")
     rows;
   let string_rows = List.map (List.map cell_to_string) rows in
-  let widths = Array.of_list (List.map String.length header) in
-  List.iter
-    (List.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s)))
-    string_rows;
+  let widths = Array.of_list (List.map width header) in
+  List.iter (List.iteri (fun i s -> widths.(i) <- max widths.(i) (width s))) string_rows;
   let buf = Buffer.create 256 in
   let emit_row cells =
     List.iteri
       (fun i s ->
         if i > 0 then Buffer.add_string buf "  ";
         Buffer.add_string buf s;
-        Buffer.add_string buf (String.make (widths.(i) - String.length s) ' '))
+        Buffer.add_string buf (String.make (widths.(i) - width s) ' '))
       cells;
     Buffer.add_char buf '\n'
   in
@@ -48,7 +51,7 @@ let render ~header ~rows =
 let pp fmt ~header ~rows = Format.pp_print_string fmt (render ~header ~rows)
 
 let print_section title =
-  let bar = String.make (String.length title + 4) '=' in
+  let bar = String.make (width title + 4) '=' in
   Printf.printf "\n%s\n= %s =\n%s\n" bar title bar
 
 type sweep = {

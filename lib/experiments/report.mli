@@ -12,14 +12,17 @@ type cell =
   | Interval of Statsched_stats.Confidence.interval  (** mean ± half-width *)
 
 val render : header:string list -> rows:cell list list -> string
-(** Aligned table with a rule under the header.
+(** Aligned table with a rule under the header.  Columns are padded to
+    their widest cell, measured in code points, so a UTF-8 cell such as
+    an interval's ["±"] lines up with ASCII ones.
 
     @raise Invalid_argument if a row width differs from the header. *)
 
 val pp : Format.formatter -> header:string list -> rows:cell list list -> unit
 
 val print_section : string -> unit
-(** Banner for an experiment section on stdout. *)
+(** Banner for an experiment section on stdout, its bars as wide as the
+    title in code points plus four. *)
 
 type sweep = {
   title : string;
