@@ -191,7 +191,8 @@ type pending = { out : string; mutable off : int }
 type phase = Reading of parser | Writing of pending
 
 (* [deadline] bounds the phase in progress: reading the request is
-   bounded from accept, writing the response from when it was ready. *)
+   bounded from accept, writing the response from its last progress
+   (when it was ready, or the last write the client made room for). *)
 type conn = {
   fd : Unix.file_descr;
   mutable deadline : float;
@@ -264,11 +265,19 @@ let rec progress ~scratch ~read_timeout handler c =
       c.deadline <- Clock.now () +. read_timeout;
       progress ~scratch ~read_timeout handler c)
   | Writing w ->
-    write_pending c.fd w
-    || begin
-         close c.fd;
-         false
-       end
+    let off = w.off in
+    if write_pending c.fd w then begin
+      (* The write deadline is an idle deadline: a client that reads
+         steadily keeps its connection however long the body takes, and
+         one that stops reading is dropped [read_timeout] after its last
+         progress.  Only a partial write reads the clock. *)
+      if w.off > off then c.deadline <- Clock.now () +. read_timeout;
+      true
+    end
+    else begin
+      close c.fd;
+      false
+    end
 
 (* A connection past its deadline: a client still sending gets a
    best-effort 408; a response the client is not reading is dropped. *)

@@ -15,8 +15,10 @@
 
     Every connection carries a deadline ([?read_timeout], default 5 s).
     A client that has not sent its whole request within [read_timeout]
-    of being accepted gets a 408 and is disconnected; a response the
-    client has not read within [read_timeout] of being ready is dropped.
+    of being accepted gets a 408 and is disconnected; a response is
+    dropped once the client has read none of it for [read_timeout] (a
+    client that reads a large body steadily keeps its connection however
+    long the whole body takes).
     Slow or silent clients delay only themselves: the loop serves the
     other connections meanwhile.  Header blocks are capped at 16 KiB and
     bodies at 1 MiB (413 beyond).
@@ -95,7 +97,7 @@ val port : t -> int
 val stop : t -> unit
 (** Stop accepting, drop every connection whose request is still
     being read, let responses already being written finish (each within
-    its [read_timeout] deadline), then join the server thread and close
+    its idle [read_timeout] deadline), then join the server thread and close
     the listening socket.  Returns within about 0.2 s when no response
     is in flight, however many silent clients are connected; subsequent
     connections are refused.  Idempotent. *)

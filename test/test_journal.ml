@@ -952,6 +952,57 @@ let http_wire_bytes () =
         (String.length got);
       Alcotest.(check bool) "big response bytes" true (String.equal expected got))
 
+(* A client that reads a large body steadily, in bursts with short
+   pauses, needs longer than [read_timeout] in all but never leaves the
+   connection idle that long: it must get every byte.  The write
+   deadline is an idle deadline; [http_stuck_reader] pins that a client
+   which never reads is still dropped.  A fixed receive buffer turns off
+   the kernel's autotuning, so the body cannot land in socket buffers
+   before the deadline. *)
+let http_slow_steady_reader () =
+  let read_timeout = 0.4 in
+  let body = String.make (24 lsl 20) 's' in
+  let server =
+    Http.serve_requests ~port:0 ~read_timeout (fun _ -> Http.text body)
+  in
+  let port = Http.port server in
+  Fun.protect
+    ~finally:(fun () -> Http.stop server)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          Unix.setsockopt_int fd Unix.SO_RCVBUF (1 lsl 20);
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          send_all fd "GET /slow HTTP/1.1\r\nHost: x\r\n\r\n";
+          let t0 = Obs.Clock.now () in
+          (* 1 MiB, then a 50 ms pause, and again: [Unix.read] returns
+             at most 64 KiB a call. *)
+          let chunk = Bytes.create 65536 in
+          let rec drain got burst =
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> got
+            | n when burst + n >= 1 lsl 20 ->
+              Thread.delay 0.05;
+              drain (got + n) 0
+            | n -> drain (got + n) (burst + n)
+            | exception Unix.Unix_error (e, _, _) ->
+              Alcotest.failf "%s after %d bytes, before EOF"
+                (Unix.error_message e) got
+          in
+          let got = drain 0 0 in
+          let took = Obs.Clock.elapsed ~since:t0 in
+          let expected =
+            wire_reply ~status:"200" ~reason:"OK"
+              ~content_type:"text/plain; charset=utf-8" body
+          in
+          Alcotest.(check int) "every byte of the slowly read body"
+            (String.length expected) got;
+          if took <= read_timeout then
+            Alcotest.failf "the read took %.2f s, within one deadline" took))
+
 (* ------------------------------------------------------------------ *)
 (* Live serving: mid-run answers, and no perturbation                   *)
 
@@ -1179,4 +1230,5 @@ let suite =
     test "http: exact wire bytes of every status, then EOF" http_wire_bytes;
     test "http: a request without header lines parses and is routed"
       http_headerless_request;
+    test "http: a slow steady reader gets the whole body" http_slow_steady_reader;
   ]
