@@ -33,15 +33,19 @@ let create ?rt_hist ?rr_hist ~warmup () =
     rr_hist = pick make_rr_hist rr_hist;
   }
 
-let on_departure t job =
-  if job.Job.arrival >= t.warmup then begin
-    let rt = Job.response_time job in
-    let rr = Job.response_ratio job in
+(* Inlined, so the three floats arrive unboxed from the job store. *)
+let[@inline] [@schedsim.hot] record t ~arrival ~completion ~size =
+  if arrival >= t.warmup then begin
+    let rt = completion -. arrival in
+    let rr = rt /. size in
     Welford.add t.response_time rt;
     Welford.add t.response_ratio rr;
     Hdr.add t.rt_hist rt;
     Hdr.add t.rr_hist rr
   end
+
+let on_departure t job =
+  record t ~arrival:job.Job.arrival ~completion:job.Job.completion ~size:job.Job.size
 
 let jobs_measured t = Welford.count t.response_time
 

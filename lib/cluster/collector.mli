@@ -30,8 +30,13 @@ val create :
 
     @raise Invalid_argument if a supplied histogram's layout differs. *)
 
+val record : t -> arrival:float -> completion:float -> size:float -> unit
+(** Feed one completed job by its fields: response time
+    [completion − arrival], response ratio [response time / size].
+    Inlined and allocation-free. *)
+
 val on_departure : t -> Statsched_queueing.Job.t -> unit
-(** Feed a completed job. *)
+(** {!record} of a completed job's record. *)
 
 val jobs_measured : t -> int
 

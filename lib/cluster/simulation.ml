@@ -59,10 +59,12 @@ type progress = {
   events : int;
 }
 
-let make_server ~discipline ~engine ~speed ~on_departure =
-  let serial order = Q.Serial_server.create ~engine ~speed ~order ~on_departure () in
+let make_server ~discipline ~engine ~store ~speed ~on_departure =
+  let serial order =
+    Q.Serial_server.create ~engine ~speed ~order ~store ~on_departure ()
+  in
   match discipline with
-  | Ps -> Q.Ps_server.to_server (Q.Ps_server.create ~engine ~speed ~on_departure ())
+  | Ps -> Q.Ps_server.serve ~engine ~speed ~store ~on_departure ()
   | Rr quantum -> serial (Q.Serial_server.Rr quantum)
   | Fcfs -> serial Q.Serial_server.Fcfs
   | Srpt -> serial Q.Serial_server.Srpt
@@ -85,13 +87,13 @@ let up_indices eff =
    capacity-change hook (fires only under a [Blacklist] fault plan, with
    the current effective speed vector), the drain hook (a job a crash
    took off its computer) and the teardown that stops the policy's
-   periodic tasks once it is swapped out. *)
+   periodic tasks once it is swapped out.  Jobs are job-store slots. *)
 type sched_fns = {
-  sf_select : Q.Job.t -> int;
+  sf_select : int -> int;
   sf_intended : unit -> float array option;
-  sf_on_departure : Q.Job.t -> unit;
+  sf_on_departure : int -> unit;
   sf_on_capacity : float array -> unit;
-  sf_on_drained : Q.Job.t -> unit;
+  sf_on_drained : int -> unit;
   sf_teardown : unit -> unit;
 }
 
@@ -124,22 +126,149 @@ let passive select =
 (* Replay a capacity vector into a per-computer availability flag. *)
 let mask_down set_available eff = Array.iteri (fun i e -> set_available i (e > 0.0)) eff
 
+(* The records the caller's job hooks see, when any is installed.  A
+   job's record is made at dispatch and kept current through its
+   completion or drop, so the hooks see one record per job.  Under
+   [retain] it is fresh per job (a hook may keep it); otherwise each
+   store slot owns one, refilled for every job of the slot. *)
+type hooks = {
+  on_dispatch : (Q.Job.t -> unit) option;
+  on_completion : (Q.Job.t -> unit) option;
+  on_drop : (Q.Job.t -> unit) option;
+  retain : bool;
+  mutable records : Q.Job.t array;  (* by slot *)
+}
+
+(* One run's state, read by the per-job cycle below.  Every job lives in
+   [store]; servers, the policy and the collector see its slot, so the
+   arrival → dispatch → service → departure cycle stores no float into
+   a record and allocates nothing. *)
+type run = {
+  engine : Engine.t;
+  warmup : float;
+  store : Q.Job_store.t;
+  collector : Collector.t;
+  mutable servers : Q.Server_intf.t array;
+  mutable sched : sched_fns;
+  dispatched : int array;  (* per computer, after warm-up *)
+  completed : int array;  (* per computer, arrivals after warm-up *)
+  mutable arrivals : int;
+  mutable completions : int;
+  hooks : hooks option;
+  san : Sanitize.t option;
+}
+
+let in_system r =
+  Array.fold_left (fun acc srv -> acc + srv.Q.Server_intf.in_system ()) 0 r.servers
+
+(* Grow [records] with the store, a record per new slot. *)
+let ensure_records r h =
+  let cap = Q.Job_store.capacity r.store in
+  let have = Array.length h.records in
+  if have < cap then
+    h.records <-
+      Array.init cap (fun k ->
+          if k < have then h.records.(k) else Q.Job.create ~id:0 ~size:1.0 ~arrival:0.0)
+
+let[@schedsim.cold] hook_dispatch r h slot =
+  ensure_records r h;
+  let j =
+    if h.retain then Q.Job_store.to_job r.store slot
+    else begin
+      let j = h.records.(slot) in
+      Q.Job_store.fill_job r.store slot j;
+      j
+    end
+  in
+  h.records.(slot) <- j;
+  match h.on_dispatch with Some f -> f j | None -> ()
+
+(* The job's record from dispatch, brought up to date. *)
+let current_record r h slot =
+  let j = h.records.(slot) in
+  Q.Job_store.fill_job r.store slot j;
+  j
+
+let[@schedsim.cold] hook_completion r h slot =
+  match h.on_completion with Some f -> f (current_record r h slot) | None -> ()
+
+let[@schedsim.cold] hook_drop r h slot =
+  match h.on_drop with Some f -> f (current_record r h slot) | None -> ()
+
+let[@schedsim.cold] check_arrival r s =
+  Sanitize.on_arrival s;
+  Sanitize.check_engine s r.engine
+
+let[@schedsim.cold] check_departure r s =
+  Sanitize.on_completion s;
+  Sanitize.check_engine s r.engine;
+  Sanitize.check_conservation s ~in_system:(in_system r)
+
+(* One arriving job, at the engine's current time: count it, store it,
+   draw the dispatch decision, hand it to the chosen computer.  Shared
+   verbatim between the internal arrival process and {!Driver.submit},
+   so daemon-injected jobs take exactly the batch-mode dispatch path.
+   Inlined, so [size] reaches the store unboxed. *)
+let[@inline] [@schedsim.hot] inject r ~size =
+  r.arrivals <- r.arrivals + 1;
+  let now = Engine.now r.engine in
+  let slot = Q.Job_store.add r.store ~id:r.arrivals ~size ~arrival:now in
+  let target = r.sched.sf_select slot in
+  Q.Job_store.set_computer r.store slot target;
+  if now >= r.warmup then r.dispatched.(target) <- r.dispatched.(target) + 1;
+  (match r.hooks with Some h -> hook_dispatch r h slot | None -> ());
+  r.servers.(target).Q.Server_intf.submit slot;
+  (match r.san with Some s -> check_arrival r s | None -> ());
+  target
+
+(* A job leaving computer [i]; its server has recorded the completion. *)
+let[@schedsim.hot] depart r i slot =
+  r.completions <- r.completions + 1;
+  let arrival = Q.Job_store.arrival r.store slot in
+  Collector.record r.collector ~arrival
+    ~completion:(Q.Job_store.completion r.store slot)
+    ~size:(Q.Job_store.size r.store slot);
+  if arrival >= r.warmup then r.completed.(i) <- r.completed.(i) + 1;
+  (match r.hooks with Some h -> hook_completion r h slot | None -> ());
+  r.sched.sf_on_departure slot;
+  (match r.san with Some s -> check_departure r s | None -> ());
+  Q.Job_store.release r.store slot
+
+(* The internal arrival process: base gaps and sizes come pre-sampled in
+   batches from their dedicated streams ({!Workload.source}), and a rate
+   modulation scales the gap down when the instantaneous rate is high
+   (time-rescaled renewal process).  [fire] is the one arrival event
+   handler, made once. *)
+type arrival_process = {
+  gaps : Workload.source;
+  sizes : Workload.source;
+  modulation : (float -> float) option;
+  mutable fire : Engine.t -> unit;
+}
+
+let[@schedsim.hot] next_arrival r a =
+  let base_gap = Workload.next a.gaps in
+  let gap =
+    match a.modulation with
+    | None -> base_gap
+    | Some f -> base_gap /. max 0.05 (f (Engine.now r.engine))
+  in
+  ignore (Engine.schedule r.engine ~delay:gap a.fire)
+
+let[@schedsim.hot] arrive r a =
+  ignore (inject r ~size:(Workload.next a.sizes));
+  next_arrival r a
+
 (* A paused, resumable simulation: {!run} unrolled into
    create / advance / finalize so a daemon can drive the virtual clock
-   and inject externally arriving jobs.  All behaviour lives in the
-   closures built by {!create}; the record just carries them plus the
-   counters the accessors read. *)
+   and inject externally arriving jobs.  The per-job cycle reads [d_run];
+   policy swaps and the result live in the closures built by {!create}. *)
 type driver = {
-  d_engine : Engine.t;
+  d_run : run;
   d_cfg : config;
   d_kind : Scheduler.kind ref;
-  d_inject : size:float -> int;
   d_set_scheduler : Scheduler.kind -> unit;
   d_finalize : unit -> result;
-  d_arrivals : int ref;
-  d_completions : int ref;
-  d_measured : unit -> int;
-  d_in_system : unit -> int;
   mutable d_done : bool;
 }
 
@@ -191,11 +320,31 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
     | Some (rt_hist, rr_hist) ->
       Collector.create ~rt_hist ~rr_hist ~warmup:cfg.warmup ()
   in
-  let dispatched = Array.make n 0 in
-  let completed = Array.make n 0 in
-  let total_arrivals = ref 0 in
-  let total_completions = ref 0 in
-  let job_counter = ref 0 in
+  let hooks =
+    match (on_dispatch, on_completion, on_drop) with
+    | None, None, None -> None
+    | _ ->
+      Some
+        { on_dispatch; on_completion; on_drop; retain = hooks_retain_jobs; records = [||] }
+  in
+  (* The policy and then the servers are installed below, once their
+     closures can see [r]. *)
+  let r =
+    {
+      engine;
+      warmup = cfg.warmup;
+      store = Q.Job_store.create ();
+      collector;
+      servers = [||];
+      sched = passive (fun _ -> 0);
+      dispatched = Array.make n 0;
+      completed = Array.make n 0;
+      arrivals = 0;
+      completions = 0;
+      hooks;
+      san;
+    }
+  in
   let total_speed = Core.Speeds.total cfg.speeds in
   (* Renormalised load for a surviving effective-speed sub-vector: the
      same absolute work rate spread over less capacity.  Clamped below
@@ -203,17 +352,16 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
      cannot actually carry the load. *)
   let scaled_rho sub = min 0.999 (rho *. total_speed /. Core.Speeds.total sub) in
 
-  (* [servers_ref] is filled right after server creation; only events
+  (* [r.servers] is filled right after server creation; only events
      executed during the run (and policy swaps, which seed the fresh
-     scheduler state from the live queues) dereference it. *)
-  let servers_ref = ref [||] in
+     scheduler state from the live queues) read it. *)
   let each_queue f =
-    Array.iteri (fun i s -> f i (s.Q.Server_intf.in_system ())) !servers_ref
+    Array.iteri (fun i s -> f i (s.Q.Server_intf.in_system ())) r.servers
   in
   (* The one blacklist remap (statics, SITA-E, adaptive ORR): [build ~rho
      ~speeds] makes an instance for one speed vector at one load; under a
      Blacklist plan the remap builds one for the surviving sub-vector and
-     maps its choice [pick inst job] back to a global index.  A [live]
+     maps its choice [pick inst slot] back to a global index.  A [live]
      instance (adaptive ORR) is rebuilt on every capacity change, never
      restored, and reports its current fractions, not the nominal ones.
      [refit] rebuilds for the current vector. *)
@@ -241,8 +389,8 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
         full
       | Some _ | None -> f (if live then !cur else base)
     in
-    let select job =
-      let i = pick !cur job in
+    let select slot =
+      let i = pick !cur slot in
       match !sub with None -> i | Some (_, up) -> up.(i)
     in
     ( {
@@ -253,7 +401,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       refit )
   in
   let dispatch_remap ?live build =
-    remap ?live ~fractions:Core.Dispatch.fractions ~build (fun dispatcher _job ->
+    remap ?live ~fractions:Core.Dispatch.fractions ~build (fun dispatcher _slot ->
         Core.Dispatch.select dispatcher)
   in
   (* [Static p] as a [Static_custom] build.  [Optimized_at] deliberately
@@ -275,19 +423,21 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
     let state = Core.Least_load.create cfg.speeds in
     let poll () = each_queue (Core.Least_load.set_load_index state) in
     poll ();
-    let recorded job = Core.Least_load.departure_recorded state job.Q.Job.computer in
+    let recorded slot =
+      Core.Least_load.departure_recorded state (Q.Job_store.computer r.store slot)
+    in
     let counts, on_departure, teardown =
       match information with
       | Synchronous -> (true, recorded, ignore)
       | Delayed { detection; message_delay } ->
         (* The executing computer notices the departure after a polling
            delay, then its update message crosses the network. *)
-        let on_departure job =
+        let on_departure slot =
           let lag =
             Distribution.sample detection detect_rng
             +. Distribution.sample message_delay delay_rng
           in
-          let computer = job.Q.Job.computer in
+          let computer = Q.Job_store.computer r.store slot in
           ignore
             (Engine.schedule engine ~delay:lag (fun _ ->
                  Core.Least_load.departure_recorded state computer))
@@ -297,7 +447,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
         let task = Engine.every engine ~period (fun _ -> poll ()) in
         (count_in_flight, ignore, fun () -> Engine.stop engine task)
     in
-    let select _job =
+    let select _slot =
       let i =
         match selector with
         | Full -> Core.Least_load.select ?rng:some_ties_rng state
@@ -318,7 +468,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   in
   (* Built at creation and on every {!Driver.set_scheduler}: the RNG
      streams continue, and a swap seeds the new state from the live
-     queues (at creation [!servers_ref] is empty, so that is a no-op). *)
+     queues (at creation [r.servers] is empty, so that is a no-op). *)
   let make_sched = function
     | Scheduler.Static p -> fst (dispatch_remap (static_make p ~rng:dispatch_rng))
     | Scheduler.Static_custom { make; _ } ->
@@ -327,7 +477,9 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       let build ~rho:_ ~speeds =
         Core.Sita.build_bounded_pareto params ~speeds ~small_to
       in
-      fst (remap ~build (fun sita job -> Core.Sita.select sita ~size:job.Q.Job.size))
+      fst
+        (remap ~build (fun sita slot ->
+             Core.Sita.select sita ~size:(Q.Job_store.size r.store slot)))
     | Scheduler.Adaptive { period; windowed } ->
       (* Self-tuning ORR: λ̂ from the arrival count, E[S] from the
          completed jobs, ρ̂ = λ̂·E[S]/Σs times a 5 % safety factor,
@@ -349,9 +501,9 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       let recompute () =
         let now = Engine.now engine in
         let t0, a0, c0, s0 = !last in
-        let arrivals = !total_arrivals - a0 and completions = !seen_completions - c0 in
+        let arrivals = r.arrivals - a0 and completions = !seen_completions - c0 in
         let sizes = !size_sum -. s0 and elapsed = now -. t0 in
-        if windowed then last := (now, !total_arrivals, !seen_completions, !size_sum);
+        if windowed then last := (now, r.arrivals, !seen_completions, !size_sum);
         if completions > 0 && elapsed > 0.0 && arrivals > 0 then begin
           let lambda_hat = float_of_int arrivals /. elapsed in
           let mean_size_hat = sizes /. float_of_int completions in
@@ -366,9 +518,9 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       {
         fns with
         sf_on_departure =
-          (fun job ->
+          (fun slot ->
             incr seen_completions;
-            size_sum := !size_sum +. job.Q.Job.size);
+            size_sum := !size_sum +. Q.Job_store.size r.store slot);
         sf_teardown = (fun () -> Engine.stop engine task);
       }
     | Scheduler.Least_load { detection; message_delay; probe } ->
@@ -383,7 +535,7 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       least_load Full (Polled { period = poll_period; count_in_flight })
     | Scheduler.Jiq -> least_load Idle Synchronous
   in
-  let sched = ref (make_sched cfg.scheduler) in
+  r.sched <- make_sched cfg.scheduler;
   let current_kind = ref cfg.scheduler in
   (* Last effective speed vector a Blacklist plan announced; a policy
      swap replays it into the fresh scheduler state so the new policy
@@ -391,47 +543,15 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
   let current_eff = ref None in
   let notify_capacity eff =
     current_eff := Some eff;
-    (!sched).sf_on_capacity eff
+    r.sched.sf_on_capacity eff
   in
 
-  (* Job records are recycled through a free-list, but only when no
-     caller-supplied hook can observe a job: a hook may legitimately
-     retain the record past its departure, and a recycled record mutates
-     under such a reference.  The scheduler-internal observers above
-     (collector, adaptive size accounting, least-load lag) all read
-     fields synchronously and never store the record.  Callers whose
-     hooks also copy fields out synchronously (Telemetry and its
-     journal) pass [~hooks_retain_jobs:false] to keep recycling on. *)
-  let job_pool = Q.Job.pool () in
-  let recycle =
-    (not hooks_retain_jobs)
-    || Option.is_none on_dispatch
-       && Option.is_none on_completion
-       && Option.is_none on_drop
-  in
   let servers =
     Array.init n (fun i ->
-        make_server ~discipline:cfg.discipline ~engine ~speed:cfg.speeds.(i)
-          ~on_departure:(fun job ->
-            incr total_completions;
-            Collector.on_departure collector job;
-            if job.Q.Job.arrival >= cfg.warmup then
-              completed.(i) <- completed.(i) + 1;
-            (match on_completion with Some f -> f job | None -> ());
-            (!sched).sf_on_departure job;
-            (match san with
-            | Some s ->
-              Sanitize.on_completion s;
-              Sanitize.check_engine s engine;
-              Sanitize.check_conservation s
-                ~in_system:
-                  (Array.fold_left
-                     (fun acc srv -> acc + srv.Q.Server_intf.in_system ())
-                     0 !servers_ref)
-            | None -> ());
-            if recycle then Q.Job.release job_pool job))
+        make_server ~discipline:cfg.discipline ~engine ~store:r.store
+          ~speed:cfg.speeds.(i) ~on_departure:(depart r i))
   in
-  servers_ref := servers;
+  r.servers <- servers;
   (match on_tick with
   | None -> ()
   | Some (period, f) ->
@@ -455,8 +575,8 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
            f
              {
                sim_time = Engine.now e;
-               arrivals = !total_arrivals;
-               completions = !total_completions;
+               arrivals = r.arrivals;
+               completions = r.completions;
                measured = Collector.jobs_measured collector;
                events = Engine.events_executed e;
              })));
@@ -489,23 +609,23 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
         last_change.(i) <- now
       in
       let effective () = Array.mapi (fun i s -> s *. rate.(i)) cfg.speeds in
-      let handle_drained job =
-        (!sched).sf_on_drained job;
+      let handle_drained slot =
+        r.sched.sf_on_drained slot;
         match plan.Fault.on_failure with
         | Fault.Drop ->
           (match san with Some s -> Sanitize.on_drop s | None -> ());
-          (match on_drop with Some f -> f job | None -> ());
-          if job.Q.Job.arrival >= cfg.warmup then incr lost;
-          if recycle then Q.Job.release job_pool job
+          (match hooks with Some h -> hook_drop r h slot | None -> ());
+          if Q.Job_store.arrival r.store slot >= cfg.warmup then incr lost;
+          Q.Job_store.release r.store slot
         | Fault.Requeue ->
           (* Re-dispatched like a fresh arrival (after the blacklist
              update, so it avoids the failed computer) but not counted
              as one: dispatch fractions keep original-dispatch
              semantics.  The job restarts from scratch — no
              checkpointing. *)
-          let target = (!sched).sf_select job in
-          job.Q.Job.computer <- target;
-          servers.(target).Q.Server_intf.submit job
+          let target = r.sched.sf_select slot in
+          Q.Job_store.set_computer r.store slot target;
+          servers.(target).Q.Server_intf.submit slot
         | Fault.Resume -> ()
       in
       let apply_change i new_rate =
@@ -583,69 +703,31 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
                  cfg.warmup);
            Array.iter (fun s -> s.Q.Server_intf.reset_stats ()) servers));
 
-  (* One arriving job, at the engine's current time: count it, draw the
-     dispatch decision, hand it to the chosen computer.  Shared verbatim
-     between the internal arrival process and {!Driver.submit}, so
-     daemon-injected jobs take exactly the batch-mode dispatch path. *)
-  let inject ~size =
-    let now = Engine.now engine in
-    incr total_arrivals;
-    incr job_counter;
-    let job =
-      if recycle then Q.Job.acquire job_pool ~id:!job_counter ~size ~arrival:now
-      else Q.Job.create ~id:!job_counter ~size ~arrival:now
-    in
-    let target = (!sched).sf_select job in
-    job.Q.Job.computer <- target;
-    if now >= cfg.warmup then dispatched.(target) <- dispatched.(target) + 1;
-    (match on_dispatch with Some f -> f job | None -> ());
-    servers.(target).Q.Server_intf.submit job;
-    (match san with
-    | Some s ->
-      Sanitize.on_arrival s;
-      Sanitize.check_engine s engine
-    | None -> ());
-    target
-  in
-
-  (* Arrival process (internal [`Workload] mode only).  A rate modulation
-     scales the sampled gap down when the instantaneous rate is high
-     (time-rescaled renewal process).  Base gaps come pre-sampled in
-     batches from the dedicated arrivals stream ([Workload.gap_source] —
-     bit-identical draw order), and the handler/scheduler pair is a
-     single mutually-recursive closure pair created once: the
-     per-arrival path allocates no closures. *)
   (match arrivals with
   | `External -> ()
   | `Workload ->
-    let gaps = Workload.gap_source cfg.workload ~rng:arrivals_rng in
-    let rec on_arrival _ =
-      let size = Distribution.sample cfg.workload.Workload.size sizes_rng in
-      ignore (inject ~size);
-      schedule_next_arrival ()
-    and schedule_next_arrival () =
-      let base_gap = Workload.next_gap gaps in
-      let gap =
-        match cfg.workload.Workload.modulation with
-        | None -> base_gap
-        | Some f -> base_gap /. max 0.05 (f (Engine.now engine))
-      in
-      ignore (Engine.schedule engine ~delay:gap on_arrival)
+    let a =
+      {
+        gaps = Workload.gap_source cfg.workload ~rng:arrivals_rng;
+        sizes = Workload.size_source cfg.workload ~rng:sizes_rng;
+        modulation = cfg.workload.Workload.modulation;
+        fire = ignore;
+      }
     in
-    schedule_next_arrival ());
+    a.fire <- (fun _ -> arrive r a);
+    next_arrival r a);
 
   let finalize () =
     (match san with
     | Some s ->
       Sanitize.check_time s ~now:(Engine.now engine);
       Sanitize.check_conservation s
-        ~in_system:
-          (Array.fold_left (fun acc srv -> acc + srv.Q.Server_intf.in_system ()) 0 servers)
+        ~in_system:(in_system r)
     | None -> ());
     Log.Log.info (fun m ->
         m "%s: %d arrivals, %d measured jobs, %d events in %.0f simulated s"
           (Scheduler.name !current_kind)
-          !total_arrivals
+          r.arrivals
           (Collector.jobs_measured collector)
           (Engine.events_executed engine)
           (Engine.now engine));
@@ -653,8 +735,8 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       Array.init n (fun i ->
           {
             speed = cfg.speeds.(i);
-            dispatched = dispatched.(i);
-            completed = completed.(i);
+            dispatched = r.dispatched.(i);
+            completed = r.completed.(i);
             utilization = servers.(i).Q.Server_intf.utilization ();
             mean_jobs = servers.(i).Q.Server_intf.mean_in_system ();
           })
@@ -690,10 +772,10 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
       response_time_histogram = Collector.response_time_histogram collector;
       response_ratio_histogram = rr_hist;
       per_computer;
-      dispatch_fractions = Core.Metrics.actual_fractions dispatched;
-      intended_fractions = (!sched).sf_intended ();
+      dispatch_fractions = Core.Metrics.actual_fractions r.dispatched;
+      intended_fractions = r.sched.sf_intended ();
       offered_utilization = rho;
-      total_arrivals = !total_arrivals;
+      total_arrivals = r.arrivals;
       events_executed = Engine.events_executed engine;
       heap_high_water = Engine.heap_high_water engine;
       fault_summary;
@@ -703,26 +785,17 @@ let create ?sanitize ?(hooks_retain_jobs = true) ?metric_histograms ?on_engine
      construction failure leaves the old policy installed and running. *)
   let set_scheduler kind =
     let fresh = make_sched kind in
-    (!sched).sf_teardown ();
-    sched := fresh;
+    r.sched.sf_teardown ();
+    r.sched <- fresh;
     current_kind := kind;
     Option.iter fresh.sf_on_capacity !current_eff
   in
   {
-    d_engine = engine;
+    d_run = r;
     d_cfg = cfg;
     d_kind = current_kind;
-    d_inject = inject;
     d_set_scheduler = set_scheduler;
     d_finalize = finalize;
-    d_arrivals = total_arrivals;
-    d_completions = total_completions;
-    d_measured = (fun () -> Collector.jobs_measured collector);
-    d_in_system =
-      (fun () ->
-        Array.fold_left
-          (fun acc srv -> acc + srv.Q.Server_intf.in_system ())
-          0 servers);
     d_done = false;
   }
 
@@ -735,23 +808,23 @@ module Driver = struct
     if t.d_done then
       invalid_arg (Printf.sprintf "Simulation.Driver.%s: already finalized" what)
 
-  let now t = Engine.now t.d_engine
+  let now t = Engine.now t.d_run.engine
   let config t = t.d_cfg
   let scheduler t = !(t.d_kind)
-  let arrivals t = !(t.d_arrivals)
-  let completions t = !(t.d_completions)
-  let measured t = t.d_measured ()
-  let in_system t = t.d_in_system ()
+  let arrivals t = t.d_run.arrivals
+  let completions t = t.d_run.completions
+  let measured t = Collector.jobs_measured t.d_run.collector
+  let in_system t = in_system t.d_run
 
   let advance t ~to_ =
     check_live t "advance";
     if Float.is_nan to_ then invalid_arg "Simulation.Driver.advance: NaN time";
-    if to_ > Engine.now t.d_engine then Engine.run ~until:to_ t.d_engine
+    if to_ > now t then Engine.run ~until:to_ t.d_run.engine
 
   let submit t ~size =
     check_live t "submit";
     if not (size > 0.0) then invalid_arg "Simulation.Driver.submit: size <= 0";
-    t.d_inject ~size
+    inject t.d_run ~size
 
   let set_scheduler t kind =
     check_live t "set_scheduler";
@@ -763,7 +836,7 @@ module Driver = struct
        stale-least-load poller reschedule themselves forever, so the
        event queue never empties — but every in-flight job has a pending
        departure, so stepping until the system is empty terminates. *)
-    while t.d_in_system () > 0 && Engine.step t.d_engine do
+    while in_system t > 0 && Engine.step t.d_run.engine do
       ()
     done
 

@@ -69,42 +69,43 @@ let modulated_rate t time =
   let base = arrival_rate t in
   match t.modulation with None -> base | Some f -> base *. f time
 
-(* -- batched gap generation --------------------------------------------- *)
+(* -- batched draws ------------------------------------------------------ *)
 
-(* The arrival loop consumes one inter-arrival gap per job.  Sampling
-   them one at a time pays an indirect call into the distribution
-   closure plus a boxed-float return per arrival; the source below
+(* The arrival loop consumes one inter-arrival gap and one job size per
+   job.  Sampling them one at a time pays an indirect call into the
+   distribution closure plus a boxed-float return per draw; a source
    refills a flat [floatarray] a batch at a time instead, through
-   {!Distribution.fill} (which for the paper's H2 stores raw doubles),
-   so the common case is an unboxed array read.  Draw order from the
-   arrivals stream is identical — the same samples in the same order,
-   just taken ahead of time — and the stream is dedicated to gaps, so
-   results are bit-identical to unbatched sampling.  Rate modulation
-   must still be applied at the *scheduling* instant, never at refill
-   time; that is why the source yields base gaps and leaves division by
-   the modulation factor to the caller. *)
-type gap_source = {
-  gap_dist : Distribution.t;
-  gap_rng : Statsched_prng.Rng.t;
+   {!Distribution.fill} (which for the paper's H2 and Bounded Pareto
+   stores raw doubles), so the common case is an unboxed array read.
+   Draw order from the source's stream is identical — the same samples
+   in the same order, just taken ahead of time — and the simulator
+   dedicates one stream to gaps and one to sizes, so results are
+   bit-identical to unbatched sampling.  Rate modulation must still be
+   applied at the *scheduling* instant, never at refill time; that is
+   why a gap source yields base gaps and leaves division by the
+   modulation factor to the caller. *)
+type source = {
+  dist : Distribution.t;
+  rng : Statsched_prng.Rng.t;
   buf : Float.Array.t;
   mutable pos : int;  (* next unread slot; [length buf] forces a refill *)
 }
 
-let gap_source ?(batch = 256) t ~rng =
-  if batch < 1 then invalid_arg "Workload.gap_source: batch < 1";
-  {
-    gap_dist = t.interarrival;
-    gap_rng = rng;
-    buf = Float.Array.make batch 0.0;
-    pos = batch;
-  }
+let source ?(batch = 256) dist ~rng =
+  if batch < 1 then invalid_arg "Workload.source: batch < 1";
+  { dist; rng; buf = Float.Array.make batch 0.0; pos = batch }
+
+let gap_source ?batch t ~rng = source ?batch t.interarrival ~rng
+let size_source ?batch t ~rng = source ?batch t.size ~rng
 
 let refill src =
-  Distribution.fill src.gap_dist src.gap_rng src.buf;
+  Distribution.fill src.dist src.rng src.buf;
   src.pos <- 0
 
-let[@inline] next_gap src =
+let[@inline] [@schedsim.hot] next src =
   if src.pos >= Float.Array.length src.buf then refill src;
-  let g = Float.Array.unsafe_get src.buf src.pos in
+  let x = Float.Array.unsafe_get src.buf src.pos in
   src.pos <- src.pos + 1;
-  g
+  x
+
+let[@inline] next_gap src = next src

@@ -87,24 +87,31 @@ val modulated_rate : t -> float -> float
 (** [modulated_rate w t] is the instantaneous arrival rate at simulated
     time [t] ([arrival_rate w] when unmodulated). *)
 
-(** {2 Batched gap generation}
+(** {2 Batched draws}
 
-    The simulator's arrival loop reads inter-arrival gaps through a
-    [gap_source], which pre-samples them from the arrivals stream a
-    batch at a time into a flat float array.  The draws come from the
-    same stream in the same order as one-at-a-time sampling, so
-    simulation results are bit-identical; batching only removes the
-    per-arrival closure call and boxed return.  Gaps are {e base} gaps:
-    rate modulation is applied by the consumer at the scheduling
-    instant. *)
+    The simulator's arrival loop reads inter-arrival gaps and job sizes
+    through two sources, which pre-sample them a batch at a time into a
+    flat float array, each from its own dedicated stream.  The draws
+    come from the same stream in the same order as one-at-a-time
+    sampling, so simulation results are bit-identical; batching only
+    removes the per-draw closure call and boxed return.  Gaps are
+    {e base} gaps: rate modulation is applied by the consumer at the
+    scheduling instant. *)
 
-type gap_source
+type source
 
-val gap_source : ?batch:int -> t -> rng:Statsched_prng.Rng.t -> gap_source
+val gap_source : ?batch:int -> t -> rng:Statsched_prng.Rng.t -> source
 (** A fresh source drawing from [t.interarrival] with the given stream.
-    [batch] (default 256) gaps are pre-sampled per refill.
+    [batch] (default 256) draws are pre-sampled per refill.
 
     @raise Invalid_argument if [batch < 1]. *)
 
-val next_gap : gap_source -> float
-(** The next base inter-arrival gap. *)
+val size_source : ?batch:int -> t -> rng:Statsched_prng.Rng.t -> source
+(** The same for [t.size]. *)
+
+val next : source -> float
+(** The next draw: a base gap or a size.  Inlined, so it stays
+    unboxed. *)
+
+val next_gap : source -> float
+(** {!next}, read from a gap source. *)

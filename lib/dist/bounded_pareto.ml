@@ -66,11 +66,17 @@ let create ({ k; p; alpha } as prm) =
   validate prm;
   let mean = raw_moment prm 1 in
   let second = raw_moment prm 2 in
+  let trunc = truncation prm and inv_alpha = 1.0 /. alpha in
+  (* [fill] stores raw doubles where [sample] must box its result; both
+     apply the same inverse to the same draws. *)
   Distribution.make
     ~name:(Printf.sprintf "BP(%g,%g,%g)" k p alpha)
     ~mean
     ~variance:(second -. (mean *. mean))
-    (let trunc = truncation prm and inv_alpha = 1.0 /. alpha in
-     fun g -> invert ~k ~trunc ~inv_alpha (Rng.float g))
+    ~fill:(fun g a ->
+      for i = 0 to Float.Array.length a - 1 do
+        Float.Array.unsafe_set a i (invert ~k ~trunc ~inv_alpha (Rng.float g))
+      done)
+    (fun g -> invert ~k ~trunc ~inv_alpha (Rng.float g))
 
 let create_paper_default () = create paper_default

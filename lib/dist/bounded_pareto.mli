@@ -37,7 +37,8 @@ val sample : params -> Statsched_prng.Rng.t -> float
 (** One variate by inverse transform. *)
 
 val create : params -> Distribution.t
-(** Bundle as a {!Distribution.t} with analytic mean and variance. *)
+(** Bundle as a {!Distribution.t} with analytic mean and variance.  Its
+    [fill] stores raw doubles, the same values [sample] returns boxed. *)
 
 val create_paper_default : unit -> Distribution.t
 (** [create paper_default]. *)

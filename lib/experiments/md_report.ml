@@ -5,22 +5,7 @@ let md_table buf ~header ~rows =
   buf_add buf ("|" ^ String.concat "|" (List.map (fun _ -> "---") header) ^ "|\n");
   List.iter
     (fun row ->
-      let cells =
-        List.map
-          (fun c ->
-            match c with
-            | Report.Text s -> s
-            | Report.Int i -> string_of_int i
-            | Report.Float f -> Printf.sprintf "%.4g" f
-            | Report.Percent p -> Printf.sprintf "%.2f%%" (100.0 *. p)
-            | Report.Interval i ->
-              if Float.is_nan i.Statsched_stats.Confidence.half_width then
-                Printf.sprintf "%.4g" i.Statsched_stats.Confidence.mean
-              else
-                Printf.sprintf "%.4g ± %.2g" i.Statsched_stats.Confidence.mean
-                  i.Statsched_stats.Confidence.half_width)
-          row
-      in
+      let cells = List.map (Report.cell_to_string ~pm:" ± ") row in
       buf_add buf ("| " ^ String.concat " | " cells ^ " |\n"))
     rows;
   buf_add buf "\n"

@@ -7,7 +7,7 @@ type cell =
   | Percent of float
   | Interval of Confidence.interval
 
-let cell_to_string = function
+let cell_to_string ?(pm = " ±") = function
   | Text s -> s
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.4g" f
@@ -15,7 +15,7 @@ let cell_to_string = function
   | Interval i ->
     if Float.is_nan i.Confidence.half_width then
       Printf.sprintf "%.4g" i.Confidence.mean
-    else Printf.sprintf "%.4g ±%.2g" i.Confidence.mean i.Confidence.half_width
+    else Printf.sprintf "%.4g%s%.2g" i.Confidence.mean pm i.Confidence.half_width
 
 (* Display width in code points: every byte but a UTF-8 continuation byte
    starts one, so the two-byte "±" counts once. *)
@@ -28,7 +28,7 @@ let render ~header ~rows =
     (fun row ->
       if List.length row <> ncols then invalid_arg "Report.render: ragged row")
     rows;
-  let string_rows = List.map (List.map cell_to_string) rows in
+  let string_rows = List.map (List.map (fun c -> cell_to_string c)) rows in
   let widths = Array.of_list (List.map width header) in
   List.iter (List.iteri (fun i s -> widths.(i) <- max widths.(i) (width s))) string_rows;
   let buf = Buffer.create 256 in

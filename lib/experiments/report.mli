@@ -11,6 +11,12 @@ type cell =
   | Percent of float  (** fraction rendered as a percentage *)
   | Interval of Statsched_stats.Confidence.interval  (** mean ± half-width *)
 
+val cell_to_string : ?pm:string -> cell -> string
+(** The one cell format: floats and interval means with 4 significant
+    digits, percentages with 2 decimals, half-widths with 2 significant
+    digits after [pm] (default [" ±"]); an interval whose half-width is
+    NaN shows its mean alone. *)
+
 val render : header:string list -> rows:cell list list -> string
 (** Aligned table with a rule under the header.  Columns are padded to
     their widest cell, measured in code points, so a UTF-8 cell such as

@@ -12,44 +12,6 @@ let create ~id ~size ~arrival =
   if arrival < 0.0 then invalid_arg "Job.create: arrival < 0";
   { id; size; arrival; computer = -1; start = -1.0; completion = -1.0 }
 
-(* Free-list of retired job records backed by a plain array stack (no
-   list cells, so pooling itself never allocates per job).  Re-initialising
-   a recycled record stores already-boxed floats into the mutable fields —
-   no fresh boxes — which makes the dispatch→completion cycle
-   allocation-free once the pool has warmed up to the in-flight
-   high-water mark. *)
-type pool = { mutable free : t array; mutable top : int }
-
-let pool () = { free = [||]; top = 0 }
-
-let pooled p = p.top
-
-let acquire p ~id ~size ~arrival =
-  if p.top = 0 then create ~id ~size ~arrival
-  else begin
-    if size <= 0.0 then invalid_arg "Job.create: size <= 0";
-    if arrival < 0.0 then invalid_arg "Job.create: arrival < 0";
-    p.top <- p.top - 1;
-    let j = p.free.(p.top) in
-    j.id <- id;
-    j.size <- size;
-    j.arrival <- arrival;
-    j.computer <- -1;
-    j.start <- -1.0;
-    j.completion <- -1.0;
-    j
-  end
-
-let release p j =
-  let cap = Array.length p.free in
-  if p.top = cap then begin
-    let nf = Array.make (max 64 (2 * cap)) j in
-    Array.blit p.free 0 nf 0 cap;
-    p.free <- nf
-  end;
-  p.free.(p.top) <- j;
-  p.top <- p.top + 1
-
 let is_completed j = j.completion >= 0.0
 
 (* [@inline] lets callers keep the float result unboxed: these run on

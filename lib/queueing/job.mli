@@ -13,38 +13,15 @@ type t = {
   mutable start : float;  (** first instant it received service; −1 until then *)
   mutable completion : float;  (** departure time; −1 until completed *)
 }
-(** [id], [size] and [arrival] are mutable only so retired records can be
-    recycled through a {!pool}; simulation code treats them as
-    set-at-birth. *)
+(** The simulator keeps its jobs in a {!Job_store}, not in records: a
+    float stored into this mixed record is boxed.  A record is made from
+    the store only for a caller's job hook (the simulator's
+    [on_dispatch], [on_completion] and [on_drop]); [id], [size] and
+    [arrival] are mutable only so such a record can be refilled for the
+    next job of its slot. *)
 
 val create : id:int -> size:float -> arrival:float -> t
 (** @raise Invalid_argument if [size <= 0] or [arrival < 0]. *)
-
-(** {2 Record recycling}
-
-    Hot simulation loops churn through millions of short-lived jobs; a
-    pool recycles retired records so the dispatch→completion cycle
-    allocates nothing once warmed up.  Only safe when no observer
-    retains jobs past their departure — callers with job-observing
-    hooks must bypass the pool. *)
-
-type pool
-
-val pool : unit -> pool
-(** An empty free-list. *)
-
-val acquire : pool -> id:int -> size:float -> arrival:float -> t
-(** A record initialised exactly as by {!create}, reusing a released
-    one when available.
-
-    @raise Invalid_argument if [size <= 0] or [arrival < 0]. *)
-
-val release : pool -> t -> unit
-(** Return a retired record for reuse.  The caller must not touch [t]
-    afterwards. *)
-
-val pooled : pool -> int
-(** Number of records currently parked in the free-list. *)
 
 val is_completed : t -> bool
 

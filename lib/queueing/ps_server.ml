@@ -13,11 +13,13 @@ type hot = {
   mutable work : float;
 }
 
-type t = {
+(* Generic in what it serves: a {!Job.t} record through {!create} and
+   {!submit}, a {!Job_store} slot through {!serve}. *)
+type 'a t = {
   engine : Engine.t;
   speed : float;
-  on_departure : Job.t -> unit;
-  active : Job.t Event_queue.t;  (* keyed by virtual finish time *)
+  on_departure : 'a -> unit;
+  active : 'a Event_queue.t;  (* keyed by virtual finish time *)
   hot : hot;
   mutable completion : Engine.slot;
       (* registered in [create] once the record exists; rescheduling
@@ -30,7 +32,7 @@ type t = {
 
 (* The helpers below are plain (non-recursive) definitions in dependency
    order so the compiler can inline the small ones into the submit /
-   complete cycle; [create] comes last because it closes over
+   complete cycle; [make] comes after them because it closes over
    [on_completion]. *)
 let[@inline] in_system t = Event_queue.size t.active
 
@@ -93,16 +95,14 @@ let[@schedsim.hot] on_completion t =
       && Event_queue.pop_step t.active
     then begin
       forced := false;
-      let job = Event_queue.last_payload t.active in
-      job.Job.completion <- Engine.now t.engine;
       t.completed <- t.completed + 1;
-      t.on_departure job
+      t.on_departure (Event_queue.last_payload t.active)
     end
     else draining := false
   done;
   reschedule t
 
-let create ~engine ~speed ~on_departure () =
+let make ~engine ~speed ~on_departure =
   if speed <= 0.0 then invalid_arg "Ps_server.create: speed <= 0";
   let t =
     {
@@ -120,16 +120,26 @@ let create ~engine ~speed ~on_departure () =
   t.completion <- Engine.slot engine (fun _ -> on_completion t);
   t
 
-let submit t job =
+(* Inlined, so [size] reaches the queue key unboxed. *)
+let[@inline] [@schedsim.hot] add t ~size x =
   advance t;
-  let now = Engine.now t.engine in
+  ignore (Event_queue.add t.active ~time:(t.hot.vclock +. size) x);
+  Tally.update t.busy ~time:(Engine.now t.engine) ~value:1.0;
+  reschedule t
+
+let create ~engine ~speed ~on_departure () =
+  make ~engine ~speed ~on_departure:(fun job ->
+      job.Job.completion <- Engine.now engine;
+      on_departure job)
+
+let submit t job =
   (* A job served from its arrival instant shares the arrival's box
      instead of allocating one for the same value. *)
-  if job.Job.start < 0.0 then
-    job.Job.start <- (if Float.equal job.Job.arrival now then job.Job.arrival else now);
-  ignore (Event_queue.add t.active ~time:(t.hot.vclock +. job.Job.size) job);
-  Tally.update t.busy ~time:now ~value:1.0;
-  reschedule t
+  if job.Job.start < 0.0 then begin
+    let now = Engine.now t.engine in
+    job.Job.start <- (if Float.equal job.Job.arrival now then job.Job.arrival else now)
+  end;
+  add t ~size:job.Job.size job
 
 let utilization t =
   Tally.advance t.busy ~time:(Engine.now t.engine);
@@ -173,10 +183,20 @@ let reset_stats t =
   t.completed <- 0;
   t.hot.work <- 0.0
 
-let to_server t =
+let[@schedsim.hot] submit_slot t store slot =
+  if Job_store.start store slot < 0.0 then
+    Job_store.set_start store slot (Engine.now t.engine);
+  add t ~size:(Job_store.size store slot) slot
+
+let[@schedsim.hot] depart_slot engine store on_departure slot =
+  Job_store.set_completion store slot (Engine.now engine);
+  on_departure slot
+
+let serve ~engine ~speed ~store ~on_departure () =
+  let t = make ~engine ~speed ~on_departure:(depart_slot engine store on_departure) in
   {
     Server_intf.speed = t.speed;
-    submit = submit t;
+    submit = submit_slot t store;
     in_system = (fun () -> in_system t);
     mean_in_system = (fun () -> mean_in_system t);
     utilization = (fun () -> utilization t);

@@ -7,24 +7,17 @@ type order =
   | Rr of float
   | Srpt
 
-(* A job at this server.  [remaining] is its work left when its current
-   (or next) slice begins; the same record carries the job through every
-   RR turn and SRPT preemption.  It sits in an all-float record, like
-   [hot] below, so the write at each RR requeue stores a raw double
-   instead of boxing one that is then promoted with the queued entry. *)
-type left = { mutable remaining : float }
-
-type entry = { job : Job.t; left : left }
-
-(* A FIFO of entries in a growable ring buffer (capacity a power of
-   two): [Queue.push] allocates a cell per push, and RR pushes once per
-   slice.  Vacated slots hold the server's [vacant] entry, so the ring
-   keeps no finished job alive. *)
-type ring = { mutable slots : entry array; mutable head : int; mutable len : int }
+(* The ready list holds store slots.  A job's remaining work sits in
+   the store's [left] column (a job is on one server at a time), so an
+   RR requeue writes a raw double and pushes an int: no entry record,
+   no box.  FIFO order lives in a growable ring buffer (capacity a
+   power of two): [Queue.push] would allocate a cell per push, and RR
+   pushes once per slice. *)
+type ring = { mutable slots : int array; mutable head : int; mutable len : int }
 
 type ready =
   | Fifo of ring  (* FCFS and RR *)
-  | By_remaining of entry Event_queue.t  (* SRPT: keyed by remaining work, ties FIFO *)
+  | By_remaining of int Event_queue.t  (* SRPT: keyed by remaining work, ties FIFO *)
 
 (* The running slice's float state, in an all-float record so updates
    write raw doubles instead of boxing (see [Ps_server]). *)
@@ -39,12 +32,10 @@ type t = {
   engine : Engine.t;
   speed : float;
   quantum : float;  (* infinite for FCFS and SRPT: a slice runs the job to completion *)
-  on_departure : Job.t -> unit;
+  store : Job_store.t;
+  on_departure : int -> unit;
   ready : ready;
-  vacant : entry;
-      (* placeholder, never served: [runner] holds it while no slice runs
-         (an [entry option] would allocate a [Some] per slice) *)
-  mutable runner : entry;
+  mutable runner : int;  (* the slot in service; [-1] while no slice runs *)
   mutable slice_end : Engine.slot;
       (* registered in [create] once the record exists; armed while a
          slice runs, disarmed while idle or suspended *)
@@ -62,25 +53,24 @@ let note_occupancy t = Tally.update t.occupancy ~time:(now t) ~value:(float_of_i
 let note_busy t =
   Tally.update t.busy ~time:(now t) ~value:(if t.hot.rate > 0.0 then 1.0 else 0.0)
 
-(* schedlint: allow R3 — [vacant] is a sentinel, compared by identity *)
-let[@inline] running t = t.runner != t.vacant
+let[@inline] running t = t.runner >= 0
 
-let[@schedsim.cold] grow_ring t r =
+let[@schedsim.cold] grow_ring r =
   let cap = Array.length r.slots in
-  let slots = Array.make (2 * cap) t.vacant in
+  let slots = Array.make (2 * cap) (-1) in
   for i = 0 to r.len - 1 do
     slots.(i) <- r.slots.((r.head + i) land (cap - 1))
   done;
   r.slots <- slots;
   r.head <- 0
 
-let push_ready t e =
+let push_ready t s =
   match t.ready with
   | Fifo r ->
-    if r.len = Array.length r.slots then grow_ring t r;
-    r.slots.((r.head + r.len) land (Array.length r.slots - 1)) <- e;
+    if r.len = Array.length r.slots then grow_ring r;
+    r.slots.((r.head + r.len) land (Array.length r.slots - 1)) <- s;
     r.len <- r.len + 1
-  | By_remaining q -> ignore (Event_queue.add q ~time:e.left.remaining e)
+  | By_remaining q -> ignore (Event_queue.add q ~time:(Job_store.left t.store s) s)
 
 let ready_is_empty t =
   match t.ready with
@@ -91,11 +81,10 @@ let ready_is_empty t =
 let take_ready t =
   match t.ready with
   | Fifo r ->
-    let e = r.slots.(r.head) in
-    r.slots.(r.head) <- t.vacant;
+    let s = r.slots.(r.head) in
     r.head <- (r.head + 1) land (Array.length r.slots - 1);
     r.len <- r.len - 1;
-    e
+    s
   | By_remaining q ->
     ignore (Event_queue.pop_step q);
     Event_queue.last_payload q
@@ -109,31 +98,31 @@ let served t =
   else 0.0
 
 (* Bank the runner's progress in the current slice and cancel its end. *)
-let interrupt t e =
+let interrupt t s =
   if Engine.armed t.engine t.slice_end then begin
-    let s = served t in
+    let done_ = served t in
     Engine.disarm t.engine t.slice_end;
-    e.left.remaining <- e.left.remaining -. s;
-    t.hot.work <- t.hot.work +. s
+    Job_store.set_left t.store s (Job_store.left t.store s -. done_);
+    t.hot.work <- t.hot.work +. done_
   end
 
 (* While suspended no slice is scheduled; [set_rate] starts a fresh one
    on resume. *)
-let start_slice t e =
+let start_slice t s =
   let eff = t.speed *. t.hot.rate in
   if eff > 0.0 then begin
-    (* [Stdlib.min] would box the unboxed [remaining] read. *)
-    let r = e.left.remaining in
+    (* [Stdlib.min] would box the unboxed [left] read. *)
+    let r = Job_store.left t.store s in
     t.hot.slice <- (if t.quantum <= r then t.quantum else r);
     t.hot.slice_start <- now t;
     Engine.arm t.engine t.slice_end ~delay:(t.hot.slice /. eff)
   end
 
-let run t e =
-  if e.job.Job.start < 0.0 then e.job.Job.start <- now t;
-  t.runner <- e;
+let run t s =
+  if Job_store.start t.store s < 0.0 then Job_store.set_start t.store s (now t);
+  t.runner <- s;
   note_busy t;
-  start_slice t e
+  start_slice t s
 
 let start_next t =
   if ready_is_empty t then Tally.update t.busy ~time:(now t) ~value:0.0
@@ -141,60 +130,61 @@ let start_next t =
 
 let end_slice t =
   if running t then begin
-    let e = t.runner in
-    t.runner <- t.vacant;
+    let s = t.runner in
+    t.runner <- -1;
     t.hot.work <- t.hot.work +. t.hot.slice;
-    let left = e.left.remaining -. t.hot.slice in
+    let left = Job_store.left t.store s -. t.hot.slice in
     (* Relative tolerance: RR slices can leave a round-off residue. *)
-    if left <= 1e-12 *. e.job.Job.size then begin
-      e.job.Job.completion <- now t;
+    if left <= 1e-12 *. Job_store.size t.store s then begin
+      Job_store.set_completion t.store s (now t);
       t.completed <- t.completed + 1;
       t.n <- t.n - 1;
       note_occupancy t;
-      t.on_departure e.job
+      t.on_departure s
     end
     else begin
-      e.left.remaining <- left;
-      push_ready t e
+      Job_store.set_left t.store s left;
+      push_ready t s
     end;
     start_next t
   end
 
-let submit t job =
-  let e = { job; left = { remaining = job.Job.size } } in
+let submit t s =
+  let size = Job_store.size t.store s in
+  Job_store.set_left t.store s size;
   t.n <- t.n + 1;
   note_occupancy t;
-  if not (running t) then run t e
+  if not (running t) then run t s
   else
     match t.ready with
-    | By_remaining _ when job.Job.size < t.runner.left.remaining -. served t ->
+    | By_remaining _ when size < Job_store.left t.store t.runner -. served t ->
       let r = t.runner in
       interrupt t r;
       push_ready t r;
-      run t e
-    | By_remaining _ | Fifo _ -> push_ready t e
+      run t s
+    | By_remaining _ | Fifo _ -> push_ready t s
 
 let set_rate t rate =
   if rate < 0.0 then invalid_arg "Serial_server.set_rate: rate < 0";
   if not (running t) then t.hot.rate <- rate
   else begin
-    let e = t.runner in
-    interrupt t e;
+    let s = t.runner in
+    interrupt t s;
     t.hot.rate <- rate;
     note_busy t;
-    start_slice t e
+    start_slice t s
   end
 
 let drain t =
   let rec waiting acc =
-    if ready_is_empty t then List.rev acc else waiting ((take_ready t).job :: acc)
+    if ready_is_empty t then List.rev acc else waiting (take_ready t :: acc)
   in
   let jobs =
     if running t then begin
-      let e = t.runner in
-      interrupt t e;
-      t.runner <- t.vacant;
-      e.job :: waiting []
+      let s = t.runner in
+      interrupt t s;
+      t.runner <- -1;
+      s :: waiting []
     end
     else waiting []
   in
@@ -217,12 +207,9 @@ let reset_stats t =
   t.completed <- 0;
   t.hot.work <- -.served t
 
-let create ~engine ~speed ~order ~on_departure () =
+let create ~engine ~speed ~order ~store ~on_departure () =
   if speed <= 0.0 then invalid_arg "Serial_server.create: speed <= 0";
-  let vacant =
-    { job = Job.create ~id:(-1) ~size:1.0 ~arrival:0.0; left = { remaining = 0.0 } }
-  in
-  let fifo () = Fifo { slots = Array.make 16 vacant; head = 0; len = 0 } in
+  let fifo () = Fifo { slots = Array.make 16 (-1); head = 0; len = 0 } in
   let quantum, ready, discipline =
     match order with
     | Fcfs -> (infinity, fifo (), "FCFS")
@@ -236,10 +223,10 @@ let create ~engine ~speed ~order ~on_departure () =
       engine;
       speed;
       quantum;
+      store;
       on_departure;
       ready;
-      vacant;
-      runner = vacant;
+      runner = -1;
       slice_end = Engine.no_slot;
       hot = { rate = 1.0; slice = 0.0; slice_start = Engine.now engine; work = 0.0 };
       busy = Tally.create ~start_time:(Engine.now engine) ();

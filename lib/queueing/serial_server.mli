@@ -40,14 +40,17 @@ val create :
   engine:Statsched_des.Engine.t ->
   speed:float ->
   order:order ->
-  on_departure:(Job.t -> unit) ->
+  store:Job_store.t ->
+  on_departure:(int -> unit) ->
   unit ->
   Server_intf.t
-(** A serial server of relative [speed] attached to [engine].
-    [on_departure] fires at each job completion, after the job's
-    [completion] field is set.  A job's [start] field is set when it
-    first takes the processor.  The record's [discipline] is ["FCFS"],
-    ["RR(q=<q>)"] or ["SRPT"].
+(** A serial server of relative [speed] attached to [engine], serving
+    the jobs in [store].  [on_departure slot] fires at each job
+    completion, after the slot's [completion] is recorded.  A job's
+    [start] is recorded when it first takes the processor, and its
+    remaining work lives in the store's [left] column, so neither a
+    slice nor a requeue allocates.  The record's [discipline] is
+    ["FCFS"], ["RR(q=<q>)"] or ["SRPT"].
 
     @raise Invalid_argument if [speed <= 0] or an [Rr] quantum is
     [<= 0]. *)

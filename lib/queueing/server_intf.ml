@@ -1,6 +1,6 @@
 type t = {
   speed : float;
-  submit : Job.t -> unit;
+  submit : int -> unit;
   in_system : unit -> int;
   mean_in_system : unit -> float;
   utilization : unit -> float;
@@ -8,6 +8,6 @@ type t = {
   work_done : unit -> float;
   reset_stats : unit -> unit;
   set_rate : float -> unit;
-  drain : unit -> Job.t list;
+  drain : unit -> int list;
   discipline : string;
 }

@@ -1,12 +1,17 @@
 (** Uniform first-class view of a server.
 
-    {!Ps_server} coerces to this record and {!Serial_server} builds one
-    directly, so the cluster model can mix service disciplines per
-    computer. *)
+    {!Ps_server.serve} and {!Serial_server.create} build one, so the
+    cluster model can mix service disciplines per computer.  The server
+    serves the jobs of one {!Job_store}, given to it at creation: it
+    takes slots, reads their sizes, records each job's [start] and
+    [completion] in the store, and passes the slot to its [on_departure]
+    callback once the completion is recorded. *)
 
 type t = {
   speed : float;  (** relative processing speed [s_i > 0] *)
-  submit : Job.t -> unit;  (** hand a job to the server at the current simulation time *)
+  submit : int -> unit;
+      (** hand the job in this store slot to the server at the current
+          simulation time *)
   in_system : unit -> int;  (** jobs currently queued or in service (run-queue length) *)
   mean_in_system : unit -> float;
       (** time-averaged number of jobs present since creation/reset — the
@@ -24,9 +29,9 @@ type t = {
           their progress under preempt-resume disciplines); [1] restores
           nominal speed; intermediate values model degraded computers.
           Submissions are accepted while suspended. *)
-  drain : unit -> Job.t list;
+  drain : unit -> int list;
       (** fault hook: remove every job (queued or in service) without
-          completing it and return them.  Partial service is discarded —
+          completing it and return their slots.  Partial service is discarded —
           a drained job restarts from scratch if resubmitted (there is no
           checkpointing).  Used by the crash policies (drop / requeue). *)
   discipline : string;  (** e.g. ["PS"], ["RR(q=0.01)"], ["FCFS"] *)

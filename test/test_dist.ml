@@ -365,6 +365,19 @@ let fill_matches_sample () =
   same "H3"
     (Dist.Hyperexponential.create ~probs:[| 0.2; 0.3; 0.5 |] ~rates:[| 0.5; 1.0; 4.0 |]);
   same "BP" (Dist.Bounded_pareto.create_paper_default ());
+  let other = { Dist.Bounded_pareto.k = 2.0; p = 5000.0; alpha = 1.3 } in
+  same "BP(2,5000,1.3)" (Dist.Bounded_pareto.create other);
+  same "scaled BP" (D.scaled (Dist.Bounded_pareto.create other) 0.4);
+  (* Bounded Pareto's [fill] stores raw doubles: it must store what the
+     inverse CDF returns, away from the alpha = 1 shortcut too. *)
+  let a = Float.Array.make 300 0.0 in
+  D.fill (Dist.Bounded_pareto.create other) (rng ~seed:5L ()) a;
+  let g = rng ~seed:5L () in
+  Float.Array.iteri
+    (fun i x ->
+      if not (Int64.equal (bits x) (bits (Dist.Bounded_pareto.sample other g))) then
+        Alcotest.failf "BP: fill differs from the inverse CDF at slot %d" i)
+    a;
   let bp = Dist.Bounded_pareto.create_paper_default () in
   let g1 = rng ~seed:5L () and g2 = rng ~seed:5L () in
   for i = 1 to 300 do

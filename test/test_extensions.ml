@@ -49,9 +49,12 @@ let theory_vs_fcfs_simulation () =
   let w = Statsched_stats.Welford.create () in
   let horizon = 200_000.0 in
   let warmup = horizon /. 5.0 in
+  let store = Q.Job_store.create () in
   let server =
-    Q.Serial_server.create ~engine ~speed:1.0 ~order:Q.Serial_server.Fcfs
-      ~on_departure:(fun j ->
+    Q.Serial_server.create ~engine ~speed:1.0 ~order:Q.Serial_server.Fcfs ~store
+      ~on_departure:(fun slot ->
+        let j = Q.Job_store.to_job store slot in
+        Q.Job_store.release store slot;
         if j.Job.arrival >= warmup then
           Statsched_stats.Welford.add w (Job.response_time j))
       ()
@@ -64,7 +67,7 @@ let theory_vs_fcfs_simulation () =
          (fun e ->
            incr id;
            let size = Statsched_dist.Distribution.sample size_dist g in
-           server.Q.Server_intf.submit (Job.create ~id:!id ~size ~arrival:(Engine.now e));
+           server.Q.Server_intf.submit (Q.Job_store.add store ~id:!id ~size ~arrival:(Engine.now e));
            arrive ()))
   in
   arrive ();

@@ -26,15 +26,18 @@ let job_validation () =
    (arrival_time, size) and return the completed jobs in completion
    order.  [actions] are (time, f) pairs calling [f server] at [time],
    after any arrival at the same instant. *)
-let drive ?(actions = []) ~make_server trace =
+let drive ?(actions = []) ?(store = Q.Job_store.create ()) ~make_server trace =
   let engine = Engine.create () in
   let completed = ref [] in
-  let server = make_server ~engine ~on_departure:(fun j -> completed := j :: !completed) in
+  let server =
+    make_server ~engine ~store ~on_departure:(fun slot ->
+        completed := Q.Job_store.to_job store slot :: !completed)
+  in
   List.iteri
     (fun i (at, size) ->
       ignore
         (Engine.schedule_at engine ~time:at (fun _ ->
-             server.Q.Server_intf.submit (Job.create ~id:i ~size ~arrival:at))))
+             server.Q.Server_intf.submit (Q.Job_store.add store ~id:i ~size ~arrival:at))))
     trace;
   List.iter
     (fun (at, f) -> ignore (Engine.schedule_at engine ~time:at (fun _ -> f server)))
@@ -46,11 +49,11 @@ let drive ?(actions = []) ~make_server trace =
 let compare_arrivals (a1, s1) (a2, s2) =
   match Float.compare a1 a2 with 0 -> Float.compare s1 s2 | c -> c
 
-let ps ?(speed = 1.0) () ~engine ~on_departure =
-  Q.Ps_server.to_server (Q.Ps_server.create ~engine ~speed ~on_departure ())
+let ps ?(speed = 1.0) () ~engine ~store ~on_departure =
+  Q.Ps_server.serve ~engine ~speed ~store ~on_departure ()
 
-let serial ?(speed = 1.0) order () ~engine ~on_departure =
-  Q.Serial_server.create ~engine ~speed ~order ~on_departure ()
+let serial ?(speed = 1.0) order () ~engine ~store ~on_departure =
+  Q.Serial_server.create ~engine ~speed ~order ~store ~on_departure ()
 
 let rr ?speed ?(quantum = 0.001) () = serial ?speed (Q.Serial_server.Rr quantum) ()
 
@@ -220,7 +223,8 @@ let rr_converges_to_ps () =
 
 let rr_work_conservation () =
   let engine = Engine.create () in
-  let server = rr ~quantum:0.25 () ~engine ~on_departure:(fun _ -> ()) in
+  let store = Q.Job_store.create () in
+  let server = rr ~quantum:0.25 () ~engine ~store ~on_departure:(fun _ -> ()) in
   let total = ref 0.0 in
   for i = 1 to 50 do
     let size = 0.3 +. (0.1 *. float_of_int i) in
@@ -228,7 +232,7 @@ let rr_work_conservation () =
     ignore
       (Engine.schedule_at engine ~time:(float_of_int i) (fun _ ->
            server.Q.Server_intf.submit
-             (Job.create ~id:i ~size ~arrival:(float_of_int i))))
+             (Q.Job_store.add store ~id:i ~size ~arrival:(float_of_int i))))
   done;
   Engine.run engine;
   Alcotest.(check int) "all complete" 50 (server.Q.Server_intf.completed ());
@@ -236,10 +240,11 @@ let rr_work_conservation () =
 
 let server_intf_coercion () =
   let engine = Engine.create () in
-  let s = Q.Ps_server.to_server (Q.Ps_server.create ~engine ~speed:2.5 ~on_departure:(fun _ -> ()) ()) in
+  let store = Q.Job_store.create () in
+  let s = ps ~speed:2.5 () ~engine ~store ~on_departure:(fun _ -> ()) in
   check_float "speed exposed" 2.5 s.Q.Server_intf.speed;
   Alcotest.(check string) "discipline" "PS" s.Q.Server_intf.discipline;
-  let f = fcfs () ~engine ~on_departure:(fun _ -> ()) in
+  let f = fcfs () ~engine ~store ~on_departure:(fun _ -> ()) in
   Alcotest.(check string) "fcfs discipline" "FCFS" f.Q.Server_intf.discipline
 
 (* M/G/1-PS insensitivity: mean response time depends on the size
@@ -397,7 +402,8 @@ let srpt_runs_smallest_remaining () =
 
 let srpt_work_conservation () =
   let engine = Engine.create () in
-  let server = srpt ~speed:2.0 () ~engine ~on_departure:(fun _ -> ()) in
+  let store = Q.Job_store.create () in
+  let server = srpt ~speed:2.0 () ~engine ~store ~on_departure:(fun _ -> ()) in
   let g = rng () in
   let total = ref 0.0 in
   for i = 1 to 300 do
@@ -406,7 +412,7 @@ let srpt_work_conservation () =
     total := !total +. size;
     ignore
       (Engine.schedule_at engine ~time:at (fun _ ->
-           server.Q.Server_intf.submit (Job.create ~id:i ~size ~arrival:at)))
+           server.Q.Server_intf.submit (Q.Job_store.add store ~id:i ~size ~arrival:at)))
   done;
   Engine.run engine;
   Alcotest.(check int) "all complete" 300 (server.Q.Server_intf.completed ());
@@ -546,13 +552,14 @@ let drain_returns_runner_then_ready () =
   List.iter2
     (fun (name, order) (drained_ids, completed_ids) ->
       let drained = ref [] and left = ref (-1) in
+      let store = Q.Job_store.create () in
       let completed =
-        drive ~make_server:(serial order ())
+        drive ~store ~make_server:(serial order ())
           ~actions:
             [
               ( 1.5,
                 fun s ->
-                  drained := s.Q.Server_intf.drain ();
+                  drained := List.map (Q.Job_store.to_job store) (s.Q.Server_intf.drain ());
                   left := s.Q.Server_intf.in_system () );
             ]
           trace
@@ -810,16 +817,17 @@ let completions_bypass_heap () =
   List.iter
     (fun (name, make_server) ->
       let engine = Engine.create () in
+      let store = Q.Job_store.create () in
       let done_ = ref 0 in
       let heap_seen = ref 0 in
       let look () = heap_seen := max !heap_seen (Engine.Testing.heap_stored engine) in
       let server =
-        make_server ~engine ~on_departure:(fun _ ->
+        make_server ~engine ~store ~on_departure:(fun _ ->
             incr done_;
             look ())
       in
       List.iteri
-        (fun i size -> server.Q.Server_intf.submit (Job.create ~id:i ~size ~arrival:0.0))
+        (fun i size -> server.Q.Server_intf.submit (Q.Job_store.add store ~id:i ~size ~arrival:0.0))
         [ 3.0; 1.0; 2.0; 0.5 ];
       ignore (Engine.step engine);
       server.Q.Server_intf.set_rate 0.0;
@@ -837,15 +845,16 @@ let completions_bypass_heap () =
 
 let serial_invalid_arguments () =
   let engine = Engine.create () in
+  let store = Q.Job_store.create () in
   let create ~speed order =
-    ignore (Q.Serial_server.create ~engine ~speed ~order ~on_departure:(fun _ -> ()) ())
+    ignore (Q.Serial_server.create ~engine ~speed ~order ~store ~on_departure:(fun _ -> ()) ())
   in
   Alcotest.check_raises "speed <= 0" (Invalid_argument "Serial_server.create: speed <= 0")
     (fun () -> create ~speed:0.0 Q.Serial_server.Srpt);
   Alcotest.check_raises "quantum <= 0"
     (Invalid_argument "Serial_server.create: quantum <= 0") (fun () ->
       create ~speed:1.0 (Q.Serial_server.Rr 0.0));
-  let s = fcfs () ~engine ~on_departure:(fun _ -> ()) in
+  let s = fcfs () ~engine ~store ~on_departure:(fun _ -> ()) in
   Alcotest.check_raises "negative rate" (Invalid_argument "Serial_server.set_rate: rate < 0")
     (fun () -> s.Q.Server_intf.set_rate (-1.0))
 
