@@ -572,8 +572,8 @@ let run_cmd =
         Cluster.Simulation.run
           ?sanitize:(if sanitize then Some true else None)
           (* Every CLI observer (Probe, Telemetry, the journal)
-             copies job fields out synchronously, so job-record recycling
-             can stay on. *)
+             copies job fields out synchronously, so each store slot can
+             keep one hook record. *)
           ~hooks_retain_jobs:false
           ?metric_histograms:(Option.map Cluster.Telemetry.histograms telemetry)
           ?on_engine:

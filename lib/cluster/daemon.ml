@@ -20,9 +20,9 @@ let create ?journal ?(time_scale = 1.0) ?(backlog_limit = 1000) ?clock cfg =
   if not (time_scale > 0.0) then invalid_arg "Daemon.create: time_scale <= 0";
   if backlog_limit < 1 then invalid_arg "Daemon.create: backlog_limit < 1";
   let telemetry = Telemetry.create ?journal cfg in
-  (* Telemetry hooks copy job fields out synchronously, so record
-     recycling stays on and the steady-state dispatch path allocates
-     nothing. *)
+  (* Telemetry hooks copy job fields out synchronously, so each store
+     slot keeps one hook record and the steady-state dispatch path makes
+     no record per job. *)
   let driver =
     Simulation.Driver.create ~hooks_retain_jobs:false
       ~metric_histograms:(Telemetry.histograms telemetry)

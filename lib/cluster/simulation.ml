@@ -170,23 +170,33 @@ let ensure_records r h =
       Array.init cap (fun k ->
           if k < have then h.records.(k) else Q.Job.create ~id:0 ~size:1.0 ~arrival:0.0)
 
+(* Each float stored into a record is boxed.  At dispatch a job has
+   neither started nor completed, and the literal [-1.0] is a static
+   constant, so the record costs the boxes of its size and arrival. *)
 let[@schedsim.cold] hook_dispatch r h slot =
   ensure_records r h;
   let j =
-    if h.retain then Q.Job_store.to_job r.store slot
-    else begin
-      let j = h.records.(slot) in
-      Q.Job_store.fill_job r.store slot j;
-      j
-    end
+    if h.retain then Q.Job.create ~id:0 ~size:1.0 ~arrival:0.0 else h.records.(slot)
   in
+  j.Q.Job.id <- Q.Job_store.id r.store slot;
+  j.Q.Job.size <- Q.Job_store.size r.store slot;
+  j.Q.Job.arrival <- Q.Job_store.arrival r.store slot;
+  j.Q.Job.computer <- Q.Job_store.computer r.store slot;
+  j.Q.Job.start <- -1.0;
+  j.Q.Job.completion <- -1.0;
   h.records.(slot) <- j;
   match h.on_dispatch with Some f -> f j | None -> ()
 
-(* The job's record from dispatch, brought up to date. *)
+(* The job's record from dispatch, brought up to date: only a requeue
+   changes its computer, and service its start and completion.  A job
+   served from its arrival instant (always, under PS) shares the
+   arrival's box. *)
 let current_record r h slot =
   let j = h.records.(slot) in
-  Q.Job_store.fill_job r.store slot j;
+  let start = Q.Job_store.start r.store slot in
+  j.Q.Job.computer <- Q.Job_store.computer r.store slot;
+  j.Q.Job.start <- (if Float.equal start j.Q.Job.arrival then j.Q.Job.arrival else start);
+  j.Q.Job.completion <- Q.Job_store.completion r.store slot;
   j
 
 let[@schedsim.cold] hook_completion r h slot =

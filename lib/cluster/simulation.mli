@@ -148,13 +148,24 @@ val run :
     [on_progress] do add their own periodic events to the count
     {!result.events_executed} reports).
 
+    The simulator keeps its jobs in a flat per-run
+    {!Statsched_queueing.Job_store}, so with no job hook installed the
+    arrival → dispatch → service → departure cycle allocates nothing
+    (a PS or serial server, the static and Least-Load policies, the
+    collector).  A {!Statsched_queueing.Job.t} record exists only for
+    the job hooks: one record per job, made from the store at dispatch,
+    and kept current, so the record [on_completion] (or [on_drop])
+    receives is the one [on_dispatch] received, now showing the job's
+    [start], [completion] and final [computer].
+
     [hooks_retain_jobs] (default [true]) declares whether the job hooks
-    may retain a {!Statsched_queueing.Job.t} record past the callback.
-    With the safe default, installing any job hook disables the job
-    free-list (each job record stays valid forever); hooks that only
-    copy fields out synchronously — every observer in this library —
-    may pass [false] to keep zero-allocation record recycling on.
-    Either way the simulated trajectory is bit-identical.
+    may retain a record past the callback.  With the default, each job
+    gets a fresh record, which stays valid, and complete, after the job
+    has left.  Hooks that only copy fields out synchronously — every
+    observer in this library — may pass [false]: each store slot then
+    owns one record, refilled for every job the slot holds, so the hooks
+    add no per-job record.  Either way the simulated trajectory is
+    bit-identical.
 
     [on_engine] is called once with the freshly created DES engine
     before any event is scheduled — the live telemetry server captures

@@ -42,11 +42,12 @@ let resolve_jobs ?jobs n =
    the small heap they peaked at 10.2–11.8 MiB at the same batch
    throughput.  The extra collections cost the memory-heavier scale
    sweep's cells 5–10 % of their events/s.  The GC has no effect on
-   results.  With the hot path at about 6 minor words per job, a batch
-   of two paper-horizon Table 3 replications (3.2·10⁶ jobs) on two
-   domains runs 880–950 minor collections, against 3560–3690 when it
-   allocated about 65 words per job; the heap stays small because RSS,
-   not collection count, is what it protects.
+   results.  Now that a job allocates nothing, a batch of two
+   paper-horizon Table 3 replications (3.2·10⁶ jobs) on two domains
+   runs 4–6 minor collections, all of them setup; at about 6 minor
+   words per job it ran 875–950, and at about 65 words 3560–3690.  The
+   heap stays small because RSS, not collection count, is what it
+   protects; what size it should be now is measured separately.
 
    Only while every domain has a core of its own ([shrink] below): a
    minor collection stops all domains, so when two share a core each of

@@ -25,7 +25,6 @@ let create () =
   }
 
 let capacity t = Array.length t.id
-let in_use t = capacity t - t.top
 
 (* Double every column; the new slots go on the free-list lowest on top,
    so slots are handed out in index order. *)
@@ -86,21 +85,3 @@ let[@inline] completion t s = Float.Array.get t.completion s
 let[@inline] set_completion t s x = Float.Array.set t.completion s x
 let[@inline] left t s = Float.Array.get t.left s
 let[@inline] set_left t s x = Float.Array.set t.left s x
-
-let to_job t s =
-  {
-    Job.id = id t s;
-    size = size t s;
-    arrival = arrival t s;
-    computer = computer t s;
-    start = start t s;
-    completion = completion t s;
-  }
-
-let fill_job t s (j : Job.t) =
-  j.id <- id t s;
-  j.size <- size t s;
-  j.arrival <- arrival t s;
-  j.computer <- computer t s;
-  j.start <- start t s;
-  j.completion <- completion t s

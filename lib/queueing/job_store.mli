@@ -55,12 +55,3 @@ val set_left : t -> int -> float -> unit
 val capacity : t -> int
 (** Slots allocated so far: the in-flight high-water mark, rounded up
     to a power of two (at least 16). *)
-
-val in_use : t -> int
-(** Slots currently holding a job. *)
-
-val to_job : t -> int -> Job.t
-(** A fresh record with the slot's fields. *)
-
-val fill_job : t -> int -> Job.t -> unit
-(** Overwrite every field of the record with the slot's. *)

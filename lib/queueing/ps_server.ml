@@ -22,7 +22,7 @@ type 'a t = {
   active : 'a Event_queue.t;  (* keyed by virtual finish time *)
   hot : hot;
   mutable completion : Engine.slot;
-      (* registered in [create] once the record exists; rescheduling
+      (* registered in [make] once the record exists; rescheduling
          re-arms it in place, so the submit/complete cycle creates no
          closures and puts nothing on the engine's event heap *)
   busy : Tally.t;

@@ -128,7 +128,7 @@ let start_next t =
   if ready_is_empty t then Tally.update t.busy ~time:(now t) ~value:0.0
   else run t (take_ready t)
 
-let end_slice t =
+let[@schedsim.hot] end_slice t =
   if running t then begin
     let s = t.runner in
     t.runner <- -1;
@@ -149,7 +149,7 @@ let end_slice t =
     start_next t
   end
 
-let submit t s =
+let[@schedsim.hot] submit t s =
   let size = Job_store.size t.store s in
   Job_store.set_left t.store s size;
   t.n <- t.n + 1;

@@ -332,15 +332,15 @@ let daemon_fault_hooks () =
 (* ------------------------------------------------------------------ *)
 (* The daemon dispatch path stays allocation-free                      *)
 
-(* Steady-state [Driver.submit] must not churn the heap per job: job
-   records are pool-recycled, the engine's event queue reuses its
-   buffers, and the JSQ(d) decision path is integer-only.  What remains
-   is calling-convention float boxing across the non-inlined call
-   boundaries (advance/now/submit/Tally each box a handful of floats
-   without flambda) — a fixed few dozen words per job, measured at ~60.
-   The bound of 80 is far under the batch-path acceptance bound of 120
-   (test_journal) and tight enough that reintroducing a per-job record,
-   closure or list cell on the dispatch path fails it. *)
+(* Steady-state [Driver.submit] must not churn the heap per job: jobs
+   live in the run's job store, each store slot keeps one telemetry
+   hook record, the engine's event queue reuses its buffers, and the
+   JSQ(d) decision path is integer-only.  What remains is the boxing of
+   the two floats this loop passes ([advance ~to_] and [submit ~size]):
+   4 words per job.  The bound of 80 is far under the batch-path
+   acceptance bound of 120 (test_journal) and tight enough that
+   reintroducing a per-job record, closure or list cell on the dispatch
+   path fails it. *)
 let daemon_submit_zero_alloc () =
   let cfg = config ~policy:"jsq-d" ~warmup:0.0 ~horizon:1.0e12 () in
   (* The suite runs sanitized; the invariant checkers allocate per

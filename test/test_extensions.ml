@@ -53,7 +53,7 @@ let theory_vs_fcfs_simulation () =
   let server =
     Q.Serial_server.create ~engine ~speed:1.0 ~order:Q.Serial_server.Fcfs ~store
       ~on_departure:(fun slot ->
-        let j = Q.Job_store.to_job store slot in
+        let j = job_of_slot store slot in
         Q.Job_store.release store slot;
         if j.Job.arrival >= warmup then
           Statsched_stats.Welford.add w (Job.response_time j))

@@ -354,10 +354,10 @@ let journal_recording_allocation () =
       per_record
 
 let journal_sim_allocation () =
-  (* End-to-end acceptance: the per-job allocation bound of the bare
-     simulation (test_cluster) still holds with metric + journal
-     telemetry attached and job-pool recycling on
-     ([hooks_retain_jobs:false]). *)
+  (* End-to-end acceptance: a simulation with metric + journal
+     telemetry attached and one hook record per store slot
+     ([hooks_retain_jobs:false]) stays allocation-light: 8 words per
+     job, mostly the boxes of the hook record's float fields. *)
   let speeds = Core.Speeds.table3 in
   let workload = Workload.paper_default ~rho:0.7 ~speeds in
   let cfg =

@@ -31,7 +31,7 @@ let drive ?(actions = []) ?(store = Q.Job_store.create ()) ~make_server trace =
   let completed = ref [] in
   let server =
     make_server ~engine ~store ~on_departure:(fun slot ->
-        completed := Q.Job_store.to_job store slot :: !completed)
+        completed := job_of_slot store slot :: !completed)
   in
   List.iteri
     (fun i (at, size) ->
@@ -559,7 +559,7 @@ let drain_returns_runner_then_ready () =
             [
               ( 1.5,
                 fun s ->
-                  drained := List.map (Q.Job_store.to_job store) (s.Q.Server_intf.drain ());
+                  drained := List.map (job_of_slot store) (s.Q.Server_intf.drain ());
                   left := s.Q.Server_intf.in_system () );
             ]
           trace

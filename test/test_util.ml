@@ -25,6 +25,18 @@ let check_array ?(eps = 1e-9) msg expected actual =
 
 let rng ?(seed = 7L) () = Statsched_prng.Rng.create ~seed ()
 
+(* The fields of a job-store slot as a record, for assertions. *)
+let job_of_slot store s =
+  let module St = Statsched_queueing.Job_store in
+  {
+    Statsched_queueing.Job.id = St.id store s;
+    size = St.size store s;
+    arrival = St.arrival store s;
+    computer = St.computer store s;
+    start = St.start store s;
+    completion = St.completion store s;
+  }
+
 let test name f = Alcotest.test_case name `Quick f
 
 let slow_test name f = Alcotest.test_case name `Slow f
