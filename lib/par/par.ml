@@ -45,7 +45,7 @@ let resolve_jobs ?jobs n =
    results.  Now that a job allocates nothing, a batch of two
    paper-horizon Table 3 replications (3.2·10⁶ jobs) on two domains
    runs 4–6 minor collections, all of them setup; at about 6 minor
-   words per job it ran 875–950, and at about 65 words 3560–3690.  The
+   words per job it ran 870–1020, and at about 65 words 3560–3690.  The
    heap stays small because RSS, not collection count, is what it
    protects; what size it should be now is measured separately.
 

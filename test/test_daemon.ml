@@ -356,7 +356,7 @@ let daemon_submit_zero_alloc () =
       ignore (Driver.submit d ~size:1.0)
     done
   in
-  (* Warm the job pool, event queue and per-policy scratch. *)
+  (* Warm the job store, event queue and per-policy scratch. *)
   cycle ();
   cycle ();
   let before = Gc.minor_words () in
