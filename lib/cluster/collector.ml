@@ -45,6 +45,8 @@ let[@inline] [@schedsim.hot] record t ~arrival ~completion ~size =
   end
 
 let on_departure t job =
+  if job.Job.arrival >= t.warmup && not (Job.is_completed job) then
+    invalid_arg "Collector.on_departure: not completed";
   record t ~arrival:job.Job.arrival ~completion:job.Job.completion ~size:job.Job.size
 
 let jobs_measured t = Welford.count t.response_time

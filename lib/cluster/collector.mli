@@ -36,7 +36,10 @@ val record : t -> arrival:float -> completion:float -> size:float -> unit
     Inlined and allocation-free. *)
 
 val on_departure : t -> Statsched_queueing.Job.t -> unit
-(** {!record} of a completed job's record. *)
+(** {!record} of a completed job's record.
+
+    @raise Invalid_argument if the job arrived after the warm-up and
+    has not completed. *)
 
 val jobs_measured : t -> int
 

@@ -153,10 +153,15 @@ val run :
     arrival → dispatch → service → departure cycle allocates nothing
     (a PS or serial server, the static and Least-Load policies, the
     collector).  A {!Statsched_queueing.Job.t} record exists only for
-    the job hooks: one record per job, made from the store at dispatch,
-    and kept current, so the record [on_completion] (or [on_drop])
-    receives is the one [on_dispatch] received, now showing the job's
-    [start], [completion] and final [computer].
+    the job hooks: one record per job, made from the store at dispatch
+    and brought up to date from it only at completion or drop.  The
+    record [on_completion] (or [on_drop]) receives is the one
+    [on_dispatch] received, now showing the job's [start], [completion]
+    and final [computer].  Between those points the record is not
+    refreshed: read mid-run (from [on_tick], say) it shows [start = -1]
+    and its dispatch-time [computer] even after service has begun or a
+    fault has requeued it, and a job still in the system when the run
+    ends keeps them.
 
     [hooks_retain_jobs] (default [true]) declares whether the job hooks
     may retain a record past the callback.  With the default, each job

@@ -96,7 +96,7 @@ let source ?(batch = 256) dist ~rng =
   { dist; rng; buf = Float.Array.make batch 0.0; pos = batch }
 
 let gap_source ?batch t ~rng = source ?batch t.interarrival ~rng
-let size_source ?batch t ~rng = source ?batch t.size ~rng
+let size_source t ~rng = source t.size ~rng
 
 let refill src =
   Distribution.fill src.dist src.rng src.buf;

@@ -106,8 +106,8 @@ val gap_source : ?batch:int -> t -> rng:Statsched_prng.Rng.t -> source
 
     @raise Invalid_argument if [batch < 1]. *)
 
-val size_source : ?batch:int -> t -> rng:Statsched_prng.Rng.t -> source
-(** The same for [t.size]. *)
+val size_source : t -> rng:Statsched_prng.Rng.t -> source
+(** The same for [t.size], with the default batch. *)
 
 val next : source -> float
 (** The next draw: a base gap or a size.  Inlined, so it stays

@@ -76,6 +76,15 @@ let collector_fairness () =
   check_float ~eps:1e-12 "fairness" 1.0 m.Core.Metrics.fairness;
   Alcotest.(check int) "count" 2 m.Core.Metrics.jobs
 
+let collector_rejects_uncompleted () =
+  let c = Collector.create ~warmup:10.0 () in
+  (* A warm-up job is ignored whether or not it completed. *)
+  Collector.on_departure c (Job.create ~id:1 ~size:1.0 ~arrival:5.0);
+  Alcotest.check_raises "post-warm-up job not completed"
+    (Invalid_argument "Collector.on_departure: not completed") (fun () ->
+      Collector.on_departure c (Job.create ~id:2 ~size:1.0 ~arrival:11.0));
+  Alcotest.(check int) "nothing recorded" 0 (Collector.jobs_measured c)
+
 let collector_empty_is_error () =
   let c = Collector.create ~warmup:0.0 () in
   (match Collector.metrics c with
@@ -294,6 +303,7 @@ let suite =
     test "collector: warm-up filtering" collector_filters_warmup;
     test "collector: fairness metric" collector_fairness;
     test "collector: empty window is a typed error" collector_empty_is_error;
+    test "collector: uncompleted post-warm-up job rejected" collector_rejects_uncompleted;
     test "interval stats: deviations per interval" interval_stats_basic;
     test "interval stats: validation" interval_stats_validation;
     test "scheduler: names" scheduler_names;
@@ -555,22 +565,23 @@ let gap_source_matches_direct () =
   (* [Workload.gap_source] and [Workload.size_source] pre-sample gaps
      and sizes in batches, each from its own stream.  Batching must be
      bit-invisible: the k-th draw equals the k-th direct draw from an
-     identically seeded RNG, across refill boundaries (batch = 16, 100
-     draws spans 7 refills). *)
+     identically seeded RNG, across refill boundaries (gaps: batch = 16,
+     100 draws span 7 refills; sizes: the default 256, 600 draws span
+     3). *)
   let speeds = [| 1.0; 2.0; 4.0 |] in
   let w = Workload.paper_default ~rho:0.7 ~speeds in
-  let same what dist source =
-    let direct_rng = Statsched_prng.Rng.create ~seed:99L () in
-    let src = source ~batch:16 w ~rng:(Statsched_prng.Rng.create ~seed:99L ()) in
-    for k = 0 to 99 do
+  let rng () = Statsched_prng.Rng.create ~seed:99L () in
+  let same what dist src ~draws =
+    let direct_rng = rng () in
+    for k = 0 to draws - 1 do
       let direct = Statsched_dist.Distribution.sample dist direct_rng in
       let batched = Workload.next src in
       if not (Int64.equal (Int64.bits_of_float direct) (Int64.bits_of_float batched))
       then Alcotest.failf "%s %d: batched %h, direct %h" what k batched direct
     done
   in
-  same "gap" w.Workload.interarrival (fun ~batch w ~rng -> Workload.gap_source ~batch w ~rng);
-  same "size" w.Workload.size (fun ~batch w ~rng -> Workload.size_source ~batch w ~rng)
+  same "gap" w.Workload.interarrival (Workload.gap_source ~batch:16 w ~rng:(rng ())) ~draws:100;
+  same "size" w.Workload.size (Workload.size_source w ~rng:(rng ())) ~draws:600
 
 let per_job_allocation_bounded () =
   (* The arrival -> dispatch -> service -> departure cycle keeps every
