@@ -14,64 +14,22 @@ module Cluster = Statsched_cluster
 module E = Statsched_experiments
 module Rng = Statsched_prng.Rng
 module Scenario = Statsched_simcheck.Scenario
-
-(* Surface a malformed STATSCHED_JOBS before any section banner is
-   printed, so the multi-minute commands fail with a single clean line. *)
-let validate_jobs () = ignore (Statsched_par.Par.default_jobs ())
+module Cli = Statsched_cli
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument definitions                                         *)
 
-let speeds_arg =
-  let parse s =
-    try Ok (Core.Speeds.of_string s)
-    with Invalid_argument _ -> Error (`Msg (Printf.sprintf "invalid speed list %S" s))
-  in
-  let print fmt s = Format.fprintf fmt "%s" (Core.Speeds.to_string s) in
-  Arg.conv (parse, print)
-
-let speeds_t =
-  Arg.(
-    value
-    & opt speeds_arg Core.Speeds.table3
-    & info [ "s"; "speeds" ] ~docv:"SPEEDS"
-        ~doc:
-          "Comma-separated computer speeds, with NxS groups allowed (e.g. \
-           '1,1,2,10' or '5x1.0,4x1.5,1x12').  Default: the paper's Table 3 \
-           configuration.")
-
-let rho_t =
-  Arg.(
-    value
-    & opt float 0.7
-    & info [ "u"; "utilization" ] ~docv:"RHO" ~doc:"Target system utilization in (0,1).")
-
-let seed_t =
-  Arg.(
-    value
-    & opt int64 (Int64.of_int 20260705)
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Root random seed.")
+let rho_t = Cli.rho ~default:0.7 ~doc:"Target system utilization in (0,1)."
+let seed_t = Cli.seed ~default:20260705L ~doc:"Root random seed."
 
 let jobs_t =
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None ->
-        Error (`Msg (Printf.sprintf "JOBS must be a positive integer (got %S)" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(
-    value
-    & opt (some jobs_conv) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Fan replications out over $(docv) OCaml domains (default: the \
-           $(b,STATSCHED_JOBS) environment variable, else the machine's \
-           recommended domain count; 1 = fully sequential). Replication $(i,k) \
-           always draws from RNG substream $(i,k), so the output is \
-           bit-identical for every $(docv).")
+  Cli.jobs
+    ~doc:
+      "Fan replications out over $(docv) OCaml domains (default: the \
+       $(b,STATSCHED_JOBS) environment variable, else the machine's \
+       recommended domain count; 1 = fully sequential). Replication $(i,k) \
+       always draws from RNG substream $(i,k), so the output is \
+       bit-identical for every $(docv)."
 
 let scale_t =
   let scale_conv =
@@ -145,36 +103,34 @@ let setup_logging verbose =
 
 let alloc_cmd =
   let run speeds rho =
-    if not (0.0 < rho && rho < 1.0) then `Error (false, "utilization must be in (0,1)")
-    else begin
-      let weighted = Core.Allocation.weighted speeds in
-      let optimized = Core.Allocation.optimized ~rho speeds in
-      let rows =
-        List.init (Array.length speeds) (fun i ->
-            [
-              E.Report.Int i;
-              E.Report.Float speeds.(i);
-              E.Report.Percent weighted.(i);
-              E.Report.Percent optimized.(i);
-            ])
-      in
-      print_string
-        (E.Report.render
-           ~header:[ "computer"; "speed"; "weighted"; "optimized" ]
-           ~rows);
-      let f alloc = Core.Allocation.objective ~rho ~speeds ~alloc in
-      Printf.printf
-        "\nobjective F (lower is better): weighted %.6f, optimized %.6f\n\
-         predicted mean-response-ratio improvement: %.1f%%\n"
-        (f weighted) (f optimized)
-        (let mu = 1.0 in
-         let lambda = Core.Mm1.lambda_of_utilization ~mu ~rho ~speeds in
-         let r alloc = Core.Mm1.mean_response_ratio ~mu ~lambda ~speeds ~alloc in
-         100.0 *. (1.0 -. (r optimized /. r weighted)));
-      `Ok ()
-    end
+    Cli.guard @@ fun () ->
+    if not (0.0 < rho && rho < 1.0) then invalid_arg "utilization must be in (0,1)";
+    let weighted = Core.Allocation.weighted speeds in
+    let optimized = Core.Allocation.optimized ~rho speeds in
+    let rows =
+      List.init (Array.length speeds) (fun i ->
+          [
+            E.Report.Int i;
+            E.Report.Float speeds.(i);
+            E.Report.Percent weighted.(i);
+            E.Report.Percent optimized.(i);
+          ])
+    in
+    print_string
+      (E.Report.render
+         ~header:[ "computer"; "speed"; "weighted"; "optimized" ]
+         ~rows);
+    let f alloc = Core.Allocation.objective ~rho ~speeds ~alloc in
+    Printf.printf
+      "\nobjective F (lower is better): weighted %.6f, optimized %.6f\n\
+       predicted mean-response-ratio improvement: %.1f%%\n"
+      (f weighted) (f optimized)
+      (let mu = 1.0 in
+       let lambda = Core.Mm1.lambda_of_utilization ~mu ~rho ~speeds in
+       let r alloc = Core.Mm1.mean_response_ratio ~mu ~lambda ~speeds ~alloc in
+       100.0 *. (1.0 -. (r optimized /. r weighted)))
   in
-  let term = Term.(ret (const run $ speeds_t $ rho_t)) in
+  let term = Term.(ret (const run $ Cli.speeds $ rho_t)) in
   Cmd.v
     (Cmd.info "alloc" ~doc:"Compute weighted and optimized workload allocations.")
     term
@@ -206,14 +162,12 @@ let dispatch_cmd =
     Arg.(value & opt int 32 & info [ "n" ] ~docv:"N" ~doc:"Number of dispatch decisions.")
   in
   let run fractions n seed =
-    try
-      let rr = Core.Dispatch.round_robin fractions in
-      let rand = Core.Dispatch.random ~rng:(Rng.create ~seed ()) fractions in
-      let seq d = String.concat " " (List.init n (fun _ -> string_of_int (Core.Dispatch.select d + 1))) in
-      Printf.printf "round-robin: %s\n" (seq rr);
-      Printf.printf "random:      %s\n" (seq rand);
-      `Ok ()
-    with Invalid_argument m -> `Error (false, m)
+    Cli.guard @@ fun () ->
+    let rr = Core.Dispatch.round_robin fractions in
+    let rand = Core.Dispatch.random ~rng:(Rng.create ~seed ()) fractions in
+    let seq d = String.concat " " (List.init n (fun _ -> string_of_int (Core.Dispatch.select d + 1))) in
+    Printf.printf "round-robin: %s\n" (seq rr);
+    Printf.printf "random:      %s\n" (seq rand)
   in
   let term = Term.(ret (const run $ fractions_t $ count_t $ seed_t)) in
   Cmd.v
@@ -413,15 +367,12 @@ let run_cmd =
              and write the time series to $(docv) as CSV.")
   in
   let metrics_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write end-of-run metrics (per-computer utilisation and dispatch \
-             drift, response-time/-ratio histograms, fault accounting, DES \
-             self-profiling) to $(docv) in the Prometheus text exposition \
-             format.")
+    Cli.metrics_out
+      ~doc:
+        "Write end-of-run metrics (per-computer utilisation and dispatch \
+         drift, response-time/-ratio histograms, fault accounting, DES \
+         self-profiling) to $(docv) in the Prometheus text exposition \
+         format."
   in
   let stats_interval_t =
     Arg.(
@@ -445,26 +396,20 @@ let run_cmd =
              the run is bit-identical to the same seed without it.")
   in
   let journal_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Record a bounded structured run journal (sampled dispatch/\
-             queue-depth/completion/drop/rate records plus collector \
-             summary) and write it to $(docv); cross-validate it with \
-             $(b,tracestat check), or render it as a per-job CSV or a \
-             Chrome trace with $(b,tracestat export).")
+    Cli.journal
+      ~doc:
+        "Record a bounded structured run journal (sampled dispatch/\
+         queue-depth/completion/drop/rate records plus collector \
+         summary) and write it to $(docv); cross-validate it with \
+         $(b,tracestat check), or render it as a per-job CSV or a \
+         Chrome trace with $(b,tracestat export)."
   in
   let journal_capacity_t =
-    Arg.(
-      value
-      & opt int 4096
-      & info [ "journal-capacity" ] ~docv:"N"
-          ~doc:
-            "Maximum records the journal retains; memory grows with the \
-             records kept, 48 bytes each, up to $(docv) of them.  On \
-             overflow the sampling stride doubles.")
+    Cli.journal_capacity ~default:4096
+      ~doc:
+        "Maximum records the journal retains; memory grows with the \
+         records kept, 48 bytes each, up to $(docv) of them.  On \
+         overflow the sampling stride doubles."
   in
   let journal_sample_t =
     Arg.(
@@ -478,155 +423,150 @@ let run_cmd =
       serve_port journal_file journal_capacity journal_sample mtbf mttr
       on_failure oblivious computers d sanitize verbose =
     setup_logging verbose;
-    try
-      (match mtbf with
-      | Some m when m <= 0.0 || Float.is_nan m ->
-        invalid_arg (Printf.sprintf "--mtbf must be positive (got %g)" m)
-      | Some _ when mttr <= 0.0 || Float.is_nan mttr ->
-        invalid_arg (Printf.sprintf "--mttr must be positive (got %g)" mttr)
+    Cli.guard @@ fun () ->
+    (match mtbf with
+    | Some m when m <= 0.0 || Float.is_nan m ->
+      invalid_arg (Printf.sprintf "--mtbf must be positive (got %g)" m)
+    | Some _ when mttr <= 0.0 || Float.is_nan mttr ->
+      invalid_arg (Printf.sprintf "--mttr must be positive (got %g)" mttr)
+    | _ -> ());
+    (match computers with
+    | Some n when n < 1 ->
+      invalid_arg (Printf.sprintf "--computers must be at least 1 (got %d)" n)
+    | _ -> ());
+    let speeds =
+      match computers with
+      | Some n -> E.Ext_scale.speeds_for n
+      | None -> speeds
+    in
+    (match d with
+    | Some d when d < 1 ->
+      invalid_arg (Printf.sprintf "--d must be at least 1 (got %d)" d)
+    | Some d when d > Array.length speeds ->
+      invalid_arg
+        (Printf.sprintf "--d must not exceed the cluster size %d (got %d)"
+           (Array.length speeds) d)
+    | _ -> ());
+    let horizon = Option.value horizon ~default:scale.E.Config.horizon in
+    let warmup = Option.value warmup ~default:scale.E.Config.warmup in
+    if not (horizon > 0.0) then
+      invalid_arg (Printf.sprintf "--horizon must be positive (got %g)" horizon);
+    if not (0.0 <= warmup && warmup < horizon) then
+      invalid_arg
+        (Printf.sprintf "--warmup must lie in [0, horizon) (got %g)" warmup);
+    if not (mean_size > 0.0) then
+      invalid_arg
+        (Printf.sprintf "--mean-size must be positive (got %g)" mean_size);
+    let scenario =
+      Scenario.v ~discipline ~arrival_cv ~size:size_dist ~mean_size ~seed ?d
+        ~speeds ~rho ~policy ()
+    in
+    let workload = Scenario.workload scenario in
+    let faults = fault_plan ~mtbf ~mttr ~on_failure ~oblivious in
+    let cfg =
+      Cluster.Simulation.default_config ?faults ~discipline ~horizon ~warmup
+        ~seed ~speeds ~workload
+        ~scheduler:(Scenario.scheduler_of_name ~d:scenario.Scenario.d policy) ()
+    in
+    let probe = Option.map (fun _ -> Cluster.Probe.create ()) probe_file in
+    let journal =
+      Option.map
+        (fun _ ->
+          Statsched_obs.Journal.create ~capacity:journal_capacity
+            ~sample_every:journal_sample ())
+        journal_file
+    in
+    let telemetry =
+      match (metrics_out, journal, serve_port) with
+      | None, None, None -> None
+      | _ -> Some (Cluster.Telemetry.create ?journal cfg)
+    in
+    let server =
+      match (serve_port, telemetry) with
+      | Some port, Some t ->
+        let srv = Cluster.Telemetry.serve t ~port in
+        Printf.eprintf
+          "serving telemetry on http://127.0.0.1:%d (/metrics /healthz \
+           /state)\n\
+           %!"
+          (Statsched_obs.Http.port srv);
+        Some srv
+      | _ -> None
+    in
+    let wall_start = Statsched_obs.Clock.now () in
+    let progress =
+      Option.map
+        (fun period ->
+          ( period,
+            fun (p : Cluster.Simulation.progress) ->
+              let wall = Statsched_obs.Clock.elapsed ~since:wall_start in
+              let rate =
+                if wall > 0.0 then float_of_int p.Cluster.Simulation.events /. wall
+                else 0.0
+              in
+              Printf.eprintf
+                "progress: t=%.0f arrivals=%d completions=%d events=%d \
+                 (%.0f events/s wall)\n\
+                 %!"
+                p.Cluster.Simulation.sim_time p.Cluster.Simulation.arrivals
+                p.Cluster.Simulation.completions p.Cluster.Simulation.events
+                rate ))
+        stats_interval
+    in
+    let result =
+      Cluster.Simulation.run
+        ?sanitize:(if sanitize then Some true else None)
+        (* Every CLI observer (Probe, Telemetry, the journal)
+           copies job fields out synchronously, so each store slot can
+           keep one hook record. *)
+        ~hooks_retain_jobs:false
+        ?metric_histograms:(Option.map Cluster.Telemetry.histograms telemetry)
+        ?on_engine:
+          (Option.map (fun t e -> Cluster.Telemetry.set_engine t e) telemetry)
+        ?on_dispatch:
+          (Option.map (fun t job -> Cluster.Telemetry.on_dispatch t job) telemetry)
+        ?on_completion:
+          (Option.map (fun t job -> Cluster.Telemetry.on_completion t job) telemetry)
+        ?on_tick:(Option.map (fun p -> (10.0, Cluster.Probe.on_tick p)) probe)
+        ?on_drop:(Option.map (fun t job -> Cluster.Telemetry.on_drop t job) telemetry)
+        ?on_rate_change:
+          (Option.map
+             (fun t ~time ~computer ~rate ->
+               Cluster.Telemetry.on_rate_change t ~time ~computer ~rate)
+             telemetry)
+        ?on_progress:progress cfg
+    in
+    (match (probe, probe_file) with
+    | Some p, Some path ->
+      Cluster.Probe.write_csv p path;
+      Printf.printf "probe: %d samples (peak queue %d) -> %s\n"
+        (Cluster.Probe.sample_count p) (Cluster.Probe.peak p) path
+    | _ -> ());
+    (match telemetry with
+    | None -> ()
+    | Some t ->
+      Cluster.Telemetry.finalize t result;
+      (match metrics_out with
+      | Some path ->
+        Cluster.Telemetry.write_metrics t path;
+        Printf.printf "metrics: %d series -> %s\n"
+          (Cluster.Telemetry.metric_count t) path
+      | None -> ());
+      match (journal_file, Cluster.Telemetry.journal t) with
+      | Some path, Some j ->
+        Cluster.Telemetry.write_journal t result path;
+        Printf.printf "journal: %d records (stride %d) -> %s\n"
+          (Statsched_obs.Journal.length j)
+          (Statsched_obs.Journal.stride j)
+          path
       | _ -> ());
-      (match computers with
-      | Some n when n < 1 ->
-        invalid_arg (Printf.sprintf "--computers must be at least 1 (got %d)" n)
-      | _ -> ());
-      let speeds =
-        match computers with
-        | Some n -> E.Ext_scale.speeds_for n
-        | None -> speeds
-      in
-      (match d with
-      | Some d when d < 1 ->
-        invalid_arg (Printf.sprintf "--d must be at least 1 (got %d)" d)
-      | Some d when d > Array.length speeds ->
-        invalid_arg
-          (Printf.sprintf "--d must not exceed the cluster size %d (got %d)"
-             (Array.length speeds) d)
-      | _ -> ());
-      let horizon = Option.value horizon ~default:scale.E.Config.horizon in
-      let warmup = Option.value warmup ~default:scale.E.Config.warmup in
-      if not (horizon > 0.0) then
-        invalid_arg (Printf.sprintf "--horizon must be positive (got %g)" horizon);
-      if not (0.0 <= warmup && warmup < horizon) then
-        invalid_arg
-          (Printf.sprintf "--warmup must lie in [0, horizon) (got %g)" warmup);
-      if not (mean_size > 0.0) then
-        invalid_arg
-          (Printf.sprintf "--mean-size must be positive (got %g)" mean_size);
-      let scenario =
-        Scenario.v ~discipline ~arrival_cv ~size:size_dist ~mean_size ~seed ?d
-          ~speeds ~rho ~policy ()
-      in
-      let workload = Scenario.workload scenario in
-      let faults = fault_plan ~mtbf ~mttr ~on_failure ~oblivious in
-      let cfg =
-        Cluster.Simulation.default_config ?faults ~discipline ~horizon ~warmup
-          ~seed ~speeds ~workload
-          ~scheduler:(Scenario.scheduler_of_name ~d:scenario.Scenario.d policy) ()
-      in
-      let probe = Option.map (fun _ -> Cluster.Probe.create ()) probe_file in
-      let journal =
-        Option.map
-          (fun _ ->
-            Statsched_obs.Journal.create ~capacity:journal_capacity
-              ~sample_every:journal_sample ())
-          journal_file
-      in
-      let telemetry =
-        match (metrics_out, journal, serve_port) with
-        | None, None, None -> None
-        | _ -> Some (Cluster.Telemetry.create ?journal cfg)
-      in
-      let server =
-        match (serve_port, telemetry) with
-        | Some port, Some t ->
-          let srv = Cluster.Telemetry.serve t ~port in
-          Printf.eprintf
-            "serving telemetry on http://127.0.0.1:%d (/metrics /healthz \
-             /state)\n\
-             %!"
-            (Statsched_obs.Http.port srv);
-          Some srv
-        | _ -> None
-      in
-      let wall_start = Statsched_obs.Clock.now () in
-      let progress =
-        Option.map
-          (fun period ->
-            ( period,
-              fun (p : Cluster.Simulation.progress) ->
-                let wall = Statsched_obs.Clock.elapsed ~since:wall_start in
-                let rate =
-                  if wall > 0.0 then float_of_int p.Cluster.Simulation.events /. wall
-                  else 0.0
-                in
-                Printf.eprintf
-                  "progress: t=%.0f arrivals=%d completions=%d events=%d \
-                   (%.0f events/s wall)\n\
-                   %!"
-                  p.Cluster.Simulation.sim_time p.Cluster.Simulation.arrivals
-                  p.Cluster.Simulation.completions p.Cluster.Simulation.events
-                  rate ))
-          stats_interval
-      in
-      let result =
-        Cluster.Simulation.run
-          ?sanitize:(if sanitize then Some true else None)
-          (* Every CLI observer (Probe, Telemetry, the journal)
-             copies job fields out synchronously, so each store slot can
-             keep one hook record. *)
-          ~hooks_retain_jobs:false
-          ?metric_histograms:(Option.map Cluster.Telemetry.histograms telemetry)
-          ?on_engine:
-            (Option.map (fun t e -> Cluster.Telemetry.set_engine t e) telemetry)
-          ?on_dispatch:
-            (Option.map (fun t job -> Cluster.Telemetry.on_dispatch t job) telemetry)
-          ?on_completion:
-            (Option.map (fun t job -> Cluster.Telemetry.on_completion t job) telemetry)
-          ?on_tick:(Option.map (fun p -> (10.0, Cluster.Probe.on_tick p)) probe)
-          ?on_drop:(Option.map (fun t job -> Cluster.Telemetry.on_drop t job) telemetry)
-          ?on_rate_change:
-            (Option.map
-               (fun t ~time ~computer ~rate ->
-                 Cluster.Telemetry.on_rate_change t ~time ~computer ~rate)
-               telemetry)
-          ?on_progress:progress cfg
-      in
-      (match (probe, probe_file) with
-      | Some p, Some path ->
-        Cluster.Probe.write_csv p path;
-        Printf.printf "probe: %d samples (peak queue %d) -> %s\n"
-          (Cluster.Probe.sample_count p) (Cluster.Probe.peak p) path
-      | _ -> ());
-      (match telemetry with
-      | None -> ()
-      | Some t ->
-        Cluster.Telemetry.finalize t result;
-        (match metrics_out with
-        | Some path ->
-          Cluster.Telemetry.write_metrics t path;
-          Printf.printf "metrics: %d series -> %s\n"
-            (Cluster.Telemetry.metric_count t) path
-        | None -> ());
-        match (journal_file, Cluster.Telemetry.journal t) with
-        | Some path, Some j ->
-          Cluster.Telemetry.write_journal t result path;
-          Printf.printf "journal: %d records (stride %d) -> %s\n"
-            (Statsched_obs.Journal.length j)
-            (Statsched_obs.Journal.stride j)
-            path
-        | _ -> ());
-      Option.iter Statsched_obs.Http.stop server;
-      print_result result;
-      `Ok ()
-    with
-    | Invalid_argument m -> `Error (false, m)
-    | Cluster.Sanitize.Violation { invariant; message } ->
-      `Error (false, Printf.sprintf "sanitizer (%s): %s" invariant message)
+    Option.iter Statsched_obs.Http.stop server;
+    print_result result
   in
   let term =
     Term.(
       ret
-        (const run $ speeds_t $ rho_t $ scheduler_t $ seed_t $ scale_t
+        (const run $ Cli.speeds $ rho_t $ scheduler_t $ seed_t $ scale_t
        $ discipline_t $ arrival_cv_t $ size_dist_t $ mean_size_t $ horizon_t
        $ warmup_t $ probe_t $ metrics_out_t $ stats_interval_t $ serve_t
        $ journal_t $ journal_capacity_t $ journal_sample_t $ mtbf_t $ mttr_t
@@ -692,13 +632,10 @@ let table_study ?banner table { scale; seed; jobs; _ } =
 
 let compare_cmd =
   let run speeds rho seed scale jobs =
-    try
-      table_study (E.Studies.compare ~speeds ~rho)
-        { scale; seed; jobs; csv_dir = None };
-      `Ok ()
-    with Invalid_argument m -> `Error (false, m)
+    Cli.guard ~jobs @@ fun () ->
+    table_study (E.Studies.compare ~speeds ~rho) { scale; seed; jobs; csv_dir = None }
   in
-  let term = Term.(ret (const run $ speeds_t $ rho_t $ seed_t $ scale_t $ jobs_t)) in
+  let term = Term.(ret (const run $ Cli.speeds $ rho_t $ seed_t $ scale_t $ jobs_t)) in
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Simulate all five schedulers (WRAN/ORAN/WRR/ORR/Least-Load) on one cluster.")
@@ -843,11 +780,7 @@ let experiment_cmd =
              CSV files into $(docv).")
   in
   let run study scale seed jobs csv_dir =
-    try
-      validate_jobs ();
-      study { scale; seed; jobs; csv_dir };
-      `Ok ()
-    with Invalid_argument m | Sys_error m -> `Error (false, m)
+    Cli.guard ~jobs @@ fun () -> study { scale; seed; jobs; csv_dir }
   in
   let term = Term.(ret (const run $ which_t $ scale_t $ seed_t $ jobs_t $ csv_t)) in
   Cmd.v
@@ -869,48 +802,46 @@ let theory_cmd =
           ~doc:"Mean job size in speed-1 seconds (default: the paper's 76.8).")
   in
   let run speeds rho mean_size =
-    if not (0.0 < rho && rho < 1.0) then `Error (false, "utilization must be in (0,1)")
-    else if mean_size <= 0.0 then `Error (false, "mean size must be positive")
-    else begin
-      let mu = 1.0 /. mean_size in
-      let lambda = Core.Mm1.lambda_of_utilization ~mu ~rho ~speeds in
-      let weighted = Core.Allocation.weighted speeds in
-      let optimized = Core.Allocation.optimized ~rho speeds in
-      Printf.printf
-        "M/M/1-PS predictions: lambda = %.5g jobs/s, mu = %.5g, aggregate speed %g\n\n"
-        lambda mu (Core.Speeds.total speeds);
-      let per_computer alloc =
-        List.init (Array.length speeds) (fun i ->
-            let speed = speeds.(i) in
-            let alpha = alloc.(i) in
-            [
-              E.Report.Int i;
-              E.Report.Float speed;
-              E.Report.Percent alpha;
-              E.Report.Percent (Core.Mm1.server_utilization ~mu ~lambda ~speed ~alpha);
-              E.Report.Float
-                (Core.Mm1.server_mean_response_time ~mu ~lambda ~speed ~alpha);
-            ])
-      in
-      let header = [ "computer"; "speed"; "share"; "utilization"; "mean resp. time" ] in
-      print_endline "weighted allocation:";
-      print_string (E.Report.render ~header ~rows:(per_computer weighted));
-      print_endline "\noptimized allocation (Algorithm 1):";
-      print_string (E.Report.render ~header ~rows:(per_computer optimized));
-      let t alloc = Core.Mm1.mean_response_time ~mu ~lambda ~speeds ~alloc in
-      let r alloc = Core.Mm1.mean_response_ratio ~mu ~lambda ~speeds ~alloc in
-      Printf.printf
-        "\nsystem:   weighted  T=%.4g R=%.4g   |   optimized  T=%.4g R=%.4g   \
-         (%.1f%% better)\n"
-        (t weighted) (r weighted) (t optimized) (r optimized)
-        (100.0 *. (1.0 -. (t optimized /. t weighted)));
-      Printf.printf
-        "parked computers under optimized allocation: %d (Theorem 2 cutoff)\n"
-        (Core.Allocation.optimized_cutoff ~rho speeds);
-      `Ok ()
-    end
+    Cli.guard @@ fun () ->
+    if not (0.0 < rho && rho < 1.0) then invalid_arg "utilization must be in (0,1)";
+    if mean_size <= 0.0 then invalid_arg "mean size must be positive";
+    let mu = 1.0 /. mean_size in
+    let lambda = Core.Mm1.lambda_of_utilization ~mu ~rho ~speeds in
+    let weighted = Core.Allocation.weighted speeds in
+    let optimized = Core.Allocation.optimized ~rho speeds in
+    Printf.printf
+      "M/M/1-PS predictions: lambda = %.5g jobs/s, mu = %.5g, aggregate speed %g\n\n"
+      lambda mu (Core.Speeds.total speeds);
+    let per_computer alloc =
+      List.init (Array.length speeds) (fun i ->
+          let speed = speeds.(i) in
+          let alpha = alloc.(i) in
+          [
+            E.Report.Int i;
+            E.Report.Float speed;
+            E.Report.Percent alpha;
+            E.Report.Percent (Core.Mm1.server_utilization ~mu ~lambda ~speed ~alpha);
+            E.Report.Float
+              (Core.Mm1.server_mean_response_time ~mu ~lambda ~speed ~alpha);
+          ])
+    in
+    let header = [ "computer"; "speed"; "share"; "utilization"; "mean resp. time" ] in
+    print_endline "weighted allocation:";
+    print_string (E.Report.render ~header ~rows:(per_computer weighted));
+    print_endline "\noptimized allocation (Algorithm 1):";
+    print_string (E.Report.render ~header ~rows:(per_computer optimized));
+    let t alloc = Core.Mm1.mean_response_time ~mu ~lambda ~speeds ~alloc in
+    let r alloc = Core.Mm1.mean_response_ratio ~mu ~lambda ~speeds ~alloc in
+    Printf.printf
+      "\nsystem:   weighted  T=%.4g R=%.4g   |   optimized  T=%.4g R=%.4g   \
+       (%.1f%% better)\n"
+      (t weighted) (r weighted) (t optimized) (r optimized)
+      (100.0 *. (1.0 -. (t optimized /. t weighted)));
+    Printf.printf
+      "parked computers under optimized allocation: %d (Theorem 2 cutoff)\n"
+      (Core.Allocation.optimized_cutoff ~rho speeds)
   in
-  let term = Term.(ret (const run $ speeds_t $ rho_t $ mean_size_t)) in
+  let term = Term.(ret (const run $ Cli.speeds $ rho_t $ mean_size_t)) in
   Cmd.v
     (Cmd.info "theory"
        ~doc:
@@ -929,15 +860,12 @@ let report_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output Markdown file.")
   in
   let run scale seed jobs out =
-    try
-      validate_jobs ();
-      Printf.printf "running all experiments at scale %s (this may take a while)...\n%!"
-        (E.Config.scale_name scale);
-      let doc = E.Md_report.generate_fresh ~scale ~seed ?jobs () in
-      E.Md_report.write ~path:out doc;
-      Printf.printf "wrote %s (%d bytes)\n" out (String.length doc);
-      `Ok ()
-    with Invalid_argument m | Sys_error m -> `Error (false, m)
+    Cli.guard ~jobs @@ fun () ->
+    Printf.printf "running all experiments at scale %s (this may take a while)...\n%!"
+      (E.Config.scale_name scale);
+    let doc = E.Md_report.generate_fresh ~scale ~seed ?jobs () in
+    E.Md_report.write ~path:out doc;
+    Printf.printf "wrote %s (%d bytes)\n" out (String.length doc)
   in
   let term = Term.(ret (const run $ scale_t $ seed_t $ jobs_t $ out_t)) in
   Cmd.v
@@ -949,12 +877,9 @@ let report_cmd =
 
 let claims_cmd =
   let run scale seed jobs =
-    try
-      validate_jobs ();
-      let inputs = E.Paper_claims.gather ~scale ~seed ?jobs () in
-      print_string (E.Paper_claims.to_report (E.Paper_claims.evaluate inputs));
-      `Ok ()
-    with Invalid_argument m -> `Error (false, m)
+    Cli.guard ~jobs @@ fun () ->
+    let inputs = E.Paper_claims.gather ~scale ~seed ?jobs () in
+    print_string (E.Paper_claims.to_report (E.Paper_claims.evaluate inputs))
   in
   let term = Term.(ret (const run $ scale_t $ seed_t $ jobs_t)) in
   Cmd.v
@@ -973,28 +898,26 @@ let table_cmd =
       & info [ "at" ] ~docv:"RHOS" ~doc:"Utilisations to print rows for.")
   in
   let run speeds grid at =
-    try
-      let t = Core.Alloc_table.build ~grid speeds in
-      let rows =
-        List.map
-          (fun (rho, alloc) ->
-            E.Report.Percent rho
-            :: Array.to_list (Array.map (fun a -> E.Report.Percent a) alloc))
-          (Core.Alloc_table.to_report_rows t ~at)
-      in
-      let header =
-        "rho"
-        :: List.init (Array.length speeds) (fun i ->
-               Printf.sprintf "c%d (s=%g)" i speeds.(i))
-      in
-      print_string (E.Report.render ~header ~rows);
-      Printf.printf
-        "\nmax interpolation error vs exact Algorithm 1 (mid-range): %.2e\n"
-        (Core.Alloc_table.max_interpolation_error ~lo:0.2 ~hi:0.95 t ~samples:200);
-      `Ok ()
-    with Invalid_argument m -> `Error (false, m)
+    Cli.guard @@ fun () ->
+    let t = Core.Alloc_table.build ~grid speeds in
+    let rows =
+      List.map
+        (fun (rho, alloc) ->
+          E.Report.Percent rho
+          :: Array.to_list (Array.map (fun a -> E.Report.Percent a) alloc))
+        (Core.Alloc_table.to_report_rows t ~at)
+    in
+    let header =
+      "rho"
+      :: List.init (Array.length speeds) (fun i ->
+             Printf.sprintf "c%d (s=%g)" i speeds.(i))
+    in
+    print_string (E.Report.render ~header ~rows);
+    Printf.printf
+      "\nmax interpolation error vs exact Algorithm 1 (mid-range): %.2e\n"
+      (Core.Alloc_table.max_interpolation_error ~lo:0.2 ~hi:0.95 t ~samples:200)
   in
-  let term = Term.(ret (const run $ speeds_t $ grid_t $ at_t)) in
+  let term = Term.(ret (const run $ Cli.speeds $ grid_t $ at_t)) in
   Cmd.v
     (Cmd.info "table"
        ~doc:

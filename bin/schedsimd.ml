@@ -9,35 +9,14 @@
 open Cmdliner
 module Core = Statsched_core
 module Cluster = Statsched_cluster
-
-let speeds_arg =
-  let parse s =
-    try Ok (Core.Speeds.of_string s)
-    with Invalid_argument _ ->
-      Error (`Msg (Printf.sprintf "invalid speed list %S" s))
-  in
-  let print fmt s = Format.fprintf fmt "%s" (Core.Speeds.to_string s) in
-  Arg.conv (parse, print)
-
-let speeds_t =
-  Arg.(
-    value
-    & opt speeds_arg Core.Speeds.table3
-    & info [ "s"; "speeds" ] ~docv:"SPEEDS"
-        ~doc:
-          "Comma-separated computer speeds, with NxS groups allowed (e.g. \
-           '1,1,2,10' or '5x1.0,4x1.5,1x12').  Default: the paper's Table 3 \
-           configuration.")
+module Cli = Statsched_cli
 
 let rho_t =
-  Arg.(
-    value
-    & opt float 0.6
-    & info [ "u"; "utilization" ] ~docv:"RHO"
-        ~doc:
-          "Offered utilisation the optimized allocations are computed for \
-           (Algorithm 1's load estimate; the daemon does not generate \
-           arrivals itself).")
+  Cli.rho ~default:0.6
+    ~doc:
+      "Offered utilisation the optimized allocations are computed for \
+       (Algorithm 1's load estimate; the daemon does not generate \
+       arrivals itself)."
 
 let policy_t =
   Arg.(
@@ -79,8 +58,7 @@ let backlog_t =
           "Admission control: once $(docv) jobs are in the system, \
            POST /jobs answers 429 until completions free capacity.")
 
-let seed_t =
-  Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+let seed_t = Cli.seed ~default:42L ~doc:"Random seed."
 
 let horizon_t =
   Arg.(
@@ -92,34 +70,25 @@ let horizon_t =
            and journal metadata only; the run actually ends at drain time).")
 
 let journal_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"FILE"
-        ~doc:
-          "Record a bounded structured run journal and write it to $(docv) \
-           on drain (cross-validate with 'tracestat check').")
+  Cli.journal
+    ~doc:
+      "Record a bounded structured run journal and write it to $(docv) \
+       on drain (cross-validate with 'tracestat check')."
 
 let journal_capacity_t =
-  Arg.(
-    value
-    & opt int 65536
-    & info [ "journal-capacity" ] ~docv:"N"
-        ~doc:
-          "Maximum records the journal retains; memory grows with the \
-           records kept, 48 bytes each, up to $(docv) of them.")
+  Cli.journal_capacity ~default:65536
+    ~doc:
+      "Maximum records the journal retains; memory grows with the \
+       records kept, 48 bytes each, up to $(docv) of them."
 
 let metrics_out_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"Write the final Prometheus exposition to $(docv) on drain.")
+  Cli.metrics_out ~doc:"Write the final Prometheus exposition to $(docv) on drain."
 
 let run speeds rho policy port time_scale backlog_limit seed horizon
     journal_file journal_capacity metrics_out =
+  Cli.guard @@ fun () ->
   match Cluster.Scheduler.of_name policy with
-  | Error msg -> `Error (false, msg)
+  | Error msg -> invalid_arg msg
   | Ok scheduler ->
     let workload = Cluster.Workload.paper_default ~rho ~speeds in
     let cfg =
@@ -175,8 +144,7 @@ let run speeds rho policy port time_scale backlog_limit seed horizon
          %.4f)\n"
         (Cluster.Daemon.virtual_now daemon)
         m.Core.Metrics.jobs m.Core.Metrics.mean_response_ratio
-    | None -> Printf.printf "schedsimd: drained with no measured jobs\n");
-    `Ok ()
+    | None -> Printf.printf "schedsimd: drained with no measured jobs\n")
 
 let cmd =
   let doc = "serve the heterogeneous-cluster scheduler as a daemon" in
@@ -202,7 +170,7 @@ let cmd =
   let term =
     Term.(
       ret
-        (const run $ speeds_t $ rho_t $ policy_t $ port_t $ time_scale_t
+        (const run $ Cli.speeds $ rho_t $ policy_t $ port_t $ time_scale_t
        $ backlog_t $ seed_t $ horizon_t $ journal_t $ journal_capacity_t
        $ metrics_out_t))
   in

@@ -91,11 +91,10 @@ type source = {
   mutable pos : int;  (* next unread slot; [length buf] forces a refill *)
 }
 
-let source ?(batch = 256) dist ~rng =
-  if batch < 1 then invalid_arg "Workload.source: batch < 1";
-  { dist; rng; buf = Float.Array.make batch 0.0; pos = batch }
+let batch = 256
 
-let gap_source ?batch t ~rng = source ?batch t.interarrival ~rng
+let source dist ~rng = { dist; rng; buf = Float.Array.make batch 0.0; pos = batch }
+let gap_source t ~rng = source t.interarrival ~rng
 let size_source t ~rng = source t.size ~rng
 
 let refill src =

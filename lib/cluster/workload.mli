@@ -100,14 +100,12 @@ val modulated_rate : t -> float -> float
 
 type source
 
-val gap_source : ?batch:int -> t -> rng:Statsched_prng.Rng.t -> source
-(** A fresh source drawing from [t.interarrival] with the given stream.
-    [batch] (default 256) draws are pre-sampled per refill.
-
-    @raise Invalid_argument if [batch < 1]. *)
+val gap_source : t -> rng:Statsched_prng.Rng.t -> source
+(** A fresh source drawing from [t.interarrival] with the given stream;
+    256 draws are pre-sampled per refill. *)
 
 val size_source : t -> rng:Statsched_prng.Rng.t -> source
-(** The same for [t.size], with the default batch. *)
+(** The same for [t.size]. *)
 
 val next : source -> float
 (** The next draw: a base gap or a size.  Inlined, so it stays

@@ -5,8 +5,8 @@ type t = {
   mutable area : float;
 }
 
-let create ?(initial_value = 0.0) ?(start_time = 0.0) () =
-  { value = initial_value; last_time = start_time; start_time; area = 0.0 }
+let create ?(start_time = 0.0) () =
+  { value = 0.0; last_time = start_time; start_time; area = 0.0 }
 
 let[@inline] advance t ~time =
   if time < t.last_time then invalid_arg "Tally.advance: time moved backwards";

@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?initial_value:float -> ?start_time:float -> unit -> t
+val create : ?start_time:float -> unit -> t
 
 val update : t -> time:float -> value:float -> unit
 (** [update t ~time ~value] records that the signal changed to [value] at

@@ -565,9 +565,8 @@ let gap_source_matches_direct () =
   (* [Workload.gap_source] and [Workload.size_source] pre-sample gaps
      and sizes in batches, each from its own stream.  Batching must be
      bit-invisible: the k-th draw equals the k-th direct draw from an
-     identically seeded RNG, across refill boundaries (gaps: batch = 16,
-     100 draws span 7 refills; sizes: the default 256, 600 draws span
-     3). *)
+     identically seeded RNG, across refill boundaries (600 draws at the
+     256-draw batch span 3 refills). *)
   let speeds = [| 1.0; 2.0; 4.0 |] in
   let w = Workload.paper_default ~rho:0.7 ~speeds in
   let rng () = Statsched_prng.Rng.create ~seed:99L () in
@@ -580,7 +579,7 @@ let gap_source_matches_direct () =
       then Alcotest.failf "%s %d: batched %h, direct %h" what k batched direct
     done
   in
-  same "gap" w.Workload.interarrival (Workload.gap_source ~batch:16 w ~rng:(rng ())) ~draws:100;
+  same "gap" w.Workload.interarrival (Workload.gap_source w ~rng:(rng ())) ~draws:600;
   same "size" w.Workload.size (Workload.size_source w ~rng:(rng ())) ~draws:600
 
 let per_job_allocation_bounded () =

@@ -85,11 +85,6 @@ let tally_time_average () =
   check_float ~eps:1e-12 "time average" 2.0 (Tally.time_average t);
   check_float "current value" 3.0 (Tally.current_value t)
 
-let tally_initial_value () =
-  let t = Tally.create ~initial_value:5.0 () in
-  Tally.advance t ~time:4.0;
-  check_float "constant signal" 5.0 (Tally.time_average t)
-
 let tally_reset () =
   let t = Tally.create () in
   Tally.update t ~time:0.0 ~value:10.0;
@@ -223,7 +218,6 @@ let suite =
     test "welford: catastrophic-cancellation resistance" welford_numerical_stability;
     prop_welford_matches_naive;
     test "tally: piecewise time average" tally_time_average;
-    test "tally: initial value" tally_initial_value;
     test "tally: warm-up reset" tally_reset;
     test "tally: time monotonicity enforced" tally_backwards_time;
     test "tally: empty is nan" tally_empty_nan;

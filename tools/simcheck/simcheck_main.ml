@@ -13,6 +13,7 @@
 open Cmdliner
 module S = Statsched_simcheck
 module E = Statsched_experiments
+module Cli = Statsched_cli
 
 let fast_t =
   Arg.(
@@ -23,22 +24,15 @@ let fast_t =
            and fuzz cases.  The confidence bands adapt to the scale, so the \
            checks stay calibrated, just statistically blunter.")
 
-let seed_t =
-  Arg.(
-    value
-    & opt int64 20260806L
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Root random seed for the seeded runs.")
+let seed_t = Cli.seed ~default:20260806L ~doc:"Root random seed for the seeded runs."
 
 let jobs_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Fan replications out over $(docv) OCaml domains (default: the \
-           $(b,STATSCHED_JOBS) environment variable, else the machine's \
-           recommended domain count).  Results are bit-identical for every \
-           $(docv).")
+  Cli.jobs
+    ~doc:
+      "Fan replications out over $(docv) OCaml domains (default: the \
+       $(b,STATSCHED_JOBS) environment variable, else the machine's \
+       recommended domain count).  Results are bit-identical for every \
+       $(docv)."
 
 let count_t =
   Arg.(
@@ -104,12 +98,13 @@ let report ~out checks elapsed =
 
 let tier_cmd name doc checks_of =
   let run fast seed jobs count out =
+    Cli.guard ~jobs @@ fun () ->
     let start = Statsched_obs.Clock.now () in
     let checks = checks_of ~fast ~seed ~jobs ~count () in
     report ~out checks (Statsched_obs.Clock.elapsed ~since:start)
   in
   let term =
-    Term.(const run $ fast_t $ seed_t $ jobs_t $ count_t $ out_t)
+    Term.(ret (const run $ fast_t $ seed_t $ jobs_t $ count_t $ out_t))
   in
   Cmd.v (Cmd.info name ~doc) term
 
