@@ -46,8 +46,7 @@ let guard ?jobs f =
     (match jobs with
     | Some None -> ignore (Statsched_par.Par.default_jobs ())
     | Some (Some _) | None -> ());
-    let v = f () in
-    `Ok v
+    `Ok (f ())
   with
   | Invalid_argument m | Sys_error m -> `Error (false, m)
   | Statsched_cluster.Sanitize.Violation { invariant; message } ->
